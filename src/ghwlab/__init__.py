@@ -16,7 +16,6 @@ from .codes import (
     TraceCode,
     check_closed_form_hypotheses,
     derive_params,
-    support_union,
 )
 from .errors import BudgetExceeded, GhwlabError, HypothesesNotMet
 from .fields import FieldCtx, PolyOverFq, build_field
@@ -89,6 +88,5 @@ __all__ = [
     "shift_high",
     "shift_low",
     "split_half_pair",
-    "support_union",
     "unshift_cross",
 ]

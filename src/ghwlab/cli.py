@@ -1,9 +1,10 @@
 """Command-line front end: params, check, ghw, gauss, flv, sweep, verify.
 
-Exit codes: 0 ok, 2 usage, 3 cross-check mismatch, 4 hypotheses unmet,
-5 enumeration budget exceeded.  JSON output is deterministic byte-for-byte
-under --no-timing; witnesses are reproducible because the field modulus and
-0-based index convention travel with every record.
+Exit codes: 0 ok, 2 usage, 3 cross-check mismatch or failed internal check,
+4 hypotheses unmet, 5 enumeration budget exceeded.  JSON output is
+deterministic byte-for-byte under --no-timing; witnesses are reproducible
+because the field modulus and 0-based index convention travel with every
+record.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -224,6 +226,17 @@ def _check_hierarchy_shape(d_list, n, k):
             raise RuntimeError(f"generalized Singleton bound violated at r={r}: {d_list}")
 
 
+def _auto_jobs(tm, r_list, q):
+    """Serial for small sweeps, else one worker per usable CPU and pattern."""
+    if max(gaussian_binomial(tm, r, q) for r in r_list) <= 20000:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, max(math.comb(tm, r) for r in r_list))
+
+
 def cmd_ghw(args):
     params = _derive(args)
     report = check_closed_form_hypotheses(params)
@@ -233,10 +246,7 @@ def cmd_ghw(args):
         if not 1 <= r <= tm:
             raise ValueError(f"r must lie in 1..{tm}, got {r}")
     budget = _budget(args)
-    jobs = args.jobs
-    if jobs == 0:
-        worst = max(gaussian_binomial(tm, r, params.q) for r in r_list)
-        jobs = (os.cpu_count() or 1) if worst > 20000 else 1
+    jobs = args.jobs or _auto_jobs(tm, r_list, params.q)
 
     methods = [args.method] if args.method != "all" else ["formula", "brute", "dual"]
     if "formula" in methods and not report.all_hold:
@@ -349,6 +359,7 @@ def cmd_sweep(args):
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SWEEP_COLUMNS)
+    failed = False
     for a in range(a_start, a_stop + 1):
         try:
             params = derive_params(args.p, args.s, args.m, args.e, args.t, a, args.deltas)
@@ -384,9 +395,10 @@ def cmd_sweep(args):
                 match_cell = str(formula == oracle)
         except Exception as exc:  # per-row error column, sweep keeps going
             error = f"{type(exc).__name__}: {exc}"
+        failed = failed or match_cell == "False" or bool(error)
         writer.writerow(row + [formula_cell, oracle_cell, match_cell, error])
     _write(args, buf.getvalue())
-    return EXIT_OK
+    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 def cmd_verify(args):
@@ -451,6 +463,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:  # a failed internal consistency check
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -310,14 +310,23 @@ class TraceCode:
         """
         if not linalg.vectors_independent(self.field, basis):
             raise ValueError("basis vectors are GF(q)-dependent")
-        return self._support_union_unchecked(basis)
-
-    def _support_union_unchecked(self, basis) -> frozenset:
         supp = set()
         for vec in basis:
             word = self.codeword(vec)
             supp.update(i for i, c in enumerate(word) if c)
         return frozenset(supp)
+
+    def generator_matrix(self) -> tuple:
+        """The k words of the GF(q) unit messages, one per coordinate.
+
+        Row c is the word of ``vector_from_coords`` of the c-th unit vector
+        of GF(q)^k, so an RREF row's word is its GF(q)-combination of these
+        rows.  Built on every call and never stored on the instance.
+        """
+        field, t, k = self.field, self.t, self.k
+        return tuple(
+            self.codeword(linalg.vector_from_coords(field, t, [int(i == c) for i in range(k)]))
+            for c in range(k))
 
     def parity_check_poly(self) -> PolyOverFq:
         """Product of the minimal polynomials of the gamma^(-a_i)."""
@@ -338,7 +347,3 @@ class TraceCode:
         if any(rem):
             raise RuntimeError("parity-check polynomial does not divide x^n - 1")
         return PolyOverFq(field, quot)
-
-
-def support_union(code: TraceCode, basis) -> frozenset:
-    return code.support_union(basis)

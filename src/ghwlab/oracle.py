@@ -136,35 +136,87 @@ def _count_via_dual_unchecked(code: TraceCode, basis) -> int:
 
 # -- exhaustive sweeps ------------------------------------------------------
 
-def _score_support(code, messages):
-    return code.n - len(code._support_union_unchecked(messages))
+class _OpRows(dict):
+    """q x q table of a GF(q) operation on scalar indices.  Rows are built
+    on first use, so a large q with few operands (k=1 over GF(3^10)) never
+    allocates q^2 entries."""
+
+    def __init__(self, op, scalars, index):
+        self.op, self.scalars, self.index = op, scalars, index
+
+    def __missing__(self, a):
+        x, op, index = self.scalars[a], self.op, self.index
+        row = self[a] = [index[op(x, b)] for b in self.scalars]
+        return row
 
 
-_SCORERS = {
-    "brute": _score_support,
-    "dual": lambda code, messages: _count_via_dual_unchecked(code, messages),
-}
+def _brute_scorer(code):
+    """Common-zero count of an RREF basis, from per-row support bitmasks.
+
+    By GF(q)-linearity a row's word is its combination of generator rows,
+    computed on scalar indices (index 0 is zero), and the subcode's support
+    is the union of its rows' supports.  Row masks are memoized per scorer,
+    that is per sweep worker, at most q^k of them.  ``TraceCode.codeword``
+    is the reference path.
+    """
+    field = code.field
+    scalars = field.subfield_q
+    index = {c: i for i, c in enumerate(scalars)}
+    add = _OpRows(field.add, scalars, index)
+    mul = _OpRows(field.mul, scalars, index)
+    gen = [[index[c] for c in word] for word in code.generator_matrix()]
+    bits = [1 << i for i in range(code.n)]
+    masks = {}
+
+    def row_mask(row):
+        word = None
+        for coef, g in zip(row, gen):
+            if coef:
+                if coef != 1:
+                    scale = mul[index[coef]]
+                    g = [scale[x] for x in g]
+                word = g if word is None else [add[w][x] for w, x in zip(word, g)]
+        return sum(b for b, w in zip(bits, word) if w)
+
+    def score(rows):
+        union = 0
+        for row in rows:
+            mask = masks.get(row)
+            if mask is None:
+                mask = masks[row] = row_mask(row)
+            union |= mask
+        return code.n - union.bit_count()
+
+    return score
+
+
+def _messages(field, t, rows):
+    return tuple(linalg.vector_from_coords(field, t, row) for row in rows)
+
+
+def _dual_scorer(code):
+    field, t = code.field, code.t
+    return lambda rows: _count_via_dual_unchecked(code, _messages(field, t, rows))
 
 
 def _sweep_patterns(code, r, indexed_patterns, mode):
-    scorer = _SCORERS[mode]
+    score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
     field = code.field
     t = code.t
     it = SubspaceIter(field, t * field.m, r)
     best = -1
     best_pos = None
-    best_witness = ()
+    best_rows = ()
     examined = 0
     for pat_idx, pattern in indexed_patterns:
         for local, rows in enumerate(it.iter_pattern(pattern)):
-            messages = tuple(linalg.vector_from_coords(field, t, row) for row in rows)
-            zeros = scorer(code, messages)
+            zeros = score(rows)
             examined += 1
             if zeros > best:
                 best = zeros
                 best_pos = (pat_idx, local)
-                best_witness = messages
-    return best, best_pos, best_witness, examined
+                best_rows = rows
+    return best, best_pos, _messages(field, t, best_rows), examined
 
 
 def _sweep_worker(payload):

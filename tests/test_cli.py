@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from ghwlab.cli import main
+import ghwlab.cli as cli
+from ghwlab import GHWResult
+from ghwlab.cli import _auto_jobs, main
 
 
 def run(capsys, *argv):
@@ -208,3 +211,49 @@ def test_output_to_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["params"]["n"] == 8
+
+
+def test_sweep_exit_3_on_mismatch(capsys, monkeypatch):
+    real = cli.ghw_bruteforce
+
+    def off_by_one(code, r, budget=None, jobs=1):
+        res = real(code, r, budget=budget, jobs=jobs)
+        return dataclasses.replace(res, d_r=res.d_r + 1)
+
+    monkeypatch.setattr(cli, "ghw_bruteforce", off_by_one)
+    code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                       "--t", "2", "--a-range", "2:6")
+    assert code == 3
+    rows = {line.split(",")[5]: line for line in out.strip().splitlines()[1:]}
+    assert set(rows) == {"2", "3", "5", "6"}   # every admissible a; a=4 fails (iii)
+    assert rows["6"].split(",")[-2] == "False"
+
+
+def test_sweep_exit_3_on_error_row(capsys, monkeypatch):
+    def broken(code, r, budget=None, jobs=1):
+        raise RuntimeError("count is not an integer")
+
+    monkeypatch.setattr(cli, "ghw_bruteforce", broken)
+    code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                       "--t", "2", "--a-range", "6:6")
+    assert code == 3
+    assert out.strip().splitlines()[1].endswith("RuntimeError: count is not an integer")
+
+
+def test_ghw_runtime_error_exit_3(capsys, monkeypatch):
+    def flat(code, r, budget=None, jobs=1):
+        return GHWResult(r=r, d_r=5, common_zeros=3, witness=(), examined=1)
+
+    monkeypatch.setattr(cli, "ghw_bruteforce", flat)
+    code, out, err = run(capsys, "ghw", *EX1, "--method", "brute", "--no-timing")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: hierarchy is not strictly increasing")
+
+
+def test_auto_jobs_uses_affinity_and_pattern_count(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert _auto_jobs(4, [1, 2], 7) == 1        # at most 2,850 subspaces: serial
+    assert _auto_jobs(8, [2], 3) == 28          # 896,260 subspaces in 28 patterns
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _auto_jobs(8, [2], 3) == 2
