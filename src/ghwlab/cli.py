@@ -30,6 +30,7 @@ from .hierarchy import (
     branch_label,
     character_sum_count,
     closed_form_dr,
+    closed_form_hierarchy,
     max_class_intersection,
     optimize_profile,
     rank_decomposition,
@@ -57,6 +58,13 @@ def _parse_deltas(text):
 
 def _parse_r_list(text):
     return [int(v) for v in text.split(",")]
+
+
+def _non_negative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _add_param_flags(sub, need_a=True):
@@ -99,11 +107,11 @@ def build_parser():
     sg.add_argument("--method", choices=("formula", "brute", "dual", "all"), default="all")
     sg.add_argument("--r", type=_parse_r_list, default=None,
                     help="comma list of subcode dimensions; default 1..t*m")
-    sg.add_argument("--budget", type=int, default=None,
-                    help=f"max subspaces per sweep (default {DEFAULT_BUDGET}, "
+    sg.add_argument("--budget", type=_non_negative, default=None,
+                    help=f"max subspaces per sweep, >= 0 (default {DEFAULT_BUDGET}, "
                          "env GHWLAB_BUDGET overrides)")
-    sg.add_argument("--jobs", type=int, default=0,
-                    help="worker processes for sweeps; 0 = auto")
+    sg.add_argument("--jobs", type=_non_negative, default=0,
+                    help="worker processes for sweeps, >= 0; 0 = auto")
     _add_output_flags(sg)
 
     sa = subs.add_parser("gauss", help="numeric Gauss periods for a field and divisor N")
@@ -121,7 +129,8 @@ def build_parser():
     _add_param_flags(sw, need_a=False)
     sw.add_argument("--a-range", required=True, metavar="START:STOP",
                     help="inclusive range of a values")
-    sw.add_argument("--budget", type=int, default=None)
+    sw.add_argument("--budget", type=_non_negative, default=None,
+                    help="max subspaces per sweep, >= 0")
     sw.add_argument("--output", default="-")
 
     sv = subs.add_parser("verify", help="character-sum counts vs exact counts on random subspaces")
@@ -380,7 +389,7 @@ def cmd_sweep(args):
         match_cell = ""
         try:
             if report.all_hold:
-                formula = [closed_form_dr(params, r) for r in range(1, params.k + 1)]
+                formula = closed_form_hierarchy(params)
                 formula_cell = ";".join(str(d) for d in formula)
             within = all(gaussian_binomial(params.k, r, params.q) <= budget
                          for r in range(1, params.k + 1))

@@ -45,9 +45,6 @@ class GaussPeriodTable:
     class_size: int
     values: tuple
 
-    def at_class(self, i: int) -> complex:
-        return self.values[i % self.N]
-
 
 class CyclotomyCtx:
     """Partition of F_Q^* into N classes with O(1) membership lookup."""
@@ -106,9 +103,3 @@ class CyclotomyCtx:
             values = tuple(self.gauss_period(exp[i % (self.field.Q - 1)]) for i in range(self.N))
             self._table = GaussPeriodTable(self.N, self.class_size, values)
         return self._table
-
-    def period_at(self, arg) -> complex:
-        """Table-backed period lookup for an arbitrary argument."""
-        if arg == 0:
-            return complex(self.class_size)
-        return self.period_table().values[self.class_index(arg)]

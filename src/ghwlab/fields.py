@@ -191,9 +191,6 @@ class FieldCtx:
         group = self.Q - 1
         return self.exp[(group - self.log[a]) % group]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow(self, a, k):
         if a == 0:
             if k > 0:
@@ -250,38 +247,32 @@ class FieldCtx:
         d = self.s if sub_degree is None else sub_degree
         return self.frobenius(x, d) == x
 
-    def trace(self, x, sub_degree, *, from_degree=None):
-        """Relative trace onto GF(p^sub_degree).
-
-        By default traces from the full field; pass ``from_degree`` to trace
-        from an intermediate subfield containing x (needed e.g. for the
-        additive character of GF(q) itself).
-        """
-        top = self.degree if from_degree is None else from_degree
-        if sub_degree <= 0 or top % sub_degree != 0:
-            raise ValueError(f"trace target degree {sub_degree} does not divide {top}")
-        if from_degree is not None:
-            if self.degree % from_degree != 0:
-                raise ValueError(f"trace source degree {from_degree} does not divide {self.degree}")
-            if not self.in_subfield(x, from_degree):
-                raise ValueError("element lies outside the requested source subfield")
-        acc = x
-        cur = x
-        for _ in range(top // sub_degree - 1):
-            cur = self.frobenius(cur, sub_degree)
-            acc = self.add(acc, cur)
-        return acc
-
     def trace_table(self, sub_degree) -> list:
-        """Dense table of trace(x, sub_degree) for every x; built once."""
-        table = self._trace_tables.get(sub_degree)
-        if table is None:
-            table = [self.trace(x, sub_degree) for x in range(self.Q)]
-            self._trace_tables[sub_degree] = table
-        return table
+        """Relative trace onto GF(p^sub_degree) of every element; built once.
 
-    def trace_to_q(self, x):
-        return self.trace_table(self.s)[x]
+        The trace is GF(p)-linear, so it is fixed by its values on the basis
+        X^i (element code p**i), each the Frobenius sum of its conjugates.
+        The table then grows one base-p digit at a time:
+        tr[x + c*p^i] = tr[x + (c-1)*p^i] + tr[p^i].
+        """
+        table = self._trace_tables.get(sub_degree)
+        if table is not None:
+            return table
+        if sub_degree <= 0 or self.degree % sub_degree != 0:
+            raise ValueError(
+                f"trace target degree {sub_degree} does not divide {self.degree}")
+        add = self.add
+        table = [0]
+        for i in range(self.degree):
+            tr = cur = self.p**i
+            for _ in range(self.degree // sub_degree - 1):
+                cur = self.frobenius(cur, sub_degree)
+                tr = add(tr, cur)
+            block = len(table)
+            for _ in range(self.p - 1):
+                table.extend([add(v, tr) for v in table[-block:]])
+        self._trace_tables[sub_degree] = table
+        return table
 
     # -- GF(q)-coordinates of the big field --------------------------------
 

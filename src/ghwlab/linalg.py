@@ -58,12 +58,6 @@ def nullspace(ctx, rows, ncols):
     return basis
 
 
-def canonical_key(ctx, rows):
-    """Hashable canonical form of the row space (RREF rows as tuples)."""
-    reduced, _ = rref(ctx, rows)
-    return tuple(tuple(r) for r in reduced)
-
-
 class Echelon:
     """Incremental independence bookkeeping over GF(q)."""
 

@@ -48,45 +48,6 @@ def count_common_zeros(code: TraceCode, basis) -> int:
     return code.n - len(code.support_union(basis))
 
 
-class DualContext:
-    """The trace bilinear form on F_Q^t and duals of message subspaces."""
-
-    def __init__(self, field, t: int):
-        self.field = field
-        self.t = t
-
-    def pair(self, xbar, ybar):
-        """Tr_{Q->q} of the dot product; values lie in GF(q)."""
-        field = self.field
-        acc = 0
-        for x, y in zip(xbar, ybar):
-            if x and y:
-                acc = field.add(acc, field.mul(x, y))
-        return field.trace_to_q(acc)
-
-    def dual_space(self, basis):
-        """Basis of the orthogonal complement; dimension is t*m - len(basis)."""
-        field = self.field
-        if not linalg.vectors_independent(field, basis):
-            raise ValueError("basis vectors are GF(q)-dependent")
-        m = field.m
-        trace_q = field.trace_table(field.s)
-        mul = field.mul
-        gamma_pows = [field.exp[i % (field.Q - 1)] for i in range(m)]
-        rows = []
-        for b in basis:
-            row = []
-            for slot in range(self.t):
-                bh = b[slot]
-                row.extend(trace_q[mul(bh, g)] if bh else 0 for g in gamma_pows)
-            rows.append(row)
-        null = linalg.nullspace(field, rows, self.t * m)
-        dual = [linalg.vector_from_coords(field, self.t, v) for v in null]
-        if len(dual) != self.t * m - len(basis):
-            raise RuntimeError("dual space has unexpected dimension")
-        return dual
-
-
 def count_via_dual(code: TraceCode, basis) -> int:
     """Recount of the common zeros through the dual-space expression.
 
@@ -96,18 +57,20 @@ def count_via_dual(code: TraceCode, basis) -> int:
     e == t.  Equals the direct count of a relabeled subspace, so only the
     maxima over all subspaces of fixed dimension are comparable.
     """
-    params = code.params
-    if params.e != params.t:
-        raise ValueError(f"dual counting requires e == t, got e={params.e}, t={params.t}")
+    _require_e_equals_t(code.params)
     if not linalg.vectors_independent(code.field, basis):
         raise ValueError("basis vectors are GF(q)-dependent")
     return _count_via_dual_unchecked(code, basis)
 
 
+def _require_e_equals_t(params):
+    if params.e != params.t:
+        raise ValueError(f"dual counting requires e == t, got e={params.e}, t={params.t}")
+
+
 def _count_via_dual_unchecked(code: TraceCode, basis) -> int:
     field = code.field
     params = code.params
-    cyc = code.cyclotomy
     m = field.m
     N = params.N
     trace_q = field.trace_table(field.s)
@@ -216,7 +179,13 @@ def _sweep_patterns(code, r, indexed_patterns, mode):
                 best = zeros
                 best_pos = (pat_idx, local)
                 best_rows = rows
-    return best, best_pos, _messages(field, t, best_rows), examined
+    witness = _messages(field, t, best_rows)
+    if mode == "brute":
+        recount = count_common_zeros(code, witness)
+        if recount != best:
+            raise RuntimeError(f"brute witness at r={r} recounts to {recount} "
+                               f"common zeros, the sweep scored {best}")
+    return best, best_pos, witness, examined
 
 
 def _sweep_worker(payload):
@@ -253,14 +222,21 @@ def _max_common_zeros(code, r, mode, budget, jobs):
 
 
 def ghw_bruteforce(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWResult:
-    """r-th GHW by direct support minimization over every r-dim subcode."""
+    """r-th GHW by direct support minimization over every r-dim subcode.
+
+    Each sweep worker recounts its best subspace through ``codeword``.
+    """
     zeros, witness, examined = _max_common_zeros(code, r, "brute", budget, jobs)
     return GHWResult(r=r, d_r=code.n - zeros, common_zeros=zeros,
                      witness=witness, examined=examined)
 
 
 def ghw_dual_sweep(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWResult:
-    """r-th GHW with the zero count recomputed via the dual expression."""
+    """r-th GHW with the zero count recomputed via the dual expression.
+
+    Requires e == t, like :func:`count_via_dual`.
+    """
+    _require_e_equals_t(code.params)
     zeros, witness, examined = _max_common_zeros(code, r, "dual", budget, jobs)
     return GHWResult(r=r, d_r=code.n - zeros, common_zeros=zeros,
                      witness=witness, examined=examined)

@@ -48,10 +48,6 @@ def free_positions(pattern, d: int):
     return positions
 
 
-def pattern_count(pattern, d: int, q: int) -> int:
-    return q ** len(free_positions(pattern, d))
-
-
 class SubspaceIter:
     """Iterator over the r-dimensional GF(q)-subspaces of GF(q)^d.
 

@@ -1,6 +1,7 @@
 import pytest
 
-from ghwlab import TraceCode, build_field, derive_params
+from ghwlab.codes import TraceCode, derive_params
+from ghwlab.fields import build_field
 
 
 @pytest.fixture(scope="session")

@@ -2,16 +2,14 @@
 
 from functools import lru_cache
 
-from ghwlab import (
-    CyclotomyCtx,
-    FormulaParams,
-    SubspaceIter,
-    TraceCode,
-    build_field,
-    derive_params,
-    ghw_bruteforce,
-)
+from ghwlab.codes import TraceCode, derive_params
+from ghwlab.cyclotomy import CyclotomyCtx
+from ghwlab.fields import build_field
+from ghwlab.hierarchy import FormulaParams
+from ghwlab import linalg
 from ghwlab.linalg import span_elements
+from ghwlab.oracle import ghw_bruteforce
+from ghwlab.subspaces import SubspaceIter
 
 # (q, m, N) regimes satisfying every closed-form hypothesis, m <= 6.
 # Used by the operation-monotonicity and optimizer-equivalence sweeps.
@@ -99,3 +97,57 @@ def exhaustive_class_intersections(ctx, N, l):
             if counts[i] > best[i]:
                 best[i] = counts[i]
     return best
+
+
+def frobenius_trace(ctx, x, sub_degree, top_degree=None):
+    """Definitional relative trace from GF(p^top_degree) onto GF(p^sub_degree).
+
+    The sum x + x^(p^sub) + x^(p^(2 sub)) + ... over top/sub conjugates;
+    the reference for ``FieldCtx.trace_table``.  ``top_degree`` defaults to
+    the whole field; x must lie in GF(p^top_degree).
+    """
+    top = ctx.degree if top_degree is None else top_degree
+    assert top % sub_degree == 0 and ctx.frobenius(x, top) == x
+    acc = 0
+    for i in range(top // sub_degree):
+        acc = ctx.add(acc, ctx.frobenius(x, sub_degree * i))
+    return acc
+
+
+class DualContext:
+    """The trace bilinear form on F_Q^t and duals of message subspaces."""
+
+    def __init__(self, field, t: int):
+        self.field = field
+        self.t = t
+
+    def pair(self, xbar, ybar):
+        """Tr_{Q->q} of the dot product; values lie in GF(q)."""
+        field = self.field
+        acc = 0
+        for x, y in zip(xbar, ybar):
+            if x and y:
+                acc = field.add(acc, field.mul(x, y))
+        return field.trace_table(field.s)[acc]
+
+    def dual_space(self, basis):
+        """Basis of the orthogonal complement; dimension is t*m - len(basis)."""
+        field = self.field
+        if not linalg.vectors_independent(field, basis):
+            raise ValueError("basis vectors are GF(q)-dependent")
+        m = field.m
+        trace_q = field.trace_table(field.s)
+        mul = field.mul
+        gamma_pows = [field.exp[i % (field.Q - 1)] for i in range(m)]
+        rows = []
+        for b in basis:
+            row = []
+            for slot in range(self.t):
+                bh = b[slot]
+                row.extend(trace_q[mul(bh, g)] if bh else 0 for g in gamma_pows)
+            rows.append(row)
+        null = linalg.nullspace(field, rows, self.t * m)
+        dual = [linalg.vector_from_coords(field, self.t, v) for v in null]
+        if len(dual) != self.t * m - len(basis):
+            raise RuntimeError("dual space has unexpected dimension")
+        return dual

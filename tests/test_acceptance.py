@@ -12,20 +12,18 @@ from contextlib import contextmanager
 
 import pytest
 
-from ghwlab import (
-    CyclotomyCtx,
+from ghwlab.codes import check_closed_form_hypotheses
+from ghwlab.cyclotomy import CyclotomyCtx
+from ghwlab.hierarchy import (
     FormulaParams,
     achieving_subspace,
     character_sum_count,
-    check_closed_form_hypotheses,
     closed_form_hierarchy,
-    count_common_zeros,
-    ghw_bruteforce,
-    ghw_dual_sweep,
     max_class_intersection,
     optimize_profile,
 )
 from ghwlab.linalg import span_elements, vectors_independent
+from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
 
 import helpers
 from test_hierarchy import _assert_monotonicity

@@ -7,17 +7,10 @@ reference path recomputes every basis word through ``TraceCode.codeword``.
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from ghwlab import (
-    GHWResult,
-    SubspaceIter,
-    TraceCode,
-    count_common_zeros,
-    derive_params,
-    gaussian_binomial,
-    ghw_bruteforce,
-)
+from ghwlab.codes import TraceCode, derive_params
 from ghwlab.linalg import vector_from_coords
-from ghwlab.oracle import _brute_scorer
+from ghwlab.oracle import GHWResult, _brute_scorer, count_common_zeros, ghw_bruteforce
+from ghwlab.subspaces import SubspaceIter, gaussian_binomial
 
 
 @pytest.fixture(scope="module")

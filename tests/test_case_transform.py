@@ -13,7 +13,7 @@ straight to the winning profile and never rewrites anything.
 
 import pytest
 
-from ghwlab import (
+from ghwlab.hierarchy import (
     enumerate_profiles,
     profile_objective,
     rank_decomposition,

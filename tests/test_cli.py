@@ -4,8 +4,8 @@ import json
 import pytest
 
 import ghwlab.cli as cli
-from ghwlab import GHWResult
 from ghwlab.cli import _auto_jobs, main
+from ghwlab.oracle import GHWResult
 
 
 def run(capsys, *argv):
@@ -98,12 +98,34 @@ def test_ghw_budget_exit(capsys):
     assert "2850" in err
 
 
+E3T1 = ["--p", "2", "--m", "4", "--e", "3", "--t", "1", "--a", "1", "--deltas", "0"]
+
+
 def test_ghw_all_skips_dual_when_e_exceeds_t(capsys):
-    code, out, _ = run(capsys, "ghw", "--p", "2", "--m", "4", "--e", "3",
-                       "--t", "1", "--a", "1", "--deltas", "0", "--no-timing")
+    code, out, _ = run(capsys, "ghw", *E3T1, "--no-timing")
     assert code == 0
     record = json.loads(out)
     assert set(record["hierarchy"]) == {"brute"}
+    assert record["hierarchy"]["brute"] == [8, 12, 14, 15]
+
+
+def test_ghw_dual_refuses_e_exceeding_t(capsys):
+    code, out, err = run(capsys, "ghw", *E3T1, "--method", "dual",
+                         "--format", "table", "--no-timing")
+    assert code == 2
+    assert out == ""
+    assert "dual counting requires e == t" in err
+
+
+def test_ghw_rejects_negative_jobs_and_budget(capsys):
+    for flag, value in (("--jobs", "-3"), ("--budget", "-1")):
+        code, out, err = run(capsys, "ghw", *EX1, "--method", "brute", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: must be >= 0, got {value}" in err
+    code, _, err = run(capsys, "sweep", *EX1[:-2], "--a-range", "6:6", "--budget", "-1")
+    assert code == 2
+    assert "argument --budget: must be >= 0" in err
 
 
 def test_ghw_budget_env_override(capsys, monkeypatch):

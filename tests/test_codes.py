@@ -1,6 +1,6 @@
 import pytest
 
-from ghwlab import TraceCode, check_closed_form_hypotheses, derive_params
+from ghwlab.codes import TraceCode, check_closed_form_hypotheses, derive_params
 from ghwlab.fields import poly_mul
 
 

@@ -1,7 +1,13 @@
 import pytest
 
-from ghwlab import build_field
-from ghwlab.fields import PolyOverFq, is_prime, poly_divmod, poly_mul, prime_factors
+from ghwlab.fields import (
+    PolyOverFq,
+    build_field,
+    is_prime,
+    poly_divmod,
+    poly_mul,
+    prime_factors,
+)
 
 
 def test_build_field_basic(f49):
@@ -98,16 +104,16 @@ def test_field_axioms_sampled(f49):
 
 
 def test_trace_small_values(f4):
-    assert f4.trace(0, 1) == 0
+    assert f4.trace_table(1)[0] == 0
     # 1 + 1^2 = 0 in characteristic 2
-    assert f4.trace(1, 1) == 0
+    assert f4.trace_table(1)[1] == 0
 
 
 def test_trace_balanced_f49(f49):
     # 7 elements per trace value when tracing F_49 onto F_7
     counts = {}
     for x in range(49):
-        v = f49.trace(x, 1)
+        v = f49.trace_table(1)[x]
         assert v in f49.subfield_q
         counts[v] = counts.get(v, 0) + 1
     assert counts == {v: 7 for v in f49.subfield_q}
@@ -116,22 +122,46 @@ def test_trace_balanced_f49(f49):
 def test_trace_fibers_onto_subfield(f64):
     counts = {}
     for x in range(64):
-        counts.setdefault(f64.trace_to_q(x), 0)
-        counts[f64.trace_to_q(x)] += 1
+        counts.setdefault(f64.trace_table(f64.s)[x], 0)
+        counts[f64.trace_table(f64.s)[x]] += 1
     assert counts == {0: 32, 1: 32}
 
 
 def test_trace_rejects_bad_degree(f64):
     with pytest.raises(ValueError, match="divide"):
-        f64.trace(5, 4)
+        f64.trace_table(4)
 
 
-def test_trace_from_intermediate_subfield(f49):
-    # tracing GF(7) onto itself is the identity
-    for c in f49.subfield_q:
-        assert f49.trace(c, 1, from_degree=1) == c
-    with pytest.raises(ValueError, match="subfield"):
-        f49.trace(f49.gamma, 1, from_degree=1)
+# (p, degree, s, target degrees): p in {2, 3, 5, 7}, target degree 1, a proper
+# divisor where one exists, and the whole field; four fields have s > 1.
+TRACE_CASES = [
+    (2, 2, 1, (1, 2)),
+    (2, 6, 1, (1, 2, 3, 6)),
+    (2, 4, 2, (1, 2, 4)),
+    (3, 4, 2, (1, 2, 4)),
+    (3, 6, 3, (1, 2, 3, 6)),
+    (5, 2, 1, (1, 2)),
+    (5, 4, 1, (1, 2, 4)),
+    (7, 2, 1, (1, 2)),
+    (7, 4, 2, (1, 2, 4)),
+]
+
+
+@pytest.mark.parametrize("p,degree,s,subs", TRACE_CASES)
+def test_trace_table_matches_frobenius_sum(p, degree, s, subs):
+    # the table is built by GF(p)-linearity from the basis X^i; compare it
+    # with the definitional sum of x^(p^(sub*i)) at every element
+    import helpers
+    field = helpers.field(p, degree, s)
+    for sub in subs:
+        table = field.trace_table(sub)
+        assert len(table) == field.Q
+        for x in range(field.Q):
+            assert table[x] == helpers.frobenius_trace(field, x, sub), (sub, x)
+        assert set(table) == set(field.subfield(sub))
+    for bad in (0, -1, degree + 1) + tuple(d for d in range(2, degree) if degree % d):
+        with pytest.raises(ValueError, match="divide"):
+            field.trace_table(bad)
 
 
 def test_subfield_closure(f64):

@@ -1,17 +1,15 @@
 import pytest
 
-from ghwlab import (
-    CyclotomyCtx,
+from ghwlab.cyclotomy import CyclotomyCtx
+from ghwlab.errors import HypothesesNotMet
+from ghwlab.hierarchy import (
     FormulaParams,
-    HypothesesNotMet,
     OpConditionError,
     achieving_subspace,
     character_sum_count,
     closed_form_dr,
     closed_form_hierarchy,
-    count_common_zeros,
     enumerate_profiles,
-    ghw_bruteforce,
     max_class_intersection,
     optimize_profile,
     profile_objective,
@@ -23,6 +21,7 @@ from ghwlab import (
     unshift_cross,
 )
 from ghwlab.linalg import span_elements
+from ghwlab.oracle import count_common_zeros, ghw_bruteforce
 
 import helpers
 
@@ -313,7 +312,7 @@ def test_character_sum_matches_exact_counts(example1):
 
 
 def test_character_sum_requires_e_equals_t():
-    from ghwlab import TraceCode, derive_params
+    from ghwlab.codes import TraceCode, derive_params
     params = derive_params(2, 1, 4, 3, 1, 1, (0,))
     code = TraceCode(params)
     with pytest.raises(ValueError, match="e == t"):
@@ -324,7 +323,8 @@ def test_character_sum_requires_e_equals_t():
 def test_full_pipeline_nonprime_q(p, s, m, a, expect_N):
     # q = 8 and q = 9: subfield scalars, coordinates, and both oracles all
     # run over a non-prime intermediate field
-    from ghwlab import TraceCode, derive_params, ghw_dual_sweep
+    from ghwlab.codes import TraceCode, derive_params
+    from ghwlab.oracle import ghw_dual_sweep
     params = derive_params(p, s, m, 1, 1, a)
     assert params.N == expect_N
     assert params.assumptions.all_ok
@@ -339,8 +339,8 @@ def test_character_sum_consistency_sweep(example1):
     # Summing the zero counts over ALL lines must match double counting:
     # each coordinate functional vanishes on a hyperplane of the message
     # space, which contains (q^(tm-1)-1)/(q-1) lines.
-    from ghwlab import SubspaceIter, gaussian_binomial
     from ghwlab.linalg import vector_from_coords
+    from ghwlab.subspaces import SubspaceIter, gaussian_binomial
     f = example1.field
     tm, q, n = example1.k, example1.q, example1.n
     lines_per_coord = (q ** (tm - 1) - 1) // (q - 1)
@@ -357,7 +357,7 @@ def test_character_sum_consistency_sweep(example1):
 
 def test_closed_form_full_pipeline_consistency(example2_params, example2):
     # formula == brute == dual on a complete desk-scale instance
-    from ghwlab import ghw_dual_sweep
+    from ghwlab.oracle import ghw_dual_sweep
     for r in range(1, 5):
         d = closed_form_dr(example2_params, r)
         assert d == ghw_bruteforce(example2, r).d_r

@@ -11,16 +11,10 @@ import random
 
 import pytest
 
-from ghwlab import (
-    TraceCode,
-    character_sum_count,
-    check_closed_form_hypotheses,
-    closed_form_hierarchy,
-    count_common_zeros,
-    count_via_dual,
-    derive_params,
-)
+from ghwlab.codes import TraceCode, check_closed_form_hypotheses, derive_params
+from ghwlab.hierarchy import character_sum_count, closed_form_hierarchy
 from ghwlab.linalg import vectors_independent
+from ghwlab.oracle import count_common_zeros, count_via_dual
 
 
 @pytest.fixture(scope="module")

@@ -3,17 +3,18 @@ import random
 
 import pytest
 
-from ghwlab import (
-    BudgetExceeded,
-    DualContext,
+from ghwlab import oracle
+from ghwlab.codes import TraceCode, derive_params
+from ghwlab.errors import BudgetExceeded
+from ghwlab.linalg import rref, vector_coords, vectors_independent
+from ghwlab.oracle import (
     count_common_zeros,
     count_via_dual,
-    derive_params,
     ghw_bruteforce,
     ghw_dual_sweep,
-    TraceCode,
 )
-from ghwlab.linalg import canonical_key, vector_coords, vectors_independent
+
+from helpers import DualContext, frobenius_trace
 
 
 def test_brute_example1(example1):
@@ -42,6 +43,26 @@ def test_budget_guard(example1):
         ghw_bruteforce(example1, 2, budget=100)
     assert exc.value.count == 2850
     assert "2850" in str(exc.value)
+    # the guard admits a sweep of exactly the budget, and not one more
+    assert ghw_bruteforce(example1, 2, budget=2850).examined == 2850
+    with pytest.raises(BudgetExceeded) as exc:
+        ghw_bruteforce(example1, 2, budget=2849)
+    assert exc.value.count == 2850
+
+
+def test_brute_witness_recount_catches_a_wrong_score(example1, monkeypatch):
+    real = oracle._brute_scorer
+
+    def off_by_one(code):
+        score = real(code)
+        return lambda rows: score(rows) + 1
+
+    monkeypatch.setattr(oracle, "_brute_scorer", off_by_one)
+    with pytest.raises(RuntimeError, match="recounts to 6 common zeros, the sweep scored 7"):
+        ghw_bruteforce(example1, 1)
+    # forked workers recount their own partition's best subspace
+    with pytest.raises(RuntimeError, match=r"r=1 recounts to \d+ common zeros"):
+        ghw_bruteforce(example1, 1, jobs=2)
 
 
 def test_parallel_matches_serial(example1):
@@ -106,8 +127,8 @@ def test_double_dual_round_trip(example1):
             if any(cand) and vectors_independent(f, basis + [cand]):
                 basis.append(cand)
         ddual = dual.dual_space(dual.dual_space(basis))
-        orig_key = canonical_key(f, [vector_coords(f, v) for v in basis])
-        dd_key = canonical_key(f, [vector_coords(f, v) for v in ddual])
+        orig_key, _ = rref(f, [vector_coords(f, v) for v in basis])
+        dd_key, _ = rref(f, [vector_coords(f, v) for v in ddual])
         assert orig_key == dd_key
 
 
@@ -129,7 +150,7 @@ def test_orthogonality_identity(example1):
         total = 0j
         for x in perp_elems:
             val = dual.pair(x, y)
-            total += cmath.exp(2j * cmath.pi * f.trace(val, 1, from_degree=f.s) / f.p)
+            total += cmath.exp(2j * cmath.pi * frobenius_trace(f, val, 1, f.s) / f.p)
         avg = total / len(perp_elems)
         expected = 1.0 if tuple(y) in members else 0.0
         assert abs(avg - expected) < 1e-9
@@ -142,6 +163,14 @@ def test_count_via_dual_requires_e_equals_t():
     code = TraceCode(params)
     with pytest.raises(ValueError, match="e == t"):
         count_via_dual(code, [(1,)])
+
+
+def test_dual_sweep_requires_e_equals_t():
+    # the sweep skips count_via_dual's checks per subspace, so it must make
+    # the e == t check itself instead of reporting a wrong hierarchy
+    code = TraceCode(derive_params(2, 1, 4, 3, 1, 1, (0,)))
+    with pytest.raises(ValueError, match="e == t"):
+        ghw_dual_sweep(code, 1)
 
 
 def test_count_via_dual_rejects_dependent(example1):
