@@ -107,9 +107,8 @@ def build_parser():
     sg.add_argument("--method", choices=("formula", "brute", "dual", "all"), default="all")
     sg.add_argument("--r", type=_parse_r_list, default=None,
                     help="comma list of subcode dimensions; default 1..t*m")
-    sg.add_argument("--budget", type=_non_negative, default=None,
-                    help=f"max subspaces per sweep, >= 0 (default {DEFAULT_BUDGET}, "
-                         "env GHWLAB_BUDGET overrides)")
+    sg.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
+                    help="max subspaces per sweep, >= 0 (default %(default)s)")
     sg.add_argument("--jobs", type=_non_negative, default=0,
                     help="worker processes for sweeps, >= 0; 0 = auto")
     _add_output_flags(sg)
@@ -129,8 +128,8 @@ def build_parser():
     _add_param_flags(sw, need_a=False)
     sw.add_argument("--a-range", required=True, metavar="START:STOP",
                     help="inclusive range of a values")
-    sw.add_argument("--budget", type=_non_negative, default=None,
-                    help="max subspaces per sweep, >= 0")
+    sw.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
+                    help="max subspaces per sweep, >= 0 (default %(default)s)")
     sw.add_argument("--output", default="-")
 
     sv = subs.add_parser("verify", help="character-sum counts vs exact counts on random subspaces")
@@ -140,13 +139,6 @@ def build_parser():
     _add_output_flags(sv, formats=("json",))
 
     return parser
-
-
-def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("GHWLAB_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
 
 
 def _write(args, text):
@@ -254,7 +246,7 @@ def cmd_ghw(args):
     for r in r_list:
         if not 1 <= r <= tm:
             raise ValueError(f"r must lie in 1..{tm}, got {r}")
-    budget = _budget(args)
+    budget = args.budget
     jobs = args.jobs or _auto_jobs(tm, r_list, params.q)
 
     methods = [args.method] if args.method != "all" else ["formula", "brute", "dual"]
@@ -364,7 +356,7 @@ def cmd_sweep(args):
         a_start, a_stop = (int(v) for v in args.a_range.split(":"))
     except ValueError as exc:
         raise ValueError(f"--a-range must be START:STOP, got {args.a_range!r}") from exc
-    budget = _budget(args)
+    budget = args.budget
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SWEEP_COLUMNS)

@@ -253,7 +253,8 @@ class FieldCtx:
         The trace is GF(p)-linear, so it is fixed by its values on the basis
         X^i (element code p**i), each the Frobenius sum of its conjugates.
         The table then grows one base-p digit at a time:
-        tr[x + c*p^i] = tr[x + (c-1)*p^i] + tr[p^i].
+        tr[x + c*p^i] = tr[x + (c-1)*p^i] + tr[p^i].  The trace onto the
+        whole field is the identity.
         """
         table = self._trace_tables.get(sub_degree)
         if table is not None:
@@ -261,6 +262,9 @@ class FieldCtx:
         if sub_degree <= 0 or self.degree % sub_degree != 0:
             raise ValueError(
                 f"trace target degree {sub_degree} does not divide {self.degree}")
+        if sub_degree == self.degree:
+            table = self._trace_tables[sub_degree] = list(range(self.Q))
+            return table
         add = self.add
         table = [0]
         for i in range(self.degree):

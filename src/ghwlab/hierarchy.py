@@ -312,7 +312,7 @@ def branch_label(fp: FormulaParams, r2: int) -> str:
     return "low" if r2 < fp.half else "high"
 
 
-def character_sum_count(code: TraceCode, basis, table=None) -> complex:
+def character_sum_count(code: TraceCode, basis) -> complex:
     """Common-zero count of a message subspace as a numeric character sum.
 
     Evaluates the Gauss-period expression over all q^r subspace members
@@ -324,9 +324,7 @@ def character_sum_count(code: TraceCode, basis, table=None) -> complex:
     if params.e != params.t:
         raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
     field = code.field
-    cyc = code.cyclotomy
-    if table is None:
-        table = cyc.period_table()
+    table = code.cyclotomy.period_table()
     group = params.Q - 1
     exp = field.exp
     mul, add = field.mul, field.add

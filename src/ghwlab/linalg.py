@@ -42,22 +42,6 @@ def is_independent(ctx, rows) -> bool:
     return rank(ctx, rows) == len(rows)
 
 
-def nullspace(ctx, rows, ncols):
-    """Basis of the right null space of the given rows, over GF(q)."""
-    reduced, pivots = rref(ctx, rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = ctx.neg(reduced[i][free])
-        basis.append(vec)
-    return basis
-
-
 class Echelon:
     """Incremental independence bookkeeping over GF(q)."""
 
@@ -110,16 +94,6 @@ def vector_from_coords(ctx, t, coords) -> tuple:
 
 def vectors_independent(ctx, vecs) -> bool:
     return is_independent(ctx, [vector_coords(ctx, v) for v in vecs])
-
-
-def span_elements(ctx, elements):
-    """All GF(q)-combinations of the given F_Q elements (2^|span| order q^len)."""
-    scalars = ctx.subfield_q
-    out = [0]
-    for b in elements:
-        mults = [ctx.mul(c, b) for c in scalars]
-        out = [ctx.add(e, mb) for mb in mults for e in out]
-    return out
 
 
 def span_vectors(ctx, vecs):

@@ -6,6 +6,8 @@ dual of each message subspace under the trace bilinear form, where common
 zeros become axis-supported dual vectors landing in a fixed cyclotomy class.
 The two sweeps must agree on the maximum (the dual expression counts a
 relabeled subspace, so agreement is between maxima, not per subspace).
+Both score a subspace the same way: the positions no basis row marks, from
+one memoized bitmask per row.
 
 Sweeps are partitioned by pivot-column pattern; partitions are independent
 and combine by max reduction, so multi-process runs return identical results
@@ -60,41 +62,12 @@ def count_via_dual(code: TraceCode, basis) -> int:
     _require_e_equals_t(code.params)
     if not linalg.vectors_independent(code.field, basis):
         raise ValueError("basis vectors are GF(q)-dependent")
-    return _count_via_dual_unchecked(code, basis)
+    return _dual_scorer(code)([linalg.vector_coords(code.field, b) for b in basis])
 
 
 def _require_e_equals_t(params):
     if params.e != params.t:
         raise ValueError(f"dual counting requires e == t, got e={params.e}, t={params.t}")
-
-
-def _count_via_dual_unchecked(code: TraceCode, basis) -> int:
-    field = code.field
-    params = code.params
-    m = field.m
-    N = params.N
-    trace_q = field.trace_table(field.s)
-    mul, neg = field.mul, field.neg
-    log = field.log
-    gamma_pows = [field.exp[i % (field.Q - 1)] for i in range(m)]
-    total = 0
-    for h in range(params.t):
-        rows = []
-        for b in basis:
-            bh = b[h]
-            rows.append([trace_q[mul(bh, g)] if bh else 0 for g in gamma_pows])
-        null = linalg.nullspace(field, rows, m)
-        axis_elems = linalg.span_elements(
-            field, [field.element_from_coords(v) for v in null])
-        for y in axis_elems:
-            if y and log[neg(y)] % N == 0:
-                total += 1
-    scaled = params.N * total
-    denom = params.t * params.delta
-    if scaled % denom:
-        raise RuntimeError(
-            f"dual count {total} times N={N} not divisible by t*delta={denom}")
-    return scaled // denom
 
 
 # -- exhaustive sweeps ------------------------------------------------------
@@ -113,14 +86,31 @@ class _OpRows(dict):
         return row
 
 
+def _unmarked(width, row_mask):
+    """Scorer of a basis: the number of the ``width`` positions that no row's
+    ``row_mask`` marks.  Masks are memoized per scorer, that is per sweep
+    worker, keyed by the row: at most q^k of them."""
+    masks = {}
+
+    def score(rows):
+        union = 0
+        for row in rows:
+            mask = masks.get(row)
+            if mask is None:
+                mask = masks[row] = row_mask(row)
+            union |= mask
+        return width - union.bit_count()
+
+    return score
+
+
 def _brute_scorer(code):
-    """Common-zero count of an RREF basis, from per-row support bitmasks.
+    """Common-zero count of a basis, from per-row support bitmasks.
 
     By GF(q)-linearity a row's word is its combination of generator rows,
     computed on scalar indices (index 0 is zero), and the subcode's support
-    is the union of its rows' supports.  Row masks are memoized per scorer,
-    that is per sweep worker, at most q^k of them.  ``TraceCode.codeword``
-    is the reference path.
+    is the union of its rows' supports.  ``TraceCode.codeword`` is the
+    reference path.
     """
     field = code.field
     scalars = field.subfield_q
@@ -129,7 +119,6 @@ def _brute_scorer(code):
     mul = _OpRows(field.mul, scalars, index)
     gen = [[index[c] for c in word] for word in code.generator_matrix()]
     bits = [1 << i for i in range(code.n)]
-    masks = {}
 
     def row_mask(row):
         word = None
@@ -141,32 +130,50 @@ def _brute_scorer(code):
                 word = g if word is None else [add[w][x] for w, x in zip(word, g)]
         return sum(b for b, w in zip(bits, word) if w)
 
-    def score(rows):
-        union = 0
-        for row in rows:
-            mask = masks.get(row)
-            if mask is None:
-                mask = masks[row] = row_mask(row)
-            union |= mask
-        return code.n - union.bit_count()
-
-    return score
-
-
-def _messages(field, t, rows):
-    return tuple(linalg.vector_from_coords(field, t, row) for row in rows)
+    return _unmarked(code.n, row_mask)
 
 
 def _dual_scorer(code):
-    field, t = code.field, code.t
-    return lambda rows: _count_via_dual_unchecked(code, _messages(field, t, rows))
+    """Common-zero count of a basis through the dual expression.
+
+    A row's message b marks the pair (h, y), y in -C_0, when
+    Tr_{Q->q}(b_h * y) != 0.  The trace form is GF(q)-linear in b, so the
+    unmarked pairs are the y on axis h that pair to zero with the whole
+    subspace: the axis-supported dual vectors whose negation lies in class
+    0.  Their count times N/(t*delta) is the zero count, checked integral.
+    """
+    field, params, t, m = code.field, code.params, code.t, code.field.m
+    trace_q, mul = field.trace_table(field.s), field.mul
+    targets = [field.neg(x) for x in code.cyclotomy.class_elements(0)]
+    slot_bits = [[1 << (h * len(targets) + i) for i in range(len(targets))]
+                 for h in range(t)]
+    denom = t * params.delta
+
+    def row_mask(row):
+        mask = 0
+        for h, bits in enumerate(slot_bits):
+            bh = field.element_from_coords(row[h * m:(h + 1) * m])
+            if bh:
+                mask |= sum(b for b, y in zip(bits, targets) if trace_q[mul(bh, y)])
+        return mask
+
+    count = _unmarked(t * len(targets), row_mask)
+
+    def score(rows):
+        total = count(rows)
+        scaled = params.N * total
+        if scaled % denom:
+            raise RuntimeError(f"dual count {total} times N={params.N} "
+                               f"not divisible by t*delta={denom}")
+        return scaled // denom
+
+    return score
 
 
 def _sweep_patterns(code, r, indexed_patterns, mode):
     score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
     field = code.field
-    t = code.t
-    it = SubspaceIter(field, t * field.m, r)
+    it = SubspaceIter(field, code.k, r)
     best = -1
     best_pos = None
     best_rows = ()
@@ -179,7 +186,7 @@ def _sweep_patterns(code, r, indexed_patterns, mode):
                 best = zeros
                 best_pos = (pat_idx, local)
                 best_rows = rows
-    witness = _messages(field, t, best_rows)
+    witness = tuple(linalg.vector_from_coords(field, code.t, row) for row in best_rows)
     if mode == "brute":
         recount = count_common_zeros(code, witness)
         if recount != best:
@@ -188,13 +195,8 @@ def _sweep_patterns(code, r, indexed_patterns, mode):
     return best, best_pos, witness, examined
 
 
-def _sweep_worker(payload):
-    code, r, indexed_patterns, mode = payload
-    return _sweep_patterns(code, r, indexed_patterns, mode)
-
-
-def _max_common_zeros(code, r, mode, budget, jobs):
-    tm = code.t * code.field.m
+def _sweep(code, r, mode, budget, jobs) -> GHWResult:
+    tm = code.k
     if not 1 <= r <= tm:
         raise ValueError(f"need 1 <= r <= {tm}, got r={r}")
     total = gaussian_binomial(tm, r, code.q)
@@ -207,7 +209,7 @@ def _max_common_zeros(code, r, mode, budget, jobs):
         chunks = [c for c in chunks if c]
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(chunks)) as pool:
-            parts = pool.map(_sweep_worker, [(code, r, c, mode) for c in chunks])
+            parts = pool.starmap(_sweep_patterns, [(code, r, c, mode) for c in chunks])
     else:
         parts = [_sweep_patterns(code, r, indexed, mode)]
     best, best_pos, best_witness = -1, None, ()
@@ -218,7 +220,8 @@ def _max_common_zeros(code, r, mode, budget, jobs):
             best, best_pos, best_witness = zeros, pos, witness
     if examined != total:
         raise RuntimeError(f"sweep visited {examined} subspaces, expected {total}")
-    return best, best_witness, examined
+    return GHWResult(r=r, d_r=code.n - best, common_zeros=best,
+                     witness=best_witness, examined=examined)
 
 
 def ghw_bruteforce(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWResult:
@@ -226,9 +229,7 @@ def ghw_bruteforce(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWRe
 
     Each sweep worker recounts its best subspace through ``codeword``.
     """
-    zeros, witness, examined = _max_common_zeros(code, r, "brute", budget, jobs)
-    return GHWResult(r=r, d_r=code.n - zeros, common_zeros=zeros,
-                     witness=witness, examined=examined)
+    return _sweep(code, r, "brute", budget, jobs)
 
 
 def ghw_dual_sweep(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWResult:
@@ -237,6 +238,4 @@ def ghw_dual_sweep(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWRe
     Requires e == t, like :func:`count_via_dual`.
     """
     _require_e_equals_t(code.params)
-    zeros, witness, examined = _max_common_zeros(code, r, "dual", budget, jobs)
-    return GHWResult(r=r, d_r=code.n - zeros, common_zeros=zeros,
-                     witness=witness, examined=examined)
+    return _sweep(code, r, "dual", budget, jobs)

@@ -2,14 +2,15 @@
 
 from functools import lru_cache
 
+from hypothesis import assume, strategies as st
+
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams
 from ghwlab import linalg
-from ghwlab.linalg import span_elements
 from ghwlab.oracle import ghw_bruteforce
-from ghwlab.subspaces import SubspaceIter
+from ghwlab.subspaces import SubspaceIter, gaussian_binomial
 
 # (q, m, N) regimes satisfying every closed-form hypothesis, m <= 6.
 # Used by the operation-monotonicity and optimizer-equivalence sweeps.
@@ -51,6 +52,32 @@ SEMIPRIMITIVE_PAIRS = [
 ]
 
 
+def nullspace(ctx, rows, ncols):
+    """Basis of the right null space of the given rows, over GF(q)."""
+    reduced, pivots = linalg.rref(ctx, rows)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = ctx.neg(reduced[i][free])
+        basis.append(vec)
+    return basis
+
+
+def span_elements(ctx, elements):
+    """All GF(q)-combinations of the given F_Q elements (q^len of them)."""
+    scalars = ctx.subfield_q
+    out = [0]
+    for b in elements:
+        mults = [ctx.mul(c, b) for c in scalars]
+        out = [ctx.add(e, mb) for mb in mults for e in out]
+    return out
+
+
 @lru_cache(maxsize=None)
 def field(p, degree, s=1):
     return build_field(p, degree, subfield_degree=s)
@@ -70,6 +97,22 @@ def code(key):
         "simplex": (2, 1, 2, 1, 1, 1, (0,)),
     }
     return TraceCode(derive_params(*configs[key]))
+
+
+@st.composite
+def small_sweeps(draw):
+    """A random small e == t code over a prime field and a dimension r whose
+    sweep holds at most 3000 subspaces."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    m = draw(st.integers(min_value=1, max_value=4))
+    t = draw(st.integers(min_value=1, max_value=2))
+    assume(3 <= p ** m <= 256 and (p ** m - 1) % t == 0)
+    a = draw(st.integers(min_value=1, max_value=p ** m - 2))
+    params = derive_params(p, 1, m, t, t, a)
+    assume(params.assumptions.all_ok)
+    r = draw(st.integers(min_value=1, max_value=params.k))
+    assume(gaussian_binomial(params.k, r, params.q) <= 3000)
+    return TraceCode(params), r
 
 
 @lru_cache(maxsize=None)
@@ -146,8 +189,32 @@ class DualContext:
                 bh = b[slot]
                 row.extend(trace_q[mul(bh, g)] if bh else 0 for g in gamma_pows)
             rows.append(row)
-        null = linalg.nullspace(field, rows, self.t * m)
+        null = nullspace(field, rows, self.t * m)
         dual = [linalg.vector_from_coords(field, self.t, v) for v in null]
         if len(dual) != self.t * m - len(basis):
             raise RuntimeError("dual space has unexpected dimension")
         return dual
+
+
+def nullspace_dual_count(code, basis):
+    """Definitional dual recount of the common zeros of a message subspace.
+
+    For each slot h, solve Tr(b_h * y) = 0 over the basis as a null space
+    in GF(q)^m, enumerate it, and count the nonzero y with -y in class 0;
+    the zero count is N/(t*delta) times the total.  The reference for the
+    dual sweep's per-row mask kernel; requires e == t.
+    """
+    field, params, m = code.field, code.params, code.field.m
+    trace_q = field.trace_table(field.s)
+    gamma_pows = [field.exp[i % (field.Q - 1)] for i in range(m)]
+    total = 0
+    for h in range(params.t):
+        rows = [[trace_q[field.mul(b[h], g)] if b[h] else 0 for g in gamma_pows]
+                for b in basis]
+        null = nullspace(field, rows, m)
+        for y in span_elements(field, [field.element_from_coords(v) for v in null]):
+            if y and field.log[field.neg(y)] % params.N == 0:
+                total += 1
+    scaled, denom = params.N * total, params.t * params.delta
+    assert scaled % denom == 0, (total, params.N, denom)
+    return scaled // denom

@@ -22,10 +22,11 @@ from ghwlab.hierarchy import (
     max_class_intersection,
     optimize_profile,
 )
-from ghwlab.linalg import span_elements, vectors_independent
+from ghwlab.linalg import vectors_independent
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
 
 import helpers
+from helpers import span_elements
 from test_hierarchy import _assert_monotonicity
 
 PERIOD_TOL = 1e-9

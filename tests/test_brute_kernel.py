@@ -5,12 +5,14 @@ reference path recomputes every basis word through ``TraceCode.codeword``.
 """
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.linalg import vector_from_coords
 from ghwlab.oracle import GHWResult, _brute_scorer, count_common_zeros, ghw_bruteforce
-from ghwlab.subspaces import SubspaceIter, gaussian_binomial
+from ghwlab.subspaces import SubspaceIter
+
+from helpers import small_sweeps
 
 
 @pytest.fixture(scope="module")
@@ -84,20 +86,6 @@ def test_brute_matches_reference_sweep_gf4(gf4_code, r):
 def test_jobs_do_not_change_witness_gf4(gf4_code, r):
     # six pivot patterns at r=1 and r=5, split over two workers
     assert ghw_bruteforce(gf4_code, r, jobs=2) == ghw_bruteforce(gf4_code, r, jobs=1)
-
-
-@st.composite
-def small_sweeps(draw):
-    p = draw(st.sampled_from((2, 3, 5, 7)))
-    m = draw(st.integers(min_value=1, max_value=4))
-    t = draw(st.integers(min_value=1, max_value=2))
-    assume(3 <= p ** m <= 256 and (p ** m - 1) % t == 0)
-    a = draw(st.integers(min_value=1, max_value=p ** m - 2))
-    params = derive_params(p, 1, m, t, t, a)
-    assume(params.assumptions.all_ok)
-    r = draw(st.integers(min_value=1, max_value=params.k))
-    assume(gaussian_binomial(params.k, r, params.q) <= 3000)
-    return TraceCode(params), r
 
 
 @given(small_sweeps())

@@ -5,7 +5,7 @@ import pytest
 
 import ghwlab.cli as cli
 from ghwlab.cli import _auto_jobs, main
-from ghwlab.oracle import GHWResult
+from ghwlab.oracle import DEFAULT_BUDGET, GHWResult
 
 
 def run(capsys, *argv):
@@ -128,9 +128,18 @@ def test_ghw_rejects_negative_jobs_and_budget(capsys):
     assert "argument --budget: must be >= 0" in err
 
 
-def test_ghw_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("GHWLAB_BUDGET", "100")
-    code, _, err = run(capsys, "ghw", *EX1, "--method", "brute")
+def test_ghw_budget_env_is_ignored(capsys, monkeypatch):
+    # only --budget sets the budget; a GHWLAB_BUDGET variable, even a
+    # negative one, changes neither the exit code nor the "budget" field
+    for value in ("100", "-1"):
+        monkeypatch.setenv("GHWLAB_BUDGET", value)
+        code, out, _ = run(capsys, "ghw", *EX1, "--method", "brute", "--no-timing")
+        assert code == 0
+        assert json.loads(out)["budget"] == DEFAULT_BUDGET
+        code, out, _ = run(capsys, "sweep", *EX1[:-2], "--a-range", "6:6")
+        assert code == 0
+        assert "n/a (budget)" not in out
+    code, _, _ = run(capsys, "ghw", *EX1, "--method", "brute", "--budget", "100")
     assert code == 5
 
 

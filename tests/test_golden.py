@@ -1,0 +1,38 @@
+"""``ghw --no-timing`` output pinned byte for byte.
+
+Each ``tests/golden/<name>.json`` is the stdout of ``ghwlab ghw <args>
+--no-timing`` for the arguments below.  Witnesses and subspace counts are
+part of the bytes, so a scoring change that alters which subspace wins, or
+an enumeration change, fails here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ghwlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "ex1": ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"],
+    "ex2": ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "2"],
+    "irr21": ["--p", "2", "--m", "6", "--e", "1", "--t", "1", "--a", "3"],
+    "simplex": ["--p", "2", "--m", "2", "--e", "1", "--t", "1", "--a", "1"],
+    "e3t1": ["--p", "2", "--m", "4", "--e", "3", "--t", "1", "--a", "1",
+             "--deltas", "0"],
+    "gf4": ["--p", "2", "--s", "2", "--m", "2", "--e", "3", "--t", "3", "--a", "1",
+            "--r", "1,5", "--jobs", "2"],
+    "brute_80_8": ["--p", "3", "--s", "1", "--m", "4", "--e", "2", "--t", "2",
+                   "--a", "1", "--r", "1,7", "--method", "all", "--jobs", "1"],
+    "dual_par_17_8": ["--p", "2", "--s", "1", "--m", "8", "--e", "1", "--t", "1",
+                      "--a", "15", "--r", "3", "--method", "all", "--jobs", "2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_ghw_output_is_byte_identical(name, capsys):
+    code = main(["ghw", *CASES[name], "--no-timing"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()

@@ -20,10 +20,10 @@ from ghwlab.hierarchy import (
     split_half_pair,
     unshift_cross,
 )
-from ghwlab.linalg import span_elements
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce
 
 import helpers
+from helpers import span_elements
 
 
 def test_formula_params_validation():
