@@ -7,7 +7,9 @@ zeros become axis-supported dual vectors landing in a fixed cyclotomy class.
 The two sweeps must agree on the maximum (the dual expression counts a
 relabeled subspace, so agreement is between maxima, not per subspace).
 Both score a subspace the same way: the positions no basis row marks, from
-one memoized bitmask per row.
+one bitmask per row.  A pivot pattern's subspaces are the product of its
+rows' independent choices, so each choice's mask is computed once per
+pattern and every subspace is scored from a tuple of masks.
 
 Sweeps are partitioned by pivot-column pattern; partitions are independent
 and combine by max reduction, so multi-process runs return identical results
@@ -16,6 +18,7 @@ to serial ones, including the reported witness.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 from dataclasses import dataclass
 
@@ -62,7 +65,8 @@ def count_via_dual(code: TraceCode, basis) -> int:
     _require_e_equals_t(code.params)
     if not linalg.vectors_independent(code.field, basis):
         raise ValueError("basis vectors are GF(q)-dependent")
-    return _dual_scorer(code)([linalg.vector_coords(code.field, b) for b in basis])
+    row_mask, score = _dual_scorer(code)
+    return score([row_mask(linalg.vector_coords(code.field, b)) for b in basis])
 
 
 def _require_e_equals_t(params):
@@ -86,26 +90,17 @@ class _OpRows(dict):
         return row
 
 
-def _unmarked(width, row_mask):
-    """Scorer of a basis: the number of the ``width`` positions that no row's
-    ``row_mask`` marks.  Masks are memoized per scorer, that is per sweep
-    worker, keyed by the row: at most q^k of them."""
-    masks = {}
-
-    def score(rows):
-        union = 0
-        for row in rows:
-            mask = masks.get(row)
-            if mask is None:
-                mask = masks[row] = row_mask(row)
-            union |= mask
-        return width - union.bit_count()
-
-    return score
+def _unmarked(width, masks):
+    """The number of the ``width`` positions that no row's mask marks."""
+    union = 0
+    for mask in masks:
+        union |= mask
+    return width - union.bit_count()
 
 
 def _brute_scorer(code):
-    """Common-zero count of a basis, from per-row support bitmasks.
+    """``(row_mask, score)``: a row's support bitmask, and the common-zero
+    count of a basis from its rows' masks.
 
     By GF(q)-linearity a row's word is its combination of generator rows,
     computed on scalar indices (index 0 is zero), and the subcode's support
@@ -130,11 +125,12 @@ def _brute_scorer(code):
                 word = g if word is None else [add[w][x] for w, x in zip(word, g)]
         return sum(b for b, w in zip(bits, word) if w)
 
-    return _unmarked(code.n, row_mask)
+    return row_mask, lambda masks: _unmarked(code.n, masks)
 
 
 def _dual_scorer(code):
-    """Common-zero count of a basis through the dual expression.
+    """``(row_mask, score)``: a row's marked (slot, target) pairs, and the
+    common-zero count of a basis through the dual expression.
 
     A row's message b marks the pair (h, y), y in -C_0, when
     Tr_{Q->q}(b_h * y) != 0.  The trace form is GF(q)-linear in b, so the
@@ -147,7 +143,7 @@ def _dual_scorer(code):
     targets = [field.neg(x) for x in code.cyclotomy.class_elements(0)]
     slot_bits = [[1 << (h * len(targets) + i) for i in range(len(targets))]
                  for h in range(t)]
-    denom = t * params.delta
+    width, denom = t * len(targets), t * params.delta
 
     def row_mask(row):
         mask = 0
@@ -157,35 +153,35 @@ def _dual_scorer(code):
                 mask |= sum(b for b, y in zip(bits, targets) if trace_q[mul(bh, y)])
         return mask
 
-    count = _unmarked(t * len(targets), row_mask)
-
-    def score(rows):
-        total = count(rows)
+    def score(masks):
+        total = _unmarked(width, masks)
         scaled = params.N * total
         if scaled % denom:
             raise RuntimeError(f"dual count {total} times N={params.N} "
                                f"not divisible by t*delta={denom}")
         return scaled // denom
 
-    return score
+    return row_mask, score
 
 
 def _sweep_patterns(code, r, indexed_patterns, mode):
-    score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
+    row_mask, score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
     field = code.field
     it = SubspaceIter(field, code.k, r)
     best = -1
     best_pos = None
-    best_rows = ()
+    best_pattern = None
     examined = 0
     for pat_idx, pattern in indexed_patterns:
-        for local, rows in enumerate(it.iter_pattern(pattern)):
-            zeros = score(rows)
+        masks = [[row_mask(row) for row in rows] for rows in it.row_choices(pattern)]
+        for local, subspace in enumerate(itertools.product(*masks)):
+            zeros = score(subspace)
             examined += 1
             if zeros > best:
                 best = zeros
                 best_pos = (pat_idx, local)
-                best_rows = rows
+                best_pattern = pattern
+    best_rows = next(itertools.islice(it.iter_pattern(best_pattern), best_pos[1], None))
     witness = tuple(linalg.vector_from_coords(field, code.t, row) for row in best_rows)
     if mode == "brute":
         recount = count_common_zeros(code, witness)

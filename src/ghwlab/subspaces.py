@@ -2,9 +2,11 @@
 
 Every r-dimensional subspace of GF(q)^d has exactly one RREF basis matrix,
 so enumerating those matrices visits each subspace once.  Pivot-column
-patterns are generated in colexicographic order and the free entries are
-filled odometer-style (row-major scan, last position cycling fastest); the
-order is fixed so that reported witnesses are reproducible.
+patterns are generated in colexicographic order.  Within a pattern each row
+chooses its free entries independently of the others, so the pattern's
+subspaces are the Cartesian product of the per-row choices (last row, and
+within a row the last column, cycling fastest); the order is fixed so that
+reported witnesses are reproducible.
 """
 
 from __future__ import annotations
@@ -37,17 +39,6 @@ def pivot_patterns(d: int, r: int):
             yield rest + (top,)
 
 
-def free_positions(pattern, d: int):
-    """Row-major list of the free (row, col) slots for a pivot pattern."""
-    pivot_set = set(pattern)
-    positions = []
-    for i, pc in enumerate(pattern):
-        for j in range(pc + 1, d):
-            if j not in pivot_set:
-                positions.append((i, j))
-    return positions
-
-
 class SubspaceIter:
     """Iterator over the r-dimensional GF(q)-subspaces of GF(q)^d.
 
@@ -61,7 +52,6 @@ class SubspaceIter:
     def __init__(self, ctx, d: int, r: int):
         if not 0 <= r <= d:
             raise ValueError(f"need 0 <= r <= d, got r={r}, d={d}")
-        self.ctx = ctx
         self.d = d
         self.r = r
         self.scalars = ctx.subfield_q
@@ -72,19 +62,23 @@ class SubspaceIter:
     def patterns(self):
         return pivot_patterns(self.d, self.r)
 
+    def row_choices(self, pattern):
+        """Every value each RREF row of ``pattern`` takes, one list per row.
+
+        A row is 1 at its pivot, any scalar at a later non-pivot column and 0
+        elsewhere; a row's list is the product of those per-column options.
+        """
+        pivots = set(pattern)
+        choices = []
+        for pc in pattern:
+            options = [(1,) if j == pc else self.scalars if j > pc and j not in pivots else (0,)
+                       for j in range(self.d)]
+            choices.append(list(itertools.product(*options)))
+        return choices
+
     def iter_pattern(self, pattern):
-        d, r = self.d, self.r
-        base = [[0] * d for _ in range(r)]
-        for i, pc in enumerate(pattern):
-            base[i][pc] = 1
-        positions = free_positions(pattern, d)
-        if not positions:
-            yield tuple(tuple(row) for row in base)
-            return
-        for assignment in itertools.product(self.scalars, repeat=len(positions)):
-            for (i, j), v in zip(positions, assignment):
-                base[i][j] = v
-            yield tuple(tuple(row) for row in base)
+        """The pattern's subspaces: one row from each row's choices."""
+        return itertools.product(*self.row_choices(pattern))
 
     def __iter__(self):
         for pattern in self.patterns():

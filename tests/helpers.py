@@ -1,5 +1,6 @@
 """Shared corpora and independent oracles used across the test modules."""
 
+import itertools
 from functools import lru_cache
 
 from hypothesis import assume, strategies as st
@@ -76,6 +77,34 @@ def span_elements(ctx, elements):
         mults = [ctx.mul(c, b) for c in scalars]
         out = [ctx.add(e, mb) for mb in mults for e in out]
     return out
+
+
+def free_positions(pattern, d):
+    """Row-major list of the free (row, col) slots for a pivot pattern."""
+    pivot_set = set(pattern)
+    positions = []
+    for i, pc in enumerate(pattern):
+        for j in range(pc + 1, d):
+            if j not in pivot_set:
+                positions.append((i, j))
+    return positions
+
+
+def odometer_pattern(scalars, d, pattern):
+    """A pivot pattern's RREF bases, free slots filled odometer-style.
+
+    One mutable base matrix; the free slots are scanned row-major and the
+    last one cycles fastest.  The order reference for
+    ``SubspaceIter.iter_pattern``, whose order fixes the reported witnesses.
+    """
+    base = [[0] * d for _ in pattern]
+    for i, pc in enumerate(pattern):
+        base[i][pc] = 1
+    positions = free_positions(pattern, d)
+    for assignment in itertools.product(scalars, repeat=len(positions)):
+        for (i, j), v in zip(positions, assignment):
+            base[i][j] = v
+        yield tuple(tuple(row) for row in base)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,7 @@
 """Differential checks of the brute sweep's generator-matrix kernel.
 
-The kernel scores a subspace from memoized per-row support bitmasks; the
-reference path recomputes every basis word through ``TraceCode.codeword``.
+The kernel scores a subspace from per-row support bitmasks; the reference
+path recomputes every basis word through ``TraceCode.codeword``.
 """
 
 import pytest
@@ -43,10 +43,11 @@ def reference_brute(code, r):
 
 
 def _assert_kernel_matches(code, dims):
-    score = _brute_scorer(code)
+    row_mask, score = _brute_scorer(code)
     for r in dims:
         for rows in SubspaceIter(code.field, code.k, r):
-            assert score(rows) == count_common_zeros(code, _messages(code, rows))
+            masks = [row_mask(row) for row in rows]
+            assert score(masks) == count_common_zeros(code, _messages(code, rows))
 
 
 def test_generator_matrix_rows_are_unit_message_words(example1):

@@ -282,9 +282,45 @@ def test_ghw_runtime_error_exit_3(capsys, monkeypatch):
     assert err.startswith("error: hierarchy is not strictly increasing")
 
 
+def test_shape_check_covers_partial_r_lists(capsys, monkeypatch):
+    # ex1 is [8,4]: d_r <= 4 + r, and d_r grows strictly with r
+    def constant(d):
+        def sweep(code, r, budget=None, jobs=1):
+            return GHWResult(r=r, d_r=d, common_zeros=8 - d, witness=(), examined=1)
+        return sweep
+
+    for d, r_arg, message in ((8, "1", "Singleton bound violated at r=1"),
+                              (8, "1,2", "not strictly increasing"),
+                              (5, "3,1", "not strictly increasing")):
+        monkeypatch.setattr(cli, "ghw_bruteforce", constant(d))
+        code, out, err = run(capsys, "ghw", *EX1, "--method", "brute", "--r", r_arg,
+                             "--no-timing")
+        assert code == 3, (d, r_arg)
+        assert out == ""
+        assert message in err
+    monkeypatch.undo()
+    # unsorted and repeated r values pass on the real sweep
+    code, out, _ = run(capsys, "ghw", *EX1, "--method", "brute", "--r", "2,1,2",
+                       "--no-timing")
+    assert code == 0
+    assert json.loads(out)["hierarchy"]["brute"] == [4, 2, 4]
+
+
+def test_verify_rejects_count_below_1(capsys):
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, "verify", *EX1, "--count", value)
+        assert code == 2
+        assert out == ""
+        assert f"argument --count: must be >= 1, got {value}" in err
+    code, out, _ = run(capsys, "verify", *EX1, "--count", "1")
+    assert code == 0
+    assert json.loads(out)["checked"] == 1
+
+
 def test_auto_jobs_uses_affinity_and_pattern_count(monkeypatch):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert _auto_jobs(4, [1, 2], 7) == 1        # at most 2,850 subspaces: serial
+    assert _auto_jobs(9, [1, 3], 2) == 1        # 788,035 subspaces: still serial
     assert _auto_jobs(8, [2], 3) == 28          # 896,260 subspaces in 28 patterns
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _auto_jobs(8, [2], 3) == 2

@@ -13,6 +13,7 @@ from ghwlab.oracle import (
     ghw_bruteforce,
     ghw_dual_sweep,
 )
+from ghwlab.subspaces import SubspaceIter
 
 from helpers import DualContext, frobenius_trace
 
@@ -54,8 +55,8 @@ def test_brute_witness_recount_catches_a_wrong_score(example1, monkeypatch):
     real = oracle._brute_scorer
 
     def off_by_one(code):
-        score = real(code)
-        return lambda rows: score(rows) + 1
+        row_mask, score = real(code)
+        return row_mask, lambda masks: score(masks) + 1
 
     monkeypatch.setattr(oracle, "_brute_scorer", off_by_one)
     with pytest.raises(RuntimeError, match="recounts to 6 common zeros, the sweep scored 7"):
@@ -63,6 +64,20 @@ def test_brute_witness_recount_catches_a_wrong_score(example1, monkeypatch):
     # forked workers recount their own partition's best subspace
     with pytest.raises(RuntimeError, match=r"r=1 recounts to \d+ common zeros"):
         ghw_bruteforce(example1, 1, jobs=2)
+
+
+def test_examined_check_catches_a_skipped_subspace(example1, monkeypatch):
+    class Skipping(SubspaceIter):
+        # drops the last choice of every row that has several: on example 1
+        # at r=1 the patterns hold 343 + 49 + 7 + 1 = 400 subspaces
+        def row_choices(self, pattern):
+            return [rows[:-1] if len(rows) > 1 else rows
+                    for rows in super().row_choices(pattern)]
+
+    monkeypatch.setattr(oracle, "SubspaceIter", Skipping)
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError, match="sweep visited 397 subspaces, expected 400"):
+            ghw_bruteforce(example1, 1, jobs=jobs)
 
 
 def test_parallel_matches_serial(example1):

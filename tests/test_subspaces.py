@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import pytest
 
 from ghwlab.linalg import rank, rref, span_vectors
-from ghwlab.subspaces import SubspaceIter, free_positions, gaussian_binomial, pivot_patterns
+from ghwlab.subspaces import SubspaceIter, gaussian_binomial, pivot_patterns
 
 import helpers
 
@@ -23,12 +24,16 @@ def test_pivot_patterns_colex_order():
     assert list(pivot_patterns(3, 0)) == [()]
 
 
-def test_pattern_counts_sum_to_gaussian_binomial():
-    # the per-pattern free-entry counts are the enumerator's partition sizes
-    for q in (2, 3, 7):
+def test_pattern_counts_sum_to_gaussian_binomial(f4, f9, f49):
+    # the products of the per-row choice counts are the enumerator's
+    # partition sizes
+    for ctx in (f4, f9, f49):
+        q = len(ctx.subfield_q)
         for d in range(7):
             for r in range(d + 1):
-                total = sum(q ** len(free_positions(pat, d)) for pat in pivot_patterns(d, r))
+                it = SubspaceIter(ctx, d, r)
+                total = sum(math.prod(len(rows) for rows in it.row_choices(pat))
+                            for pat in it.patterns())
                 assert total == gaussian_binomial(d, r, q)
 
 
@@ -75,6 +80,29 @@ def test_partition_streams_cover_everything(f49):
     assert by_pattern == it.count() == gaussian_binomial(3, 1, 7)
 
 
-def test_free_positions_row_major():
-    pos = free_positions((0, 2), 4)
-    assert pos == [(0, 1), (0, 3), (1, 3)]
+def test_row_choices_row_major(f4):
+    # pattern (0, 2) in GF(2)^4: row 0 is free at columns 1 and 3, row 1 at 3
+    choices = SubspaceIter(f4, 4, 2).row_choices((0, 2))
+    assert choices == [
+        [(1, 0, 0, 0), (1, 0, 0, 1), (1, 1, 0, 0), (1, 1, 0, 1)],
+        [(0, 0, 1, 0), (0, 0, 1, 1)],
+    ]
+    assert helpers.free_positions((0, 2), 4) == [(0, 1), (0, 3), (1, 3)]
+
+
+@pytest.fixture(scope="module")
+def f4_in_f64():
+    # GF(4) inside GF(64): the scalar codes are scattered, not 0..3
+    return helpers.field(2, 6, 2)
+
+
+@pytest.mark.parametrize("fixture,q,d,r",
+                         ENUM_CASES + [("f4_in_f64", 4, 4, r) for r in range(5)])
+def test_iter_pattern_matches_odometer(fixture, q, d, r, request):
+    # the per-row product visits each pattern in the odometer's order, so
+    # witnesses (the first maximum in this order) do not move
+    ctx = request.getfixturevalue(fixture)
+    it = SubspaceIter(ctx, d, r)
+    for pattern in it.patterns():
+        assert list(it.iter_pattern(pattern)) == list(
+            helpers.odometer_pattern(ctx.subfield_q, d, pattern))
