@@ -425,7 +425,9 @@ def cmd_verify(args):
                 basis.append(cand)
         numeric = character_sum_count(code, basis)
         exact = count_common_zeros(code, basis)
-        max_err = max(max_err, abs(numeric - exact))
+        err = abs(numeric - exact)
+        # max() drops a NaN that comes second; a non-finite sample is inf.
+        max_err = max(max_err, err if math.isfinite(err) else math.inf)
         checked += 1
     ok = max_err <= tolerance
     record = {
@@ -434,7 +436,7 @@ def cmd_verify(args):
         "params": params.to_dict(),
         "checked": checked,
         "seed": args.seed,
-        "max_abs_err": _sig12(max_err),
+        "max_abs_err": _sig12(max_err) if math.isfinite(max_err) else None,
         "tolerance": tolerance,
         "ok": ok,
     }

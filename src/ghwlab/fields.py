@@ -3,10 +3,12 @@
 An element is a plain integer in [0, Q): its base-p digits are the
 coefficients of the residue polynomial modulo a fixed primitive polynomial,
 constant term first.  Multiplication goes through dense exponent/logarithm
-tables built once at construction, so every operation is a table lookup plus
-O(degree) digit work.  The intermediate field GF(q), q = p^s, is kept as the
-subset of elements fixed by x -> x^q rather than as a separate field object,
-which keeps all arithmetic inside a single context.
+tables built once at construction.  For odd p, addition goes through a table
+of Zech logarithms, zech[k] = log(1 + gamma^k), and negation adds (Q-1)/2 to
+the logarithm; for p = 2 addition is XOR.  Every operation is a few table
+lookups.  The intermediate field GF(q), q = p^s, is kept as the subset of
+elements fixed by x -> x^q rather than as a separate field object, which
+keeps all arithmetic inside a single context.
 
 Fields are capped at 2^20 elements: this module targets desk-scale
 verification, not cryptographic sizes.
@@ -131,6 +133,7 @@ class FieldCtx:
         self.modulus = tuple(modulus)
         self.exp = exp_table
         self.log = log_table
+        self.zech = _zech_table(p, exp_table, log_table) if p != 2 else None
         self.gamma = exp_table[1 % (self.Q - 1)] if self.Q > 2 else exp_table[0]
         self.zero = 0
         self.one = 1
@@ -144,34 +147,27 @@ class FieldCtx:
     # -- basic arithmetic ------------------------------------------------
 
     def add(self, a, b):
-        p = self.p
-        if p == 2:
+        """a + b: XOR when p = 2, else by a Zech logarithm,
+        a + b = a * (1 + b/a) = gamma^(log a + zech[log b - log a])."""
+        if self.p == 2:
             return a ^ b
-        total = 0
-        mult = 1
-        while a or b:
-            s = a % p + b % p
-            if s >= p:
-                s -= p
-            total += s * mult
-            a //= p
-            b //= p
-            mult *= p
-        return total
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        group = self.Q - 1
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % group]
+        if z < 0:
+            return 0
+        return self.exp[(la + z) % group]
 
     def neg(self, a):
-        p = self.p
-        if p == 2:
+        """-a: -1 = gamma^((Q-1)/2) when p is odd."""
+        if self.p == 2 or a == 0:
             return a
-        total = 0
-        mult = 1
-        while a:
-            d = a % p
-            if d:
-                total += (p - d) * mult
-            a //= p
-            mult *= p
-        return total
+        group = self.Q - 1
+        return self.exp[(self.log[a] + group // 2) % group]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -472,6 +468,17 @@ def build_field(p: int, ext_degree: int, subfield_degree: int = 1) -> FieldCtx:
                        modulus, exp_table, log_table)
         return ctx
     raise RuntimeError(f"no primitive polynomial of degree {d} over GF({p})")
+
+
+def _zech_table(p, exp_table, log_table):
+    """zech[k] = log(1 + gamma^k), or -1 where 1 + gamma^k = 0.
+
+    Adding 1 changes only the constant digit of a code: x + 1, wrapping to
+    x + 1 - p when that digit is p - 1.  ``log_succ[x]`` is log(x + 1).
+    """
+    log_succ = log_table[1:] + log_table[:1]
+    log_succ[p - 1::p] = log_table[::p]
+    return [log_succ[x] for x in exp_table]
 
 
 def _build_tables(p, d, modulus):

@@ -315,10 +315,13 @@ def branch_label(fp: FormulaParams, r2: int) -> str:
 def character_sum_count(code: TraceCode, basis) -> complex:
     """Common-zero count of a message subspace as a numeric character sum.
 
-    Evaluates the Gauss-period expression over all q^r subspace members
-    directly; the result must agree with the exact integer count within
-    1e-6 (at most Q * q^r * t unit-magnitude summands at desk scale).
-    Requires e == t.
+    Each member b contributes, for h = 1..t, the Gauss period at
+    gamma^(a*h) * sum_j b_j beta^(delta_j*h).  That argument vector is
+    GF(q)-linear in b, so it is computed once per basis vector and the
+    members' arguments are the GF(q)-span of those images, enumerated in
+    the members' coefficient order.  The result must agree with the exact
+    integer count within 1e-6 (at most Q * q^r * t unit-magnitude summands
+    at desk scale).  Requires e == t.
     """
     params = code.params
     if params.e != params.t:
@@ -328,7 +331,6 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     group = params.Q - 1
     exp = field.exp
     mul, add = field.mul, field.add
-    log = field.log
     t = params.t
     step = group // params.e
     g_pows = [exp[(params.a * h) % group] for h in range(1, t + 1)]
@@ -336,18 +338,22 @@ def character_sum_count(code: TraceCode, basis) -> complex:
         [exp[(step * params.deltas[j] * h) % group] for j in range(t)]
         for h in range(1, t + 1)
     ]
-    members = linalg.span_vectors(field, list(basis))
-    values = table.values
-    class_size = complex(table.class_size)
-    total = 0j
-    for b in members:
+    images = []
+    for b in basis:
+        image = []
         for h in range(t):
-            bp = beta_pows[h]
             acc = 0
             for j in range(t):
                 if b[j]:
-                    acc = add(acc, mul(b[j], bp[j]))
-            arg = mul(g_pows[h], acc)
-            total += values[log[arg] % params.N] if arg else class_size
+                    acc = add(acc, mul(b[j], beta_pows[h][j]))
+            image.append(mul(g_pows[h], acc))
+        images.append(tuple(image))
+    log, N = field.log, params.N
+    values = table.values
+    class_size = complex(table.class_size)
+    total = 0j
+    for args in linalg.span_vectors(field, images):
+        for arg in args:
+            total += values[log[arg] % N] if arg else class_size
     r = len(basis)
     return total * params.N / (params.t * params.delta * params.q**r)

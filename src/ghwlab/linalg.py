@@ -97,11 +97,15 @@ def vectors_independent(ctx, vecs) -> bool:
 
 
 def span_vectors(ctx, vecs):
-    """All GF(q)-combinations of the given vectors over F_Q."""
-    scalars = ctx.subfield_q
+    """All GF(q)-combinations of the given vectors over F_Q.
+
+    The last vector's coefficient changes slowest, the scalars in
+    ``subfield_q`` order.
+    """
+    add, mul = ctx.add, ctx.mul
     t = len(vecs[0]) if vecs else 0
-    out = [tuple([0] * t)]
+    out = [(0,) * t]
     for b in vecs:
-        mults = [tuple(ctx.mul(c, x) for x in b) for c in scalars]
-        out = [tuple(ctx.add(e[i], mb[i]) for i in range(t)) for mb in mults for e in out]
+        mults = [tuple([mul(c, x) for x in b]) for c in ctx.subfield_q]
+        out = [tuple(map(add, e, mb)) for mb in mults for e in out]
     return out

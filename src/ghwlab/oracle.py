@@ -13,7 +13,9 @@ pattern and every subspace is scored from a tuple of masks.
 
 Sweeps are partitioned by pivot-column pattern; partitions are independent
 and combine by max reduction, so multi-process runs return identical results
-to serial ones, including the reported witness.
+to serial ones, including the reported witness.  Forked pool workers inherit
+the code from the parent, so a task sends only its dimension, patterns and
+mode, never the code's tables.
 """
 
 from __future__ import annotations
@@ -191,6 +193,20 @@ def _sweep_patterns(code, r, indexed_patterns, mode):
     return best, best_pos, witness, examined
 
 
+_worker_code = None  # set by _inherit_code in pool workers only
+
+
+def _inherit_code(code):
+    """Pool initializer.  A forked worker gets its arguments by inheritance,
+    so the code reaches it without pickling; tasks carry only chunks."""
+    global _worker_code
+    _worker_code = code
+
+
+def _sweep_inherited(r, indexed_patterns, mode):
+    return _sweep_patterns(_worker_code, r, indexed_patterns, mode)
+
+
 def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     tm = code.k
     if not 1 <= r <= tm:
@@ -204,8 +220,8 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
         chunks = [indexed[w::jobs] for w in range(jobs)]
         chunks = [c for c in chunks if c]
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(chunks)) as pool:
-            parts = pool.starmap(_sweep_patterns, [(code, r, c, mode) for c in chunks])
+        with ctx.Pool(len(chunks), initializer=_inherit_code, initargs=(code,)) as pool:
+            parts = pool.starmap(_sweep_inherited, [(r, c, mode) for c in chunks])
     else:
         parts = [_sweep_patterns(code, r, indexed, mode)]
     best, best_pos, best_witness = -1, None, ()

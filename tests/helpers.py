@@ -53,6 +53,40 @@ SEMIPRIMITIVE_PAIRS = [
 ]
 
 
+def digit_add(ctx, a, b):
+    """a + b digit by digit in base p: the reference for ``FieldCtx.add``."""
+    p = ctx.p
+    if p == 2:
+        return a ^ b
+    total = 0
+    mult = 1
+    while a or b:
+        s = a % p + b % p
+        if s >= p:
+            s -= p
+        total += s * mult
+        a //= p
+        b //= p
+        mult *= p
+    return total
+
+
+def digit_neg(ctx, a):
+    """-a digit by digit in base p: the reference for ``FieldCtx.neg``."""
+    p = ctx.p
+    if p == 2:
+        return a
+    total = 0
+    mult = 1
+    while a:
+        d = a % p
+        if d:
+            total += (p - d) * mult
+        a //= p
+        mult *= p
+    return total
+
+
 def nullspace(ctx, rows, ncols):
     """Basis of the right null space of the given rows, over GF(q)."""
     reduced, pivots = linalg.rref(ctx, rows)
@@ -223,6 +257,50 @@ class DualContext:
         if len(dual) != self.t * m - len(basis):
             raise RuntimeError("dual space has unexpected dimension")
         return dual
+
+
+def random_basis(code, r, rng):
+    """r GF(q)-independent random messages, drawn the way ``verify`` draws."""
+    basis = []
+    while len(basis) < r:
+        cand = tuple(rng.randrange(code.params.Q) for _ in range(code.t))
+        if any(cand) and linalg.vectors_independent(code.field, basis + [cand]):
+            basis.append(cand)
+    return basis
+
+
+def member_character_sum_count(code, basis):
+    """Character-sum count with every argument computed from its member.
+
+    Enumerates the q^r member vectors b of the subspace and sums, for each
+    b and h = 1..t, the Gauss period at gamma^(a*h) * sum_j b_j
+    beta^(delta_j*h).  The reference for ``character_sum_count``, which
+    must return the same float: same summands, same order.
+    """
+    params = code.params
+    field = code.field
+    table = code.cyclotomy.period_table()
+    group = params.Q - 1
+    exp, log = field.exp, field.log
+    mul, add = field.mul, field.add
+    t = params.t
+    step = group // params.e
+    g_pows = [exp[(params.a * h) % group] for h in range(1, t + 1)]
+    beta_pows = [
+        [exp[(step * params.deltas[j] * h) % group] for j in range(t)]
+        for h in range(1, t + 1)
+    ]
+    class_size = complex(table.class_size)
+    total = 0j
+    for b in linalg.span_vectors(field, list(basis)):
+        for h in range(t):
+            acc = 0
+            for j in range(t):
+                if b[j]:
+                    acc = add(acc, mul(b[j], beta_pows[h][j]))
+            arg = mul(g_pows[h], acc)
+            total += table.values[log[arg] % params.N] if arg else class_size
+    return total * params.N / (params.t * params.delta * params.q ** len(basis))
 
 
 def nullspace_dual_count(code, basis):

@@ -22,7 +22,6 @@ from ghwlab.hierarchy import (
     max_class_intersection,
     optimize_profile,
 )
-from ghwlab.linalg import vectors_independent
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
 
 import helpers
@@ -167,12 +166,7 @@ def test_criterion_8_character_identities():
             code = helpers.code(key)
             tm = code.k
             for _ in range(60):
-                r = rng.randint(1, tm)
-                basis = []
-                while len(basis) < r:
-                    cand = tuple(rng.randrange(code.params.Q) for _ in range(code.t))
-                    if any(cand) and vectors_independent(code.field, basis + [cand]):
-                        basis.append(cand)
+                basis = helpers.random_basis(code, rng.randint(1, tm), rng)
                 numeric = character_sum_count(code, basis)
                 exact = count_common_zeros(code, basis)
                 assert abs(numeric - exact) <= CHARSUM_TOL, (key, basis, numeric, exact)

@@ -1,0 +1,52 @@
+"""The character sum over the span of the basis images against the
+member-by-member reference.
+
+``character_sum_count`` computes each basis vector's argument vector once
+and enumerates their GF(q)-span; ``helpers.member_character_sum_count``
+recomputes the arguments of every member.  The summands and their order
+are the same, so the floats must be equal, not merely close.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ghwlab.codes import TraceCode, derive_params
+from ghwlab.hierarchy import character_sum_count
+
+import helpers
+
+CODES = {
+    "ex1": (7, 1, 2, 2, 2, 6),
+    "ex2": (7, 1, 2, 2, 2, 2),
+    # q = 9: GF(9) inside GF(81), scalar codes not 0..8
+    "q9": (3, 2, 2, 1, 1, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_image_span_equals_member_sum(name):
+    code = TraceCode(derive_params(*CODES[name]))
+    rng = random.Random(name)
+    for r in range(1, code.k + 1):
+        for _ in range(3):
+            basis = helpers.random_basis(code, r, rng)
+            assert (character_sum_count(code, basis)
+                    == helpers.member_character_sum_count(code, basis)), (r, basis)
+
+
+def test_image_span_equals_member_sum_bigfield():
+    # [61,1] over GF(3^10): one basis vector spans all 59,049 field elements
+    code = TraceCode(derive_params(3, 10, 1, 1, 1, 968))
+    basis = helpers.random_basis(code, 1, random.Random(61))
+    assert character_sum_count(code, basis) == helpers.member_character_sum_count(code, basis)
+
+
+@given(helpers.small_sweeps(), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_image_span_equals_member_sum_random(sweep, rng):
+    code, r = sweep
+    basis = helpers.random_basis(code, r, rng)
+    assert character_sum_count(code, basis) == helpers.member_character_sum_count(code, basis)

@@ -324,3 +324,31 @@ def test_auto_jobs_uses_affinity_and_pattern_count(monkeypatch):
     assert _auto_jobs(8, [2], 3) == 28          # 896,260 subspaces in 28 patterns
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _auto_jobs(8, [2], 3) == 2
+
+
+@pytest.mark.parametrize("sample", [complex(float("nan"), 0), complex(float("inf"), 0),
+                                    complex(float("nan"), float("nan"))])
+def test_verify_fails_on_non_finite_sample(capsys, monkeypatch, sample):
+    # max(0.0, nan) is 0.0, so a NaN sample used to vanish from max_abs_err
+    monkeypatch.setattr(cli, "character_sum_count", lambda code, basis: sample)
+    code, out, _ = run(capsys, "verify", *EX1, "--count", "3")
+    assert code == 3
+    record = json.loads(out)
+    assert record["ok"] is False
+    assert record["max_abs_err"] is None
+    assert record["checked"] == 3
+
+
+def test_verify_fails_when_one_sample_is_off(capsys, monkeypatch):
+    calls = []
+    exact = cli.count_common_zeros
+
+    def second_off(code, basis):
+        calls.append(basis)
+        return exact(code, basis) + (1e-3 if len(calls) == 2 else 0)
+    monkeypatch.setattr(cli, "character_sum_count", second_off)
+    code, out, _ = run(capsys, "verify", *EX1, "--count", "4")
+    assert code == 3
+    record = json.loads(out)
+    assert record["ok"] is False
+    assert abs(record["max_abs_err"] - 1e-3) < 1e-12

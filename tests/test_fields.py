@@ -266,3 +266,45 @@ def test_primality_helpers():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert prime_factors(48) == [2, 3]
     assert prime_factors(1) == []
+
+
+# -- addition by Zech logarithms against the digit loop ---------------------
+
+ZECH_EXHAUSTIVE = [
+    (3, 1, 1), (3, 2, 1), (3, 3, 1), (3, 4, 1), (5, 2, 1), (5, 3, 1), (7, 2, 1),
+    (11, 2, 1), (3, 4, 2), (5, 4, 2), (2, 4, 1), (2, 4, 2),
+]
+
+
+@pytest.mark.parametrize("p,degree,s", ZECH_EXHAUSTIVE)
+def test_zech_add_and_neg_match_digits_exhaustive(p, degree, s):
+    import helpers
+    field = helpers.field(p, degree, s)
+    elems = range(field.Q)
+    for a in elems:
+        assert field.neg(a) == helpers.digit_neg(field, a), a
+        row = [helpers.digit_add(field, a, b) for b in elems]
+        assert [field.add(a, b) for b in elems] == row, a
+        assert [field.sub(b, a) for b in elems] == [
+            helpers.digit_add(field, b, helpers.digit_neg(field, a)) for b in elems], a
+
+
+def test_zech_add_and_neg_match_digits_gf3_10():
+    import random
+    import helpers
+    field = helpers.field(3, 10)
+    rng = random.Random(310)
+    for _ in range(200_000):
+        a, b = rng.randrange(field.Q), rng.randrange(field.Q)
+        assert field.add(a, b) == helpers.digit_add(field, a, b), (a, b)
+    assert [field.neg(a) for a in range(field.Q)] == [
+        helpers.digit_neg(field, a) for a in range(field.Q)]
+
+
+def test_zech_table_marks_minus_one(f49):
+    # 1 + gamma^k = 0 exactly at gamma^k = -1 = gamma^((Q-1)/2)
+    half = (f49.Q - 1) // 2
+    assert f49.zech[half] == -1
+    assert all(z >= 0 for k, z in enumerate(f49.zech) if k != half)
+    assert f49.zech[0] == f49.log[2]
+    assert build_field(2, 4).zech is None

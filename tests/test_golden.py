@@ -1,9 +1,11 @@
-"""``ghw --no-timing`` output pinned byte for byte.
+"""``ghw --no-timing`` and ``verify`` output pinned byte for byte.
 
 Each ``tests/golden/<name>.json`` is the stdout of ``ghwlab ghw <args>
 --no-timing`` for the arguments below.  Witnesses and subspace counts are
 part of the bytes, so a scoring change that alters which subspace wins, or
-an enumeration change, fails here.
+an enumeration change, fails here.  Each ``tests/golden/verify_<name>.json``
+is the stdout of ``ghwlab verify <args>``, which prints no timing; its
+``max_abs_err`` moves if the character sum adds its terms in another order.
 """
 
 from pathlib import Path
@@ -29,6 +31,16 @@ CASES = {
                       "--a", "15", "--r", "3", "--method", "all", "--jobs", "2"],
 }
 
+VERIFY_CASES = {
+    "ex1": ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6",
+            "--count", "25", "--seed", "1"],
+    "q9": ["--p", "3", "--s", "2", "--m", "2", "--e", "1", "--t", "1", "--a", "5"],
+    "80_8": ["--p", "3", "--m", "4", "--e", "2", "--t", "2", "--a", "1",
+             "--count", "10"],
+    "61_1": ["--p", "3", "--s", "10", "--m", "1", "--e", "1", "--t", "1",
+             "--a", "968", "--count", "2", "--seed", "0"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ghw_output_is_byte_identical(name, capsys):
@@ -36,3 +48,11 @@ def test_ghw_output_is_byte_identical(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_output_is_byte_identical(name, capsys):
+    code = main(["verify", *VERIFY_CASES[name]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"verify_{name}.json").read_bytes()

@@ -88,6 +88,17 @@ def test_parallel_matches_serial(example1):
     assert serial.examined == parallel.examined
 
 
+def test_pool_workers_inherit_the_code(example1, monkeypatch):
+    # tasks carry (r, patterns, mode) only; a pickled TraceCode would raise
+    serial = [ghw_bruteforce(example1, 2), ghw_dual_sweep(example1, 2)]
+
+    def refuse(self, protocol):
+        raise TypeError("TraceCode was pickled")
+    monkeypatch.setattr(TraceCode, "__reduce_ex__", refuse)
+    assert [ghw_bruteforce(example1, 2, jobs=2),
+            ghw_dual_sweep(example1, 2, jobs=2)] == serial
+
+
 def test_count_common_zeros_extremes(example1):
     f = example1.field
     full = [(1, 0), (f.gamma, 0), (0, 1), (0, f.gamma)]
