@@ -193,7 +193,7 @@ def _formula_rows(params, r_list, timing):
         start = time.perf_counter()
         d = closed_form_dr(params, r)
         r1, r2 = rank_decomposition(params.t, params.m, r)
-        u_star, _ = optimize_profile(fp, params.t, r, "closed_form")
+        u_star, _ = optimize_profile(fp, params.t, r)
         row = {
             "r": r, "method": "formula", "d_r": d,
             "witness_basis": None,
@@ -225,12 +225,13 @@ def _check_hierarchy_shape(r_list, d_list, n, k):
     """d_r < d_r' for every requested r < r', and d_r <= n - k + r."""
     # sorted by (r, d): each r's largest d meets the next r's smallest
     pairs = sorted(zip(r_list, d_list))
+    shown = ";".join(str(d) for d in d_list)  # no commas: sweep puts it in a CSV cell
     for (r, d), (r2, d2) in zip(pairs, pairs[1:]):
         if r < r2 and d >= d2:
-            raise RuntimeError(f"hierarchy is not strictly increasing: {d_list}")
+            raise RuntimeError(f"hierarchy is not strictly increasing: {shown}")
     for r, d in pairs:
         if d > n - k + r:
-            raise RuntimeError(f"generalized Singleton bound violated at r={r}: {d_list}")
+            raise RuntimeError(f"generalized Singleton bound violated at r={r}: {shown}")
 
 
 def _auto_jobs(tm, r_list, q):
@@ -362,6 +363,8 @@ def cmd_sweep(args):
         a_start, a_stop = (int(v) for v in args.a_range.split(":"))
     except ValueError as exc:
         raise ValueError(f"--a-range must be START:STOP, got {args.a_range!r}") from exc
+    if a_start > a_stop:
+        raise ValueError(f"--a-range START exceeds STOP, got {args.a_range!r}")
     budget = args.budget
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -385,21 +388,25 @@ def cmd_sweep(args):
         formula_cell = "n/a (hypotheses)"
         oracle_cell = ""
         match_cell = ""
+        r_all = range(1, params.k + 1)
         try:
+            hierarchies = []
             if report.all_hold:
                 formula = closed_form_hierarchy(params)
                 formula_cell = ";".join(str(d) for d in formula)
-            within = all(gaussian_binomial(params.k, r, params.q) <= budget
-                         for r in range(1, params.k + 1))
+                hierarchies.append(formula)
+            within = all(gaussian_binomial(params.k, r, params.q) <= budget for r in r_all)
             if within:
                 code = TraceCode(params)
-                oracle = [ghw_bruteforce(code, r, budget=budget).d_r
-                          for r in range(1, params.k + 1)]
+                oracle = [ghw_bruteforce(code, r, budget=budget).d_r for r in r_all]
                 oracle_cell = ";".join(str(d) for d in oracle)
+                hierarchies.append(oracle)
             else:
                 oracle_cell = "n/a (budget)"
             if report.all_hold and within:
                 match_cell = str(formula == oracle)
+            for hierarchy in hierarchies:
+                _check_hierarchy_shape(r_all, hierarchy, params.n, params.k)
         except Exception as exc:  # per-row error column, sweep keeps going
             error = f"{type(exc).__name__}: {exc}"
         failed = failed or match_cell == "False" or bool(error)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cyclotomy import CyclotomyCtx, semiprimitive_j
-from .fields import FieldCtx, PolyOverFq, build_field, is_prime, poly_divmod, poly_mul
+from .fields import FieldCtx, build_field, is_prime
 
 
 @dataclass(frozen=True)
@@ -327,23 +327,3 @@ class TraceCode:
         return tuple(
             self.codeword(linalg.vector_from_coords(field, t, [int(i == c) for i in range(k)]))
             for c in range(k))
-
-    def parity_check_poly(self) -> PolyOverFq:
-        """Product of the minimal polynomials of the gamma^(-a_i)."""
-        field = self.field
-        coeffs = (1,)
-        for ai in self.params.a_list:
-            root = field.pow(field.gamma, -ai) if ai else field.one
-            coeffs = poly_mul(field, coeffs, field.minimal_poly(root).coeffs)
-        return PolyOverFq(field, coeffs)
-
-    def generator_poly(self) -> PolyOverFq:
-        """(x^n - 1) / parity_check_poly, the division being exact."""
-        field = self.field
-        xn1 = [0] * (self.n + 1)
-        xn1[0] = field.neg(1)
-        xn1[-1] = 1
-        quot, rem = poly_divmod(field, tuple(xn1), self.parity_check_poly().coeffs)
-        if any(rem):
-            raise RuntimeError("parity-check polynomial does not divide x^n - 1")
-        return PolyOverFq(field, quot)

@@ -47,7 +47,7 @@ class GaussPeriodTable:
 
 
 class CyclotomyCtx:
-    """Partition of F_Q^* into N classes with O(1) membership lookup."""
+    """Partition of F_Q^* into N classes, with their Gauss periods."""
 
     def __init__(self, field: FieldCtx, N: int):
         if N < 1 or (field.Q - 1) % N != 0:
@@ -59,12 +59,6 @@ class CyclotomyCtx:
 
     def __repr__(self):
         return f"CyclotomyCtx(Q={self.field.Q}, N={self.N})"
-
-    def class_index(self, x) -> int:
-        """Index i with x in the i-th class; zero is not in any class."""
-        if x == 0:
-            raise ValueError("0 belongs to no cyclotomy class")
-        return self.field.log[x] % self.N
 
     def class_elements(self, i: int):
         """All elements of the i-th class, in exponent order."""

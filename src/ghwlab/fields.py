@@ -16,7 +16,6 @@ verification, not cryptographic sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as _dc_field
 
 MAX_FIELD_SIZE = 1 << 20
@@ -197,13 +196,6 @@ class FieldCtx:
         group = self.Q - 1
         return self.exp[(self.log[a] * k) % group]
 
-    def order(self, a):
-        """Multiplicative order of a nonzero element."""
-        if a == 0:
-            raise ZeroDivisionError("order of zero")
-        group = self.Q - 1
-        return group // math.gcd(group, self.log[a])
-
     def frobenius(self, x, k=1):
         """x^(p^k)."""
         if x == 0:
@@ -372,48 +364,6 @@ class PolyOverFq:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = self.field.add(self.field.mul(acc, x), c)
-        return acc
-
-
-def poly_mul(ctx: FieldCtx, a, b):
-    """Product of coefficient sequences (low degree first)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
-    return tuple(out)
-
-
-def poly_divmod(ctx: FieldCtx, a, b):
-    """Quotient and remainder of coefficient sequences over the field."""
-    a = list(a)
-    db = len(b) - 1
-    while b and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = ctx.inv(b[-1])
-    quot = [0] * max(len(a) - db, 1)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k]
-        if c == 0:
-            continue
-        factor = ctx.mul(c, inv_lead)
-        quot[k - db] = factor
-        for i, bi in enumerate(b):
-            a[k - db + i] = ctx.sub(a[k - db + i], ctx.mul(factor, bi))
-    rem = a[:db] if db > 0 else [0]
-    return tuple(quot), tuple(rem)
 
 
 def _invert_mod_p(matrix, p):

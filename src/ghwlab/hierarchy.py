@@ -8,10 +8,6 @@ fixed cyclotomy class.  Under the semiprimitive hypotheses that per-slot
 maximum has a two-branch closed form, the optimal profile concentrates mass
 as (m,...,m, r_2, 0,...,0), and the hierarchy follows in exact integer
 arithmetic.  Every division required to be exact is checked at runtime.
-
-Profiles are kept sorted nonincreasing; the rewrite operations are defined
-on sorted profiles and re-sort their result (the objective is symmetric in
-the entries).
 """
 
 from __future__ import annotations
@@ -20,13 +16,9 @@ from dataclasses import dataclass
 
 from . import linalg
 from .codes import CodeParams, TraceCode, check_closed_form_hypotheses
-from .cyclotomy import CyclotomyCtx, semiprimitive_j
+from .cyclotomy import semiprimitive_j
 from .errors import HypothesesNotMet
 from .fields import prime_factors
-
-
-class OpConditionError(ValueError):
-    """A profile rewrite was attempted outside its side conditions."""
 
 
 @dataclass(frozen=True)
@@ -109,140 +101,11 @@ def max_class_intersection(fp: FormulaParams, l: int) -> int:
     return value
 
 
-def achieving_subspace(cyc: CyclotomyCtx, l: int, i: int):
-    """Basis of an l-dimensional subspace meeting class i in the maximum.
-
-    For l up to m/2 the subspace sits inside gamma^i times the half-degree
-    subfield; beyond that, the half subfield is extended by deterministically
-    chosen coset representatives (smallest element codes that keep the set
-    independent) and the whole basis is scaled by gamma^i.
-    """
-    field = cyc.field
-    fp = FormulaParams(field.q, field.m, cyc.N)
-    if not 0 <= l <= field.m:
-        raise ValueError(f"need 0 <= l <= m={field.m}, got {l}")
-    if not 0 <= i < cyc.N:
-        raise ValueError(f"class index {i} out of range [0, {cyc.N})")
-    group = field.Q - 1
-    half_deg = field.s * fp.half
-    theta = field.exp[(group // (field.p**half_deg - 1)) % group]
-    half_basis = [field.pow(theta, k) for k in range(fp.half)]
-    if l <= fp.half:
-        basis = half_basis[:l]
-    else:
-        ech = linalg.Echelon(field, field.m)
-        for b in half_basis:
-            ech.add(field.coords_over_q(b))
-        basis = list(half_basis)
-        candidate = 1
-        while len(basis) < l:
-            if candidate >= field.Q:
-                raise RuntimeError("ran out of candidates extending the half subfield")
-            if ech.add(field.coords_over_q(candidate)):
-                basis.append(candidate)
-            candidate += 1
-    gi = field.exp[i % group]
-    return tuple(field.mul(gi, b) for b in basis)
-
-
 # -- dimension profiles ------------------------------------------------------
-
-def validate_profile(fp: FormulaParams, u) -> tuple:
-    u = tuple(u)
-    if any(not 0 <= x <= fp.m for x in u):
-        raise ValueError(f"profile entries must lie in [0, {fp.m}]: {u}")
-    if any(u[i] < u[i + 1] for i in range(len(u) - 1)):
-        raise ValueError(f"profile must be sorted nonincreasing: {u}")
-    return u
-
-
-def enumerate_profiles(t: int, total: int, cap: int):
-    """All nonincreasing t-tuples with entries in [0, cap] summing to total."""
-    def rec(remaining, slots, bound):
-        if slots == 0:
-            if remaining == 0:
-                yield ()
-            return
-        top = min(bound, remaining)
-        for first in range(top, -1, -1):
-            if first * slots < remaining:
-                break
-            for rest in rec(remaining - first, slots - 1, first):
-                yield (first,) + rest
-    return rec(total, t, cap)
-
 
 def profile_objective(fp: FormulaParams, u) -> int:
     """Sum of per-slot maximum intersections over the profile."""
     return sum(max_class_intersection(fp, x) for x in u)
-
-
-def _resorted(u, i, j, di, dj):
-    new = list(u)
-    new[i] += di
-    new[j] += dj
-    return tuple(sorted(new, reverse=True))
-
-
-def _require(cond, message):
-    if not cond:
-        raise OpConditionError(message)
-
-
-def shift_low(fp: FormulaParams, u, i: int, j: int):
-    """Move one unit from slot j up to slot i, both sides staying <= m/2."""
-    u = validate_profile(fp, u)
-    _require(0 <= i < j < len(u), f"need indices i < j, got i={i}, j={j}")
-    _require(u[i] + 1 <= fp.half, f"shift_low needs u[i]+1 <= m/2, got u[{i}]={u[i]}")
-    _require(u[j] >= 1, f"shift_low needs u[j] >= 1, got u[{j}]={u[j]}")
-    return _resorted(u, i, j, +1, -1)
-
-
-def shift_cross(fp: FormulaParams, u, i: int, j: int):
-    """Move one unit from a slot at or below m/2 to a slot at or above it.
-
-    Raises the objective when u[i] - u[j] >= m/2 - v - 1 and lowers it when
-    u[i] - u[j] <= m/2 - v - 2; both applications are legal.
-    """
-    u = validate_profile(fp, u)
-    _require(0 <= i < j < len(u), f"need indices i < j, got i={i}, j={j}")
-    _require(u[i] + 1 <= fp.m, f"shift_cross needs u[i]+1 <= m, got u[{i}]={u[i]}")
-    _require(u[i] >= fp.half, f"shift_cross needs u[i] >= m/2, got u[{i}]={u[i]}")
-    _require(u[j] <= fp.half, f"shift_cross needs u[j] <= m/2, got u[{j}]={u[j]}")
-    _require(u[j] >= 1, f"shift_cross needs u[j] >= 1, got u[{j}]={u[j]}")
-    return _resorted(u, i, j, +1, -1)
-
-
-def unshift_cross(fp: FormulaParams, u, i: int, j: int):
-    """Inverse of shift_cross: move one unit back from slot i to slot j."""
-    u = validate_profile(fp, u)
-    _require(0 <= i < j < len(u), f"need indices i < j, got i={i}, j={j}")
-    _require(u[i] <= fp.m, f"unshift_cross needs u[i] <= m, got u[{i}]={u[i]}")
-    _require(u[i] - 1 >= fp.half, f"unshift_cross needs u[i]-1 >= m/2, got u[{i}]={u[i]}")
-    _require(u[j] + 1 <= fp.half, f"unshift_cross needs u[j]+1 <= m/2, got u[{j}]={u[j]}")
-    _require(u[j] >= 0, f"unshift_cross needs u[j] >= 0, got u[{j}]={u[j]}")
-    return _resorted(u, i, j, -1, +1)
-
-
-def shift_high(fp: FormulaParams, u, i: int, j: int):
-    """Move one unit from slot j up to slot i, both sides staying >= m/2."""
-    u = validate_profile(fp, u)
-    _require(0 <= i < j < len(u), f"need indices i < j, got i={i}, j={j}")
-    _require(u[i] + 1 <= fp.m, f"shift_high needs u[i]+1 <= m, got u[{i}]={u[i]}")
-    _require(u[j] - 1 >= fp.half, f"shift_high needs u[j]-1 >= m/2, got u[{j}]={u[j]}")
-    return _resorted(u, i, j, +1, -1)
-
-
-def split_half_pair(fp: FormulaParams, u):
-    """Replace two entries equal to m/2 with one m and one 0."""
-    u = validate_profile(fp, u)
-    count = sum(1 for x in u if x == fp.half)
-    _require(count >= 2, f"split_half_pair needs two entries equal to m/2={fp.half}, found {count}")
-    new = list(u)
-    new.remove(fp.half)
-    new.remove(fp.half)
-    new = [fp.m] + new + [0]
-    return tuple(sorted(new, reverse=True))
 
 
 def rank_decomposition(t: int, m: int, r: int):
@@ -252,26 +115,17 @@ def rank_decomposition(t: int, m: int, r: int):
     return divmod(t * m - r, m)
 
 
-def optimize_profile(fp: FormulaParams, t: int, r: int, mode: str = "closed_form"):
-    """Maximize the profile objective over profiles summing to t*m - r.
+def optimize_profile(fp: FormulaParams, t: int, r: int):
+    """The profile maximizing the objective among profiles summing to t*m - r.
 
-    ``exhaustive`` enumerates every admissible profile; ``closed_form``
-    returns the concentrated winner (m,...,m, r2, 0,...,0) directly.  The
-    two modes agree on the maximum under the construction hypotheses.
+    Under the construction hypotheses the winner is the concentrated profile
+    (m,...,m, r2, 0,...,0), returned directly with its objective;
+    ``tests/paper_lemmas.py`` keeps the search over every profile as the
+    reference.
     """
     r1, r2 = rank_decomposition(t, fp.m, r)
-    if mode == "closed_form":
-        u = (fp.m,) * r1 + (r2,) + (0,) * (t - r1 - 1)
-        return u, profile_objective(fp, u)
-    if mode == "exhaustive":
-        best_u = None
-        best_T = -1
-        for u in enumerate_profiles(t, t * fp.m - r, fp.m):
-            T = profile_objective(fp, u)
-            if T > best_T:
-                best_u, best_T = u, T
-        return best_u, best_T
-    raise ValueError(f"unknown mode {mode!r}")
+    u = (fp.m,) * r1 + (r2,) + (0,) * (t - r1 - 1)
+    return u, profile_objective(fp, u)
 
 
 # -- the hierarchy itself -----------------------------------------------------
@@ -295,7 +149,7 @@ def closed_form_dr(params: CodeParams, r: int) -> int:
     d, rem = divmod(num, t * delta)
     if rem:
         raise RuntimeError(f"branch value for r={r} is not an integer")
-    _, t_star = optimize_profile(fp, t, r, "closed_form")
+    _, t_star = optimize_profile(fp, t, r)
     scaled, rem = divmod(N * t_star, t * delta)
     if rem:
         raise RuntimeError(f"scaled objective for r={r} is not an integer")

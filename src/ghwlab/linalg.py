@@ -42,41 +42,6 @@ def is_independent(ctx, rows) -> bool:
     return rank(ctx, rows) == len(rows)
 
 
-class Echelon:
-    """Incremental independence bookkeeping over GF(q)."""
-
-    def __init__(self, ctx, ncols):
-        self.ctx = ctx
-        self.ncols = ncols
-        self.rows = []   # kept in echelon form
-        self.pivots = []
-
-    def residue(self, vec):
-        ctx = self.ctx
-        vec = list(vec)
-        for row, pc in zip(self.rows, self.pivots):
-            if vec[pc] != 0:
-                f = vec[pc]
-                vec = [ctx.sub(vec[j], ctx.mul(f, row[j])) for j in range(self.ncols)]
-        return vec
-
-    def add(self, vec) -> bool:
-        """Add vec if it enlarges the span; returns True when it did."""
-        ctx = self.ctx
-        res = self.residue(vec)
-        pc = next((j for j, v in enumerate(res) if v != 0), None)
-        if pc is None:
-            return False
-        inv = ctx.inv(res[pc])
-        self.rows.append([ctx.mul(inv, v) for v in res])
-        self.pivots.append(pc)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
 # -- vectors in F_Q^t viewed as GF(q)-spaces -------------------------------
 
 def vector_coords(ctx, vec) -> tuple:

@@ -10,6 +10,8 @@ Both score a subspace the same way: the positions no basis row marks, from
 one bitmask per row.  A pivot pattern's subspaces are the product of its
 rows' independent choices, so each choice's mask is computed once per
 pattern and every subspace is scored from a tuple of masks.
+The dual count of a single basis, ``count_via_dual``, is a test reference
+in ``tests/paper_lemmas.py`` that scores through this module's dual kernel.
 
 Sweeps are partitioned by pivot-column pattern; partitions are independent
 and combine by max reduction, so multi-process runs return identical results
@@ -53,22 +55,6 @@ class GHWResult:
 def count_common_zeros(code: TraceCode, basis) -> int:
     """Number of coordinates at which every word of the subcode vanishes."""
     return code.n - len(code.support_union(basis))
-
-
-def count_via_dual(code: TraceCode, basis) -> int:
-    """Recount of the common zeros through the dual-space expression.
-
-    For each slot h, intersect the dual of the message subspace with the
-    h-th axis, then count the vectors whose negated h-component falls in
-    class 0; the zero count is N/(t*delta) times the total.  Requires
-    e == t.  Equals the direct count of a relabeled subspace, so only the
-    maxima over all subspaces of fixed dimension are comparable.
-    """
-    _require_e_equals_t(code.params)
-    if not linalg.vectors_independent(code.field, basis):
-        raise ValueError("basis vectors are GF(q)-dependent")
-    row_mask, score = _dual_scorer(code)
-    return score([row_mask(linalg.vector_coords(code.field, b)) for b in basis])
 
 
 def _require_e_equals_t(params):
@@ -247,7 +233,7 @@ def ghw_bruteforce(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWRe
 def ghw_dual_sweep(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWResult:
     """r-th GHW with the zero count recomputed via the dual expression.
 
-    Requires e == t, like :func:`count_via_dual`.
+    Requires e == t.
     """
     _require_e_equals_t(code.params)
     return _sweep(code, r, "dual", budget, jobs)

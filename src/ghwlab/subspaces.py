@@ -40,13 +40,13 @@ def pivot_patterns(d: int, r: int):
 
 
 class SubspaceIter:
-    """Iterator over the r-dimensional GF(q)-subspaces of GF(q)^d.
+    """Enumerator of the r-dimensional GF(q)-subspaces of GF(q)^d.
 
     Matrix entries are subfield element codes of the supplied field context.
-    Yields each subspace exactly once, as a tuple of r basis rows (each a
-    tuple of d codes, in RREF).  The enumeration is partitionable by pivot
-    pattern: the per-pattern streams are independent, so reductions over the
-    full stream may be computed patternwise in any scheduling order.
+    ``iter_pattern`` over ``patterns()`` yields each subspace exactly once,
+    as a tuple of r basis rows (each a tuple of d codes, in RREF).  The
+    per-pattern streams are independent, so reductions over the full stream
+    may be computed patternwise in any scheduling order.
     """
 
     def __init__(self, ctx, d: int, r: int):
@@ -55,9 +55,6 @@ class SubspaceIter:
         self.d = d
         self.r = r
         self.scalars = ctx.subfield_q
-
-    def count(self) -> int:
-        return gaussian_binomial(self.d, self.r, len(self.scalars))
 
     def patterns(self):
         return pivot_patterns(self.d, self.r)
@@ -79,7 +76,3 @@ class SubspaceIter:
     def iter_pattern(self, pattern):
         """The pattern's subspaces: one row from each row's choices."""
         return itertools.product(*self.row_choices(pattern))
-
-    def __iter__(self):
-        for pattern in self.patterns():
-            yield from self.iter_pattern(pattern)

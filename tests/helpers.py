@@ -1,6 +1,7 @@
 """Shared corpora and independent oracles used across the test modules."""
 
 import itertools
+import math
 from functools import lru_cache
 
 from hypothesis import assume, strategies as st
@@ -141,6 +142,31 @@ def odometer_pattern(scalars, d, pattern):
         yield tuple(tuple(row) for row in base)
 
 
+def all_subspaces(it):
+    """Every subspace of a ``SubspaceIter``, pattern by pattern."""
+    for pattern in it.patterns():
+        yield from it.iter_pattern(pattern)
+
+
+def subspace_count(it) -> int:
+    return gaussian_binomial(it.d, it.r, len(it.scalars))
+
+
+def order(ctx, a):
+    """Multiplicative order of a nonzero element."""
+    if a == 0:
+        raise ZeroDivisionError("order of zero")
+    group = ctx.Q - 1
+    return group // math.gcd(group, ctx.log[a])
+
+
+def class_index(cyc, x) -> int:
+    """Index i with x in the i-th class; zero is not in any class."""
+    if x == 0:
+        raise ValueError("0 belongs to no cyclotomy class")
+    return cyc.field.log[x] % cyc.N
+
+
 @lru_cache(maxsize=None)
 def field(p, degree, s=1):
     return build_field(p, degree, subfield_degree=s)
@@ -193,7 +219,7 @@ def exhaustive_class_intersections(ctx, N, l):
     cyc = CyclotomyCtx(ctx, N)
     log = ctx.log
     best = [0] * N
-    for rows in SubspaceIter(ctx, ctx.m, l):
+    for rows in all_subspaces(SubspaceIter(ctx, ctx.m, l)):
         elems = [ctx.element_from_coords(row) for row in rows]
         counts = [0] * N
         for x in span_elements(ctx, elems):

@@ -1,0 +1,258 @@
+"""The paper's lemma machinery, kept as references for the shipped closed form.
+
+``ghwlab.hierarchy`` goes straight to the winning profile and never runs the
+argument that certifies it.  This module holds that argument in executable
+form: the profile rewrites of the normalization lemma, the exhaustive
+profile search (the reference for ``optimize_profile``), the subspaces that
+attain the per-slot intersection maximum, the cyclic-code polynomials of a
+trace code, and the per-subspace dual recount of the common zeros.
+
+Profiles are kept sorted nonincreasing; the rewrite operations are defined
+on sorted profiles and re-sort their result (the objective is symmetric in
+the entries).
+"""
+
+from ghwlab import linalg
+from ghwlab.fields import PolyOverFq
+from ghwlab.hierarchy import FormulaParams, profile_objective, rank_decomposition
+from ghwlab.oracle import _dual_scorer, _require_e_equals_t
+
+
+class OpConditionError(ValueError):
+    """A profile rewrite was attempted outside its side conditions."""
+
+
+# -- dimension profiles ------------------------------------------------------
+
+def validate_profile(fp: FormulaParams, u) -> tuple:
+    u = tuple(u)
+    if any(not 0 <= x <= fp.m for x in u):
+        raise ValueError(f"profile entries must lie in [0, {fp.m}]: {u}")
+    if any(u[i] < u[i + 1] for i in range(len(u) - 1)):
+        raise ValueError(f"profile must be sorted nonincreasing: {u}")
+    return u
+
+
+def enumerate_profiles(t: int, total: int, cap: int):
+    """All nonincreasing t-tuples with entries in [0, cap] summing to total."""
+    def rec(remaining, slots, bound):
+        if slots == 0:
+            if remaining == 0:
+                yield ()
+            return
+        top = min(bound, remaining)
+        for first in range(top, -1, -1):
+            if first * slots < remaining:
+                break
+            for rest in rec(remaining - first, slots - 1, first):
+                yield (first,) + rest
+    return rec(total, t, cap)
+
+
+def exhaustive_profile(fp: FormulaParams, t: int, r: int):
+    """Maximize the profile objective over every profile summing to t*m - r.
+
+    The reference for ``optimize_profile``: under the construction
+    hypotheses the two agree on the maximum.
+    """
+    rank_decomposition(t, fp.m, r)  # rejects r outside 1..t*m
+    best_u = None
+    best_T = -1
+    for u in enumerate_profiles(t, t * fp.m - r, fp.m):
+        T = profile_objective(fp, u)
+        if T > best_T:
+            best_u, best_T = u, T
+    return best_u, best_T
+
+
+def _resorted(u, i, j, di, dj):
+    new = list(u)
+    new[i] += di
+    new[j] += dj
+    return tuple(sorted(new, reverse=True))
+
+
+def _require(cond, message):
+    if not cond:
+        raise OpConditionError(message)
+
+
+def shift_low(fp: FormulaParams, u, i: int, j: int):
+    """Move one unit from slot j up to slot i, both sides staying <= m/2."""
+    u = validate_profile(fp, u)
+    _require(0 <= i < j < len(u), f"need indices i < j, got i={i}, j={j}")
+    _require(u[i] + 1 <= fp.half, f"shift_low needs u[i]+1 <= m/2, got u[{i}]={u[i]}")
+    _require(u[j] >= 1, f"shift_low needs u[j] >= 1, got u[{j}]={u[j]}")
+    return _resorted(u, i, j, +1, -1)
+
+
+def shift_cross(fp: FormulaParams, u, i: int, j: int):
+    """Move one unit from a slot at or below m/2 to a slot at or above it.
+
+    Raises the objective when u[i] - u[j] >= m/2 - v - 1 and lowers it when
+    u[i] - u[j] <= m/2 - v - 2; both applications are legal.
+    """
+    u = validate_profile(fp, u)
+    _require(0 <= i < j < len(u), f"need indices i < j, got i={i}, j={j}")
+    _require(u[i] + 1 <= fp.m, f"shift_cross needs u[i]+1 <= m, got u[{i}]={u[i]}")
+    _require(u[i] >= fp.half, f"shift_cross needs u[i] >= m/2, got u[{i}]={u[i]}")
+    _require(u[j] <= fp.half, f"shift_cross needs u[j] <= m/2, got u[{j}]={u[j]}")
+    _require(u[j] >= 1, f"shift_cross needs u[j] >= 1, got u[{j}]={u[j]}")
+    return _resorted(u, i, j, +1, -1)
+
+
+def unshift_cross(fp: FormulaParams, u, i: int, j: int):
+    """Inverse of shift_cross: move one unit back from slot i to slot j."""
+    u = validate_profile(fp, u)
+    _require(0 <= i < j < len(u), f"need indices i < j, got i={i}, j={j}")
+    _require(u[i] <= fp.m, f"unshift_cross needs u[i] <= m, got u[{i}]={u[i]}")
+    _require(u[i] - 1 >= fp.half, f"unshift_cross needs u[i]-1 >= m/2, got u[{i}]={u[i]}")
+    _require(u[j] + 1 <= fp.half, f"unshift_cross needs u[j]+1 <= m/2, got u[{j}]={u[j]}")
+    _require(u[j] >= 0, f"unshift_cross needs u[j] >= 0, got u[{j}]={u[j]}")
+    return _resorted(u, i, j, -1, +1)
+
+
+def shift_high(fp: FormulaParams, u, i: int, j: int):
+    """Move one unit from slot j up to slot i, both sides staying >= m/2."""
+    u = validate_profile(fp, u)
+    _require(0 <= i < j < len(u), f"need indices i < j, got i={i}, j={j}")
+    _require(u[i] + 1 <= fp.m, f"shift_high needs u[i]+1 <= m, got u[{i}]={u[i]}")
+    _require(u[j] - 1 >= fp.half, f"shift_high needs u[j]-1 >= m/2, got u[{j}]={u[j]}")
+    return _resorted(u, i, j, +1, -1)
+
+
+def split_half_pair(fp: FormulaParams, u):
+    """Replace two entries equal to m/2 with one m and one 0."""
+    u = validate_profile(fp, u)
+    count = sum(1 for x in u if x == fp.half)
+    _require(count >= 2, f"split_half_pair needs two entries equal to m/2={fp.half}, found {count}")
+    new = list(u)
+    new.remove(fp.half)
+    new.remove(fp.half)
+    new = [fp.m] + new + [0]
+    return tuple(sorted(new, reverse=True))
+
+
+# -- subspaces attaining the per-slot maximum ----------------------------------
+
+def achieving_subspace(cyc, l: int, i: int):
+    """Basis of an l-dimensional subspace meeting class i in the maximum.
+
+    For l up to m/2 the subspace sits inside gamma^i times the half-degree
+    subfield; beyond that, the half subfield is extended by deterministically
+    chosen coset representatives (smallest element codes that keep the set
+    independent) and the whole basis is scaled by gamma^i.
+    """
+    field = cyc.field
+    fp = FormulaParams(field.q, field.m, cyc.N)
+    if not 0 <= l <= field.m:
+        raise ValueError(f"need 0 <= l <= m={field.m}, got {l}")
+    if not 0 <= i < cyc.N:
+        raise ValueError(f"class index {i} out of range [0, {cyc.N})")
+    group = field.Q - 1
+    half_deg = field.s * fp.half
+    theta = field.exp[(group // (field.p**half_deg - 1)) % group]
+    half_basis = [field.pow(theta, k) for k in range(fp.half)]
+    if l <= fp.half:
+        basis = half_basis[:l]
+    else:
+        coords = [field.coords_over_q(b) for b in half_basis]
+        basis = list(half_basis)
+        candidate = 1
+        while len(basis) < l:
+            if candidate >= field.Q:
+                raise RuntimeError("ran out of candidates extending the half subfield")
+            cand = field.coords_over_q(candidate)
+            if linalg.is_independent(field, coords + [cand]):
+                coords.append(cand)
+                basis.append(candidate)
+            candidate += 1
+    gi = field.exp[i % group]
+    return tuple(field.mul(gi, b) for b in basis)
+
+
+# -- polynomials of the cyclic code ------------------------------------------
+
+def is_monic(poly: PolyOverFq) -> bool:
+    return bool(poly.coeffs) and poly.coeffs[-1] == 1
+
+
+def evaluate(poly: PolyOverFq, x):
+    acc = 0
+    for c in reversed(poly.coeffs):
+        acc = poly.field.add(poly.field.mul(acc, x), c)
+    return acc
+
+
+def poly_mul(ctx, a, b):
+    """Product of coefficient sequences (low degree first)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = ctx.add(out[i + j], ctx.mul(ai, bj))
+    return tuple(out)
+
+
+def poly_divmod(ctx, a, b):
+    """Quotient and remainder of coefficient sequences over the field."""
+    a = list(a)
+    db = len(b) - 1
+    while b and b[-1] == 0:
+        b = b[:-1]
+        db -= 1
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead = ctx.inv(b[-1])
+    quot = [0] * max(len(a) - db, 1)
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k]
+        if c == 0:
+            continue
+        factor = ctx.mul(c, inv_lead)
+        quot[k - db] = factor
+        for i, bi in enumerate(b):
+            a[k - db + i] = ctx.sub(a[k - db + i], ctx.mul(factor, bi))
+    rem = a[:db] if db > 0 else [0]
+    return tuple(quot), tuple(rem)
+
+
+def parity_check_poly(code) -> PolyOverFq:
+    """Product of the minimal polynomials of the gamma^(-a_i)."""
+    field = code.field
+    coeffs = (1,)
+    for ai in code.params.a_list:
+        root = field.pow(field.gamma, -ai) if ai else field.one
+        coeffs = poly_mul(field, coeffs, field.minimal_poly(root).coeffs)
+    return PolyOverFq(field, coeffs)
+
+
+def generator_poly(code) -> PolyOverFq:
+    """(x^n - 1) / parity_check_poly, the division being exact."""
+    field = code.field
+    xn1 = [0] * (code.n + 1)
+    xn1[0] = field.neg(1)
+    xn1[-1] = 1
+    quot, rem = poly_divmod(field, tuple(xn1), parity_check_poly(code).coeffs)
+    if any(rem):
+        raise RuntimeError("parity-check polynomial does not divide x^n - 1")
+    return PolyOverFq(field, quot)
+
+
+# -- the dual recount of one subspace ------------------------------------------
+
+def count_via_dual(code, basis) -> int:
+    """Recount of the common zeros through the dual-space expression.
+
+    For each slot h, intersect the dual of the message subspace with the
+    h-th axis, then count the vectors whose negated h-component falls in
+    class 0; the zero count is N/(t*delta) times the total.  Requires
+    e == t.  Equals the direct count of a relabeled subspace, so only the
+    maxima over all subspaces of fixed dimension are comparable.  Scores
+    through the dual sweep's own kernel, ``oracle._dual_scorer``.
+    """
+    _require_e_equals_t(code.params)
+    if not linalg.vectors_independent(code.field, basis):
+        raise ValueError("basis vectors are GF(q)-dependent")
+    row_mask, score = _dual_scorer(code)
+    return score([row_mask(linalg.vector_coords(code.field, b)) for b in basis])

@@ -16,7 +16,6 @@ from ghwlab.codes import check_closed_form_hypotheses
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.hierarchy import (
     FormulaParams,
-    achieving_subspace,
     character_sum_count,
     closed_form_hierarchy,
     max_class_intersection,
@@ -26,6 +25,7 @@ from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
 
 import helpers
 from helpers import span_elements
+from paper_lemmas import achieving_subspace, exhaustive_profile
 from test_hierarchy import _assert_monotonicity
 
 PERIOD_TOL = 1e-9
@@ -115,7 +115,7 @@ def test_criterion_5_achieving_subspaces():
                 for i in range(N):
                     basis = achieving_subspace(cyc, l, i)
                     count = sum(1 for x in span_elements(ctx, list(basis))
-                                if x and cyc.class_index(x) == i)
+                                if x and helpers.class_index(cyc, x) == i)
                     assert count == expected, (q, m, N, l, i, count, expected)
 
 
@@ -133,8 +133,8 @@ def test_criterion_7_optimizer_equivalence():
             fp = helpers.formula_params(q, m, N)
             for t in range(1, 5):
                 for r in range(1, t * m + 1):
-                    _, exhaustive = optimize_profile(fp, t, r, "exhaustive")
-                    _, closed = optimize_profile(fp, t, r, "closed_form")
+                    _, exhaustive = exhaustive_profile(fp, t, r)
+                    _, closed = optimize_profile(fp, t, r)
                     assert closed == exhaustive, (q, m, N, t, r)
 
 

@@ -12,7 +12,7 @@ from ghwlab.linalg import vector_from_coords
 from ghwlab.oracle import GHWResult, _brute_scorer, count_common_zeros, ghw_bruteforce
 from ghwlab.subspaces import SubspaceIter
 
-from helpers import small_sweeps
+from helpers import all_subspaces, small_sweeps
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def _messages(code, rows):
 def reference_brute(code, r):
     """First maximum in enumeration order, every word built by ``codeword``."""
     best, witness, examined = -1, (), 0
-    for rows in SubspaceIter(code.field, code.k, r):
+    for rows in all_subspaces(SubspaceIter(code.field, code.k, r)):
         messages = _messages(code, rows)
         support = set()
         for msg in messages:
@@ -45,7 +45,7 @@ def reference_brute(code, r):
 def _assert_kernel_matches(code, dims):
     row_mask, score = _brute_scorer(code)
     for r in dims:
-        for rows in SubspaceIter(code.field, code.k, r):
+        for rows in all_subspaces(SubspaceIter(code.field, code.k, r)):
             masks = [row_mask(row) for row in rows]
             assert score(masks) == count_common_zeros(code, _messages(code, rows))
 

@@ -13,18 +13,17 @@ straight to the winning profile and never rewrites anything.
 
 import pytest
 
-from ghwlab.hierarchy import (
+from ghwlab.hierarchy import profile_objective, rank_decomposition
+
+import helpers
+from paper_lemmas import (
     enumerate_profiles,
-    profile_objective,
-    rank_decomposition,
     shift_cross,
     shift_high,
     shift_low,
     split_half_pair,
     unshift_cross,
 )
-
-import helpers
 
 
 def _strict_interior(u, lo, hi):

@@ -271,6 +271,28 @@ def test_sweep_exit_3_on_error_row(capsys, monkeypatch):
     assert out.strip().splitlines()[1].endswith("RuntimeError: count is not an integer")
 
 
+def test_sweep_exit_3_on_hierarchy_shape(capsys, monkeypatch):
+    # ex1 is [8,4]: 8;8;8;8 from both methods matches, but is not strictly
+    # increasing and breaks the Singleton bound d_1 <= 5
+    monkeypatch.setattr(cli, "closed_form_hierarchy", lambda params: [8] * params.k)
+    monkeypatch.setattr(cli, "ghw_bruteforce", lambda code, r, budget=None, jobs=1:
+                        GHWResult(r=r, d_r=8, common_zeros=0, witness=(), examined=1))
+    code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                       "--t", "2", "--a-range", "6:6")
+    assert code == 3
+    row = out.strip().splitlines()[1].split(",")
+    assert row[-4:-1] == ["8;8;8;8", "8;8;8;8", "True"]
+    assert row[-1] == "RuntimeError: hierarchy is not strictly increasing: 8;8;8;8"
+
+
+def test_sweep_rejects_empty_a_range(capsys):
+    code, out, err = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                         "--t", "2", "--a-range", "47:1")
+    assert code == 2
+    assert out == ""
+    assert "--a-range" in err and "'47:1'" in err
+
+
 def test_ghw_runtime_error_exit_3(capsys, monkeypatch):
     def flat(code, r, budget=None, jobs=1):
         return GHWResult(r=r, d_r=5, common_zeros=3, witness=(), examined=1)

@@ -1,7 +1,8 @@
 import pytest
 
 from ghwlab.codes import TraceCode, check_closed_form_hypotheses, derive_params
-from ghwlab.fields import poly_mul
+
+from paper_lemmas import generator_poly, is_monic, parity_check_poly, poly_mul
 
 
 def test_example1_derivation(example1_params):
@@ -190,10 +191,10 @@ def test_support_union_rejects_dependent(example1):
 
 def test_parity_check_and_generator(example1):
     f = example1.field
-    h = example1.parity_check_poly()
-    g = example1.generator_poly()
+    h = parity_check_poly(example1)
+    g = generator_poly(example1)
     assert h.degree == example1.k
-    assert h.is_monic()
+    assert is_monic(h)
     prod = poly_mul(f, g.coeffs, h.coeffs)
     expected = [0] * (example1.n + 1)
     expected[0] = f.neg(1)

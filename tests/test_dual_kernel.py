@@ -13,10 +13,11 @@ from ghwlab import oracle
 from ghwlab.cli import main
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.linalg import vector_from_coords
-from ghwlab.oracle import GHWResult, _dual_scorer, count_via_dual, ghw_dual_sweep
+from ghwlab.oracle import GHWResult, _dual_scorer, ghw_dual_sweep
 from ghwlab.subspaces import SubspaceIter
 
-from helpers import nullspace_dual_count, small_sweeps
+from helpers import all_subspaces, nullspace_dual_count, small_sweeps
+from paper_lemmas import count_via_dual
 
 EX1 = ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"]
 
@@ -40,7 +41,7 @@ def _messages(code, rows):
 def reference_dual(code, r):
     """First maximum in enumeration order, every count from null spaces."""
     best, witness, examined = -1, (), 0
-    for rows in SubspaceIter(code.field, code.k, r):
+    for rows in all_subspaces(SubspaceIter(code.field, code.k, r)):
         messages = _messages(code, rows)
         zeros = nullspace_dual_count(code, messages)
         examined += 1
@@ -53,7 +54,7 @@ def reference_dual(code, r):
 def _assert_kernel_matches(code, dims):
     row_mask, score = _dual_scorer(code)
     for r in dims:
-        for rows in SubspaceIter(code.field, code.k, r):
+        for rows in all_subspaces(SubspaceIter(code.field, code.k, r)):
             masks = [row_mask(row) for row in rows]
             assert score(masks) == nullspace_dual_count(code, _messages(code, rows))
 
@@ -75,7 +76,7 @@ def test_kernel_matches_reference_80_8(code_80_8):
 
 
 def test_count_via_dual_matches_reference(example2):
-    rows = next(iter(SubspaceIter(example2.field, example2.k, 2)))
+    rows = next(all_subspaces(SubspaceIter(example2.field, example2.k, 2)))
     basis = list(_messages(example2, rows))
     assert count_via_dual(example2, basis) == nullspace_dual_count(example2, basis)
 

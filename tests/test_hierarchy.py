@@ -4,26 +4,29 @@ from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.errors import HypothesesNotMet
 from ghwlab.hierarchy import (
     FormulaParams,
-    OpConditionError,
-    achieving_subspace,
     character_sum_count,
     closed_form_dr,
     closed_form_hierarchy,
-    enumerate_profiles,
     max_class_intersection,
     optimize_profile,
     profile_objective,
     rank_decomposition,
+)
+from ghwlab.oracle import count_common_zeros, ghw_bruteforce
+
+import helpers
+from helpers import span_elements
+from paper_lemmas import (
+    OpConditionError,
+    achieving_subspace,
+    enumerate_profiles,
+    exhaustive_profile,
     shift_cross,
     shift_high,
     shift_low,
     split_half_pair,
     unshift_cross,
 )
-from ghwlab.oracle import count_common_zeros, ghw_bruteforce
-
-import helpers
-from helpers import span_elements
 
 
 def test_formula_params_validation():
@@ -98,7 +101,7 @@ def test_achieving_subspace_examples(f49, f64):
         basis = achieving_subspace(cyc, l, i)
         assert len(basis) == l
         count = sum(1 for x in span_elements(f64, list(basis))
-                    if x and cyc.class_index(x) == i)
+                    if x and helpers.class_index(cyc, x) == i)
         assert count == max_class_intersection(fp, l)
 
 
@@ -239,26 +242,21 @@ def test_rank_decomposition():
 
 def test_optimize_profile_example1():
     fp = FormulaParams(7, 2, 4)
-    u, T = optimize_profile(fp, 2, 1, "exhaustive")
+    u, T = exhaustive_profile(fp, 2, 1)
     assert (u, T) == ((2, 1), 18)
-    u_cf, T_cf = optimize_profile(fp, 2, 1, "closed_form")
+    u_cf, T_cf = optimize_profile(fp, 2, 1)
     assert T_cf == 18
     assert u_cf == (2, 1)
 
 
 def test_optimize_profile_trivial_cases():
     fp = FormulaParams(7, 2, 4)
-    assert optimize_profile(fp, 2, 4, "closed_form") == ((0, 0), 0)
-    assert optimize_profile(fp, 2, 4, "exhaustive") == ((0, 0), 0)
+    assert optimize_profile(fp, 2, 4) == ((0, 0), 0)
+    assert exhaustive_profile(fp, 2, 4) == ((0, 0), 0)
     fp2 = FormulaParams(2, 6, 3)
-    u, T = optimize_profile(fp2, 1, 2, "exhaustive")
+    u, T = exhaustive_profile(fp2, 1, 2)
     assert u == (4,)
     assert T == max_class_intersection(fp2, 4)
-
-
-def test_optimize_profile_bad_mode():
-    with pytest.raises(ValueError):
-        optimize_profile(FormulaParams(7, 2, 4), 2, 1, "greedy")
 
 
 @pytest.mark.parametrize("q,m,N", helpers.REGIME_CORPUS)
@@ -266,8 +264,8 @@ def test_optimizer_equivalence(q, m, N):
     fp = helpers.formula_params(q, m, N)
     for t in range(1, 5):
         for r in range(1, t * m + 1):
-            _, exhaustive = optimize_profile(fp, t, r, "exhaustive")
-            _, closed = optimize_profile(fp, t, r, "closed_form")
+            _, exhaustive = exhaustive_profile(fp, t, r)
+            _, closed = optimize_profile(fp, t, r)
             assert closed == exhaustive, (q, m, N, t, r)
 
 
@@ -347,7 +345,7 @@ def test_character_sum_consistency_sweep(example1):
     expected = n * lines_per_coord
     exact_total = 0
     numeric_total = 0j
-    for rows in SubspaceIter(f, tm, 1):
+    for rows in helpers.all_subspaces(SubspaceIter(f, tm, 1)):
         basis = [vector_from_coords(f, 2, rows[0])]
         exact_total += count_common_zeros(example1, basis)
         numeric_total += character_sum_count(example1, basis)

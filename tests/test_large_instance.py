@@ -14,7 +14,9 @@ import pytest
 from ghwlab.codes import TraceCode, check_closed_form_hypotheses, derive_params
 from ghwlab.hierarchy import character_sum_count, closed_form_hierarchy
 from ghwlab.linalg import vectors_independent
-from ghwlab.oracle import count_common_zeros, count_via_dual
+from ghwlab.oracle import count_common_zeros
+
+from paper_lemmas import count_via_dual
 
 
 @pytest.fixture(scope="module")

@@ -7,15 +7,11 @@ from ghwlab import oracle
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.errors import BudgetExceeded
 from ghwlab.linalg import rref, vector_coords, vectors_independent
-from ghwlab.oracle import (
-    count_common_zeros,
-    count_via_dual,
-    ghw_bruteforce,
-    ghw_dual_sweep,
-)
+from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
 from ghwlab.subspaces import SubspaceIter
 
 from helpers import DualContext, frobenius_trace
+from paper_lemmas import count_via_dual
 
 
 def test_brute_example1(example1):

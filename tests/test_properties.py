@@ -4,15 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
-from ghwlab.hierarchy import (
-    FormulaParams,
-    enumerate_profiles,
-    shift_cross,
-    unshift_cross,
-)
+from ghwlab.hierarchy import FormulaParams
 from ghwlab.linalg import rref, vector_coords, vectors_independent
 
-from helpers import DualContext
+from helpers import DualContext, class_index
+from paper_lemmas import enumerate_profiles, shift_cross, unshift_cross
 
 F49 = build_field(7, 2)
 F64 = build_field(2, 6)
@@ -63,7 +59,7 @@ def test_trace_is_fq_linear(x, lam):
 @settings(max_examples=40, deadline=None)
 def test_class_membership_stable_under_class0(x, k):
     c = F64.exp[(3 * k) % 63]   # an element of class 0
-    assert CYC64.class_index(F64.mul(x, c)) == CYC64.class_index(x)
+    assert class_index(CYC64, F64.mul(x, c)) == class_index(CYC64, x)
 
 
 @given(nonzero64)
