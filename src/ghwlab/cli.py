@@ -309,7 +309,6 @@ def cmd_ghw(args):
 def cmd_gauss(args):
     field = build_field(args.p, args.s * args.m, subfield_degree=args.s)
     cyc = CyclotomyCtx(field, args.N)
-    table = cyc.period_table()
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "ghwlab", "version": __version__},
@@ -318,7 +317,7 @@ def cmd_gauss(args):
         "class_size": cyc.class_size,
         "periods": [
             {"i": i, "re": _sig12(v.real), "im": _sig12(v.imag)}
-            for i, v in enumerate(table.values)
+            for i, v in enumerate(cyc.period_table())
         ],
     }
     _write(args, json.dumps(record, indent=2))
@@ -363,6 +362,8 @@ def cmd_sweep(args):
         a_start, a_stop = (int(v) for v in args.a_range.split(":"))
     except ValueError as exc:
         raise ValueError(f"--a-range must be START:STOP, got {args.a_range!r}") from exc
+    if a_start < 1:
+        raise ValueError(f"--a-range START must be >= 1, got {args.a_range!r}")
     if a_start > a_stop:
         raise ValueError(f"--a-range START exceeds STOP, got {args.a_range!r}")
     budget = args.budget
@@ -371,10 +372,8 @@ def cmd_sweep(args):
     writer.writerow(SWEEP_COLUMNS)
     failed = False
     for a in range(a_start, a_stop + 1):
-        try:
-            params = derive_params(args.p, args.s, args.m, args.e, args.t, a, args.deltas)
-        except ValueError:
-            continue
+        # with a >= 1 every error derive_params raises holds for every a
+        params = derive_params(args.p, args.s, args.m, args.e, args.t, a, args.deltas)
         if not params.assumptions.all_ok:
             continue
         report = check_closed_form_hypotheses(params)

@@ -184,24 +184,10 @@ def derive_params(p, s, m, e, t, a, deltas=None) -> CodeParams:
 
 
 def _check_i(Q, e, a, t):
-    clauses = []
-    ok = True
-    if (Q - 1) % e == 0:
-        clauses.append(f"e={e} divides Q-1")
-    else:
-        ok = False
-        clauses.append(f"e={e} does not divide Q-1={Q - 1}")
-    if a % (Q - 1) != 0:
-        clauses.append(f"a={a} is nonzero mod Q-1")
-    else:
-        ok = False
-        clauses.append(f"a={a} is 0 mod Q-1={Q - 1}")
-    if e >= t >= 1:
-        clauses.append(f"e={e} >= t={t} >= 1")
-    else:
-        ok = False
-        clauses.append(f"e={e} >= t={t} >= 1 fails")
-    return AssumptionCheck(ok, "; ".join(clauses))
+    # derive_params has already raised unless e | Q-1 and e >= t >= 1
+    ok = a % (Q - 1) != 0
+    clause = f"a={a} is nonzero mod Q-1" if ok else f"a={a} is 0 mod Q-1={Q - 1}"
+    return AssumptionCheck(ok, f"e={e} divides Q-1; {clause}; e={e} >= t={t} >= 1")
 
 
 def _check_ii(e, t, deltas):
@@ -218,15 +204,17 @@ def _check_ii(e, t, deltas):
 
 
 def _check_iii(field, a_list, m):
-    polys = []
+    """The minimal polynomial of a root over GF(q) is the product over its
+    q-conjugacy orbit: its degree is the orbit size, and two are equal
+    exactly when the orbits are."""
+    orbits = []
     for ai in a_list:
         root = field.pow(field.gamma, -ai) if ai else field.one
-        polys.append(field.minimal_poly(root))
-    degs = [poly.degree for poly in polys]
+        orbits.append(frozenset(field.conjugacy_orbit(root)))
+    degs = [len(orbit) for orbit in orbits]
     if any(d != m for d in degs):
         return AssumptionCheck(False, f"minimal polynomial degrees {degs}, expected all {m}")
-    coeff_sets = [poly.coeffs for poly in polys]
-    if len(set(coeff_sets)) != len(coeff_sets):
+    if len(set(orbits)) != len(orbits):
         return AssumptionCheck(False, "repeated minimal polynomial among the exponents")
     return AssumptionCheck(True, f"all degrees equal {m} and polynomials pairwise distinct")
 

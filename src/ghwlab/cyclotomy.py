@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .fields import FieldCtx
 
@@ -35,15 +34,6 @@ def semiprimitive_j(p: int, N: int):
             return None
         cur = (cur * p) % N
         j += 1
-
-
-@dataclass(frozen=True)
-class GaussPeriodTable:
-    """Numeric Gauss periods: values[i] is the period at argument gamma^i."""
-
-    N: int
-    class_size: int
-    values: tuple
 
 
 class CyclotomyCtx:
@@ -86,7 +76,7 @@ class CyclotomyCtx:
             total += zetas[traces[mul(arg, x)]]
         return total
 
-    def period_table(self) -> GaussPeriodTable:
+    def period_table(self) -> tuple:
         """Periods at gamma^0 .. gamma^(N-1); cached after the first call.
 
         Since the period at a depends only on the class of a, this table
@@ -94,6 +84,6 @@ class CyclotomyCtx:
         """
         if self._table is None:
             exp = self.field.exp
-            values = tuple(self.gauss_period(exp[i % (self.field.Q - 1)]) for i in range(self.N))
-            self._table = GaussPeriodTable(self.N, self.class_size, values)
+            self._table = tuple(self.gauss_period(exp[i % (self.field.Q - 1)])
+                                for i in range(self.N))
         return self._table

@@ -8,7 +8,10 @@ of Zech logarithms, zech[k] = log(1 + gamma^k), and negation adds (Q-1)/2 to
 the logarithm; for p = 2 addition is XOR.  Every operation is a few table
 lookups.  The intermediate field GF(q), q = p^s, is kept as the subset of
 elements fixed by x -> x^q rather than as a separate field object, which
-keeps all arithmetic inside a single context.
+keeps all arithmetic inside a single context.  GF(q)-coordinates in the
+basis (1, gamma, ..., gamma^(m-1)) are trace pairings Tr_{Q->q}(x * d_j)
+with the trace-dual basis d, and the degree of x over GF(q) is the size of
+its q-conjugacy orbit.
 
 Fields are capped at 2^20 elements: this module targets desk-scale
 verification, not cryptographic sizes.
@@ -16,7 +19,7 @@ verification, not cryptographic sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as _dc_field
+from . import linalg
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -134,11 +137,10 @@ class FieldCtx:
         self.log = log_table
         self.zech = _zech_table(p, exp_table, log_table) if p != 2 else None
         self.gamma = exp_table[1 % (self.Q - 1)] if self.Q > 2 else exp_table[0]
-        self.zero = 0
         self.one = 1
         self._subfields: dict[int, tuple] = {}
         self._trace_tables: dict[int, list] = {}
-        self._coords_solver = None
+        self._dual_basis = None
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, m={self.m}, Q={self.Q})"
@@ -231,10 +233,6 @@ class FieldCtx:
     def subfield_q(self) -> tuple:
         return self.subfield(self.s)
 
-    def in_subfield(self, x, sub_degree=None) -> bool:
-        d = self.s if sub_degree is None else sub_degree
-        return self.frobenius(x, d) == x
-
     def trace_table(self, sub_degree) -> list:
         """Relative trace onto GF(p^sub_degree) of every element; built once.
 
@@ -266,57 +264,45 @@ class FieldCtx:
         self._trace_tables[sub_degree] = table
         return table
 
-    # -- GF(q)-coordinates of the big field --------------------------------
+    # -- GF(q)-coordinates and conjugates ---------------------------------
 
-    def _coords(self):
-        if self._coords_solver is None:
-            p, s, m = self.p, self.s, self.m
-            group = self.Q - 1
-            theta = self.exp[((group // (self.q - 1)) % group)]
-            theta_pows = [self.pow(theta, k) for k in range(s)]
-            gamma_pows = [self.exp[i % group] for i in range(m)]
-            cols = []
-            for i in range(m):
-                for k in range(s):
-                    cols.append(_digits(self.mul(gamma_pows[i], theta_pows[k]), p, self.degree))
-            inv = _invert_mod_p([[cols[j][i] for j in range(self.degree)] for i in range(self.degree)], p)
-            self._coords_solver = (inv, theta_pows, gamma_pows)
-        return self._coords_solver
+    def _dual(self) -> tuple:
+        """Trace-dual basis d of (1, gamma, ..., gamma^(m-1)): Tr(gamma^i d_j) = [i = j].
+
+        Row j of the inverse of the Gram matrix G[i][k] = Tr(gamma^(i+k))
+        holds the coordinates of d_j; G is symmetric, so
+        Tr(gamma^i d_j) = (G^-1 G)[j][i].
+        """
+        if self._dual_basis is None:
+            m, group = self.m, self.Q - 1
+            trace = self.trace_table(self.s)
+            gram = [[trace[self.exp[(i + k) % group]] for k in range(m)]
+                    + [int(i == k) for k in range(m)] for i in range(m)]
+            rows, _ = linalg.rref(self, gram)
+            self._dual_basis = tuple(self.element_from_coords(row[m:]) for row in rows)
+        return self._dual_basis
 
     def coords_over_q(self, x) -> tuple:
         """Coordinates of x in the GF(q)-basis (1, gamma, ..., gamma^(m-1)).
 
+        Coordinate j is Tr_{Q->q}(x * d_j) for the trace-dual basis d.
         Returns m elements of the subfield GF(q), as element codes.
         """
-        inv, theta_pows, _ = self._coords()
-        p = self.p
-        digs = _digits(x, p, self.degree)
-        lam = [sum(row[j] * digs[j] for j in range(self.degree)) % p for row in inv]
-        coords = []
-        for i in range(self.m):
-            c = 0
-            for k in range(self.s):
-                lk = lam[i * self.s + k]
-                if lk:
-                    c = self.add(c, self.mul(lk, theta_pows[k]))
-            coords.append(c)
-        return tuple(coords)
+        trace = self.trace_table(self.s)
+        return tuple(trace[self.mul(x, d)] for d in self._dual())
 
     def element_from_coords(self, coords):
         """Inverse of :meth:`coords_over_q`."""
         if len(coords) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
-        _, _, gamma_pows = self._coords()
         acc = 0
-        for c, g in zip(coords, gamma_pows):
+        for i, c in enumerate(coords):
             if c:
-                acc = self.add(acc, self.mul(c, g))
+                acc = self.add(acc, self.mul(c, self.exp[i]))
         return acc
 
-    # -- minimal polynomials -----------------------------------------------
-
     def conjugacy_orbit(self, x) -> list:
-        """Orbit of x under x -> x^q."""
+        """Orbit of x under x -> x^q; its size is the degree of x over GF(q)."""
         orbit = [x]
         cur = self.frobenius(x, self.s)
         while cur != x:
@@ -324,65 +310,12 @@ class FieldCtx:
             cur = self.frobenius(cur, self.s)
         return orbit
 
-    def minimal_poly(self, x) -> "PolyOverFq":
-        """Monic minimal polynomial of a nonzero x over GF(q).
-
-        Computed as the product over the q-conjugacy orbit; every
-        coefficient is verified to be fixed by y -> y^q.
-        """
-        if x == 0:
-            raise ValueError("minimal_poly requires a nonzero element")
-        coeffs = [1]
-        for root in self.conjugacy_orbit(x):
-            nroot = self.neg(root)
-            nxt = [0] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                if c:
-                    nxt[i] = self.add(nxt[i], self.mul(c, nroot))
-                    nxt[i + 1] = self.add(nxt[i + 1], c)
-            coeffs = nxt
-        for c in coeffs:
-            if not self.in_subfield(c):
-                raise RuntimeError("minimal polynomial coefficient escaped GF(q)")
-        return PolyOverFq(self, tuple(coeffs))
-
     def to_json_dict(self) -> dict:
         return {
             "p": self.p,
             "degree": self.degree,
             "modulus_coeffs": list(self.modulus),
         }
-
-
-@dataclass(frozen=True)
-class PolyOverFq:
-    """Polynomial with coefficients in the GF(q) subfield, low degree first."""
-
-    field: FieldCtx = _dc_field(repr=False, compare=False)
-    coeffs: tuple = ()
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def _invert_mod_p(matrix, p):
-    n = len(matrix)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(matrix)]
-    row = 0
-    for col in range(n):
-        piv = next((r for r in range(row, n) if aug[r][col] % p), None)
-        if piv is None:
-            raise RuntimeError("basis matrix is singular mod p")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(v * inv) % p for v in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] % p:
-                f = aug[r][col]
-                aug[r] = [(aug[r][j] - f * aug[row][j]) % p for j in range(2 * n)]
-        row += 1
-    return [r[n:] for r in aug]
 
 
 def build_field(p: int, ext_degree: int, subfield_degree: int = 1) -> FieldCtx:

@@ -181,7 +181,7 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     if params.e != params.t:
         raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
     field = code.field
-    table = code.cyclotomy.period_table()
+    values = code.cyclotomy.period_table()
     group = params.Q - 1
     exp = field.exp
     mul, add = field.mul, field.add
@@ -203,8 +203,7 @@ def character_sum_count(code: TraceCode, basis) -> complex:
             image.append(mul(g_pows[h], acc))
         images.append(tuple(image))
     log, N = field.log, params.N
-    values = table.values
-    class_size = complex(table.class_size)
+    class_size = complex(code.cyclotomy.class_size)
     total = 0j
     for args in linalg.span_vectors(field, images):
         for arg in args:

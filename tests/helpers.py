@@ -316,7 +316,7 @@ def member_character_sum_count(code, basis):
         [exp[(step * params.deltas[j] * h) % group] for j in range(t)]
         for h in range(1, t + 1)
     ]
-    class_size = complex(table.class_size)
+    class_size = complex(code.cyclotomy.class_size)
     total = 0j
     for b in linalg.span_vectors(field, list(basis)):
         for h in range(t):
@@ -325,7 +325,7 @@ def member_character_sum_count(code, basis):
                 if b[j]:
                     acc = add(acc, mul(b[j], beta_pows[h][j]))
             arg = mul(g_pows[h], acc)
-            total += table.values[log[arg] % params.N] if arg else class_size
+            total += table[log[arg] % params.N] if arg else class_size
     return total * params.N / (params.t * params.delta * params.q ** len(basis))
 
 

@@ -5,15 +5,18 @@ argument that certifies it.  This module holds that argument in executable
 form: the profile rewrites of the normalization lemma, the exhaustive
 profile search (the reference for ``optimize_profile``), the subspaces that
 attain the per-slot intersection maximum, the cyclic-code polynomials of a
-trace code, and the per-subspace dual recount of the common zeros.
+trace code with the minimal polynomials they multiply, and the
+per-subspace dual recount of the common zeros.
 
 Profiles are kept sorted nonincreasing; the rewrite operations are defined
 on sorted profiles and re-sort their result (the objective is symmetric in
 the entries).
 """
 
+from dataclasses import dataclass, field as _dc_field
+
 from ghwlab import linalg
-from ghwlab.fields import PolyOverFq
+from ghwlab.fields import FieldCtx
 from ghwlab.hierarchy import FormulaParams, profile_objective, rank_decomposition
 from ghwlab.oracle import _dual_scorer, _require_e_equals_t
 
@@ -173,6 +176,42 @@ def achieving_subspace(cyc, l: int, i: int):
 
 # -- polynomials of the cyclic code ------------------------------------------
 
+@dataclass(frozen=True)
+class PolyOverFq:
+    """Polynomial with coefficients in the GF(q) subfield, low degree first."""
+
+    field: FieldCtx = _dc_field(repr=False, compare=False)
+    coeffs: tuple = ()
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+
+def minimal_poly(field, x) -> PolyOverFq:
+    """Monic minimal polynomial of a nonzero x over GF(q).
+
+    Computed as the product over the q-conjugacy orbit; every
+    coefficient is verified to be fixed by y -> y^q.  The reference for
+    ``codes._check_iii``, which reads degrees and equality off the orbits.
+    """
+    if x == 0:
+        raise ValueError("minimal_poly requires a nonzero element")
+    coeffs = [1]
+    for root in field.conjugacy_orbit(x):
+        nroot = field.neg(root)
+        nxt = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            if c:
+                nxt[i] = field.add(nxt[i], field.mul(c, nroot))
+                nxt[i + 1] = field.add(nxt[i + 1], c)
+        coeffs = nxt
+    for c in coeffs:
+        if field.frobenius(c, field.s) != c:
+            raise RuntimeError("minimal polynomial coefficient escaped GF(q)")
+    return PolyOverFq(field, tuple(coeffs))
+
+
 def is_monic(poly: PolyOverFq) -> bool:
     return bool(poly.coeffs) and poly.coeffs[-1] == 1
 
@@ -223,7 +262,7 @@ def parity_check_poly(code) -> PolyOverFq:
     coeffs = (1,)
     for ai in code.params.a_list:
         root = field.pow(field.gamma, -ai) if ai else field.one
-        coeffs = poly_mul(field, coeffs, field.minimal_poly(root).coeffs)
+        coeffs = poly_mul(field, coeffs, minimal_poly(field, root).coeffs)
     return PolyOverFq(field, coeffs)
 
 

@@ -293,6 +293,22 @@ def test_sweep_rejects_empty_a_range(capsys):
     assert "--a-range" in err and "'47:1'" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "4", "--m", "2", "--e", "1", "--t", "1", "--a-range", "1:5"], "prime"),
+    (["--p", "7", "--m", "2", "--e", "5", "--t", "2", "--a-range", "1:5"], "deltas"),
+    (["--p", "7", "--m", "2", "--e", "5", "--t", "2", "--deltas", "0,1", "--a-range", "1:5"],
+     "does not divide"),
+    (["--p", "7", "--m", "2", "--e", "2", "--t", "3", "--a-range", "1:5"], "exceeds"),
+    (["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a-range", "0:2"], "'0:2'"),
+])
+def test_sweep_rejects_parameters_invalid_for_every_a(capsys, argv, message):
+    # these used to print only the CSV header (or drop a = 0) and exit 0
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_ghw_runtime_error_exit_3(capsys, monkeypatch):
     def flat(code, r, budget=None, jobs=1):
         return GHWResult(r=r, d_r=5, common_zeros=3, witness=(), examined=1)

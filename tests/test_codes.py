@@ -1,8 +1,15 @@
 import pytest
 
-from ghwlab.codes import TraceCode, check_closed_form_hypotheses, derive_params
+from ghwlab.codes import (
+    AssumptionCheck,
+    TraceCode,
+    _check_iii,
+    check_closed_form_hypotheses,
+    derive_params,
+)
+from ghwlab.fields import build_field
 
-from paper_lemmas import generator_poly, is_monic, parity_check_poly, poly_mul
+from paper_lemmas import generator_poly, is_monic, minimal_poly, parity_check_poly, poly_mul
 
 
 def test_example1_derivation(example1_params):
@@ -75,6 +82,34 @@ def test_assumption_iii_failure_collision():
     p = derive_params(7, 1, 2, 2, 2, 4, (0, 1))
     assert not p.assumptions.iii.ok
     assert "repeated" in p.assumptions.iii.detail
+
+
+def _check_iii_by_minimal_polys(field, a_list, m):
+    """Assumption iii read off the multiplied-out minimal polynomials."""
+    polys = [minimal_poly(field, field.pow(field.gamma, -ai) if ai else field.one)
+             for ai in a_list]
+    degs = [poly.degree for poly in polys]
+    if any(d != m for d in degs):
+        return AssumptionCheck(False, f"minimal polynomial degrees {degs}, expected all {m}")
+    if len({poly.coeffs for poly in polys}) != len(polys):
+        return AssumptionCheck(False, "repeated minimal polynomial among the exponents")
+    return AssumptionCheck(True, f"all degrees equal {m} and polynomials pairwise distinct")
+
+
+def test_assumption_iii_orbits_match_minimal_polynomials():
+    kinds = {"pass": 0, "degrees": 0, "repeated": 0}
+    for p, s, m, e, t in ((7, 1, 2, 2, 2), (3, 1, 4, 2, 2), (2, 1, 6, 3, 3),
+                          (2, 1, 4, 3, 2), (2, 2, 2, 3, 3), (3, 1, 6, 2, 2)):
+        field = build_field(p, s * m, subfield_degree=s)
+        group = field.Q - 1
+        for a in range(1, 60):
+            a_list = tuple((a + group // e * d) % group for d in range(t))
+            got = _check_iii(field, a_list, m)
+            assert got == _check_iii_by_minimal_polys(field, a_list, m), (p, s, m, e, t, a)
+            kinds["pass" if got.ok else "repeated" if "repeated" in got.detail
+                  else "degrees"] += 1
+    # the corpus exercises both failure kinds, not only the passing branch
+    assert all(kinds.values()), kinds
 
 
 def test_assumption_t1_has_no_delta_condition(irreducible21_params):

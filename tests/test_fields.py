@@ -1,14 +1,15 @@
+from itertools import product
+
 import pytest
 
 from ghwlab.fields import (
-    PolyOverFq,
     build_field,
     is_prime,
     prime_factors,
 )
 
 from helpers import order
-from paper_lemmas import evaluate, is_monic, poly_divmod, poly_mul
+from paper_lemmas import evaluate, is_monic, minimal_poly, poly_divmod, poly_mul
 
 
 def test_build_field_basic(f49):
@@ -201,8 +202,21 @@ def test_coords_round_trip_nonprime_subfield():
         assert f16.element_from_coords(coords) == x
 
 
+@pytest.mark.parametrize("p, degree, s", [
+    (2, 4, 2), (2, 6, 1), (2, 6, 3), (3, 4, 2), (3, 6, 3), (5, 4, 2), (7, 2, 1),
+    (3, 2, 2),  # m = 1
+])
+def test_coords_match_brute_force_table(p, degree, s):
+    field = build_field(p, degree, subfield_degree=s)
+    table = {field.element_from_coords(c): c
+             for c in product(field.subfield_q, repeat=field.m)}
+    assert len(table) == field.Q
+    for x in range(field.Q):
+        assert field.coords_over_q(x) == table[x]
+
+
 def test_minimal_poly_subfield_element(f49):
-    poly = f49.minimal_poly(3)
+    poly = minimal_poly(f49, 3)
     assert poly.degree == 1
     assert is_monic(poly)
 
@@ -210,8 +224,8 @@ def test_minimal_poly_subfield_element(f49):
 def test_minimal_poly_example1_exponents(f49):
     # the two exponents of the first worked example give distinct degree-2
     # minimal polynomials
-    h6 = f49.minimal_poly(f49.pow(f49.gamma, -6))
-    h30 = f49.minimal_poly(f49.pow(f49.gamma, -30))
+    h6 = minimal_poly(f49, f49.pow(f49.gamma, -6))
+    h30 = minimal_poly(f49, f49.pow(f49.gamma, -30))
     assert h6.degree == 2
     assert h30.degree == 2
     assert h6.coeffs != h30.coeffs
@@ -220,7 +234,7 @@ def test_minimal_poly_example1_exponents(f49):
 
 def test_minimal_poly_annihilates_and_divides(f64):
     for x in (f64.gamma, 9, 44):
-        poly = f64.minimal_poly(x)
+        poly = minimal_poly(f64, x)
         assert evaluate(poly, x) == 0
         assert f64.m % poly.degree == 0
 
@@ -229,7 +243,7 @@ def test_minimal_poly_divides_xq1_minus_1(f49):
     prod = (1,)
     seen = set()
     for x in (f49.gamma, f49.pow(f49.gamma, 5)):
-        poly = f49.minimal_poly(x)
+        poly = minimal_poly(f49, x)
         if poly.coeffs in seen:
             continue
         seen.add(poly.coeffs)
@@ -243,7 +257,7 @@ def test_minimal_poly_divides_xq1_minus_1(f49):
 
 def test_minimal_poly_rejects_zero(f49):
     with pytest.raises(ValueError):
-        f49.minimal_poly(0)
+        minimal_poly(f49, 0)
 
 
 def test_poly_divmod_round_trip(f49):

@@ -6,6 +6,9 @@ part of the bytes, so a scoring change that alters which subspace wins, or
 an enumeration change, fails here.  Each ``tests/golden/verify_<name>.json``
 is the stdout of ``ghwlab verify <args>``, which prints no timing; its
 ``max_abs_err`` moves if the character sum adds its terms in another order.
+Each ``tests/golden/params_<name>.json`` is the stdout of ``ghwlab params
+<args>``; these pin the assumption-iii verdicts and detail strings (one
+pass, one repeated minimal polynomial, two kinds of degree failure).
 """
 
 from pathlib import Path
@@ -41,6 +44,13 @@ VERIFY_CASES = {
              "--a", "968", "--count", "2", "--seed", "0"],
 }
 
+PARAMS_CASES = {
+    "p7_m2_e2_t2_a6": ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"],
+    "p7_m2_e2_t2_a4": ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "4"],
+    "p7_m2_e2_t2_a8": ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "8"],
+    "p2_m6_e3_t3_a3": ["--p", "2", "--m", "6", "--e", "3", "--t", "3", "--a", "3"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_ghw_output_is_byte_identical(name, capsys):
@@ -56,3 +66,11 @@ def test_verify_output_is_byte_identical(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / f"verify_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS_CASES))
+def test_params_output_is_byte_identical(name, capsys):
+    code = main(["params", *PARAMS_CASES[name]])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"params_{name}.json").read_bytes()
