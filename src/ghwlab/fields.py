@@ -3,7 +3,10 @@
 An element is a plain integer in [0, Q): its base-p digits are the
 coefficients of the residue polynomial modulo a fixed primitive polynomial,
 constant term first.  Multiplication goes through dense exponent/logarithm
-tables built once at construction.  For odd p, addition goes through a table
+tables built once at construction by stepping gamma^k to gamma^(k+1) on
+the packed code: a shift by one digit, then the top digit folded back in
+through two small tables per digit value, one for each half of the code,
+so no step loops over digits.  For odd p, addition goes through a table
 of Zech logarithms, zech[k] = log(1 + gamma^k), and negation adds (Q-1)/2 to
 the logarithm; for p = 2 addition is XOR.  Every operation is a few table
 lookups.  The intermediate field GF(q), q = p^s, is kept as the subset of
@@ -18,6 +21,8 @@ verification, not cryptographic sizes.
 """
 
 from __future__ import annotations
+
+import functools
 
 from . import linalg
 
@@ -60,13 +65,6 @@ def _digits(value: int, p: int, width: int) -> list[int]:
         value, rem = divmod(value, p)
         out.append(rem)
     return out
-
-
-def _pack(digits, p: int) -> int:
-    total = 0
-    for d in reversed(digits):
-        total = total * p + d
-    return total
 
 
 def _poly_mulmod(a, b, modulus, p):
@@ -318,6 +316,7 @@ class FieldCtx:
         }
 
 
+@functools.lru_cache(maxsize=1)
 def build_field(p: int, ext_degree: int, subfield_degree: int = 1) -> FieldCtx:
     """Build GF(p^ext_degree) over a deterministically chosen primitive polynomial.
 
@@ -325,6 +324,9 @@ def build_field(p: int, ext_degree: int, subfield_degree: int = 1) -> FieldCtx:
     GF(p) in ascending order of the packed coefficient value (constant term
     as least-significant digit), so repeated runs agree element-for-element.
     ``subfield_degree`` fixes s in q = p^s; it must divide ext_degree.
+    The most recently built field is kept and returned again for the same
+    arguments (a context is immutable), so a sweep over many codes of one
+    field builds it, and its trace tables, once.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -364,35 +366,50 @@ def _zech_table(p, exp_table, log_table):
     return [log_succ[x] for x in exp_table]
 
 
+def _digitwise_add_table(p, width, addend, scale):
+    """``table[v]`` is ``scale`` times the digit-by-digit sum, mod p and
+    without carries, of the ``width``-digit code v and the digit list
+    ``addend``; built one digit at a time, ``p**width`` entries."""
+    table = [0]
+    for i in range(width):
+        place = scale * p**i
+        table = [v + (j + addend[i]) % p * place for j in range(p) for v in table]
+    return table
+
+
 def _build_tables(p, d, modulus):
+    """exp[k] = gamma^k and its inverse log, with gamma the residue of x.
+
+    Multiplying a code c by x shifts its digits up by one place and folds
+    the top digit c_top back in as -c_top * (modulus without its leading 1),
+    added digit by digit.  That addend takes p - 1 values, so each is
+    applied through two precomputed tables: one for the low ceil(d/2)
+    digits of the shifted code and one for the high floor(d/2).  For d = 1
+    the shifted code is 0 and the low table maps it to c * gamma.
+    """
     Q = p**d
     group = Q - 1
+    top = p ** (d - 1)
+    lo_width = (d + 1) // 2
+    lo_size = p**lo_width
+    folds = [None]
+    for c in range(1, p):
+        addend = [(-c * m) % p for m in modulus[:d]]
+        folds.append((_digitwise_add_table(p, lo_width, addend[:lo_width], 1),
+                      _digitwise_add_table(p, d - lo_width, addend[lo_width:], lo_size)))
     exp_table = [0] * group
     log_table = [-1] * Q
-    cur = [0] * d
-    if d == 1:
-        gamma = (-modulus[0]) % p
-        cur[0] = 1
-        mul_digit = gamma
-    else:
-        mul_digit = None
-        cur[0] = 1
+    cur = 1
     for k in range(group):
-        packed = _pack(cur, p)
-        if log_table[packed] != -1:
+        if log_table[cur] != -1:
             raise RuntimeError("exp table collision: modulus is not primitive")
-        exp_table[k] = packed
-        log_table[packed] = k
-        if d == 1:
-            cur[0] = (cur[0] * mul_digit) % p
-        else:
-            carry = cur[d - 1]
-            for i in range(d - 1, 0, -1):
-                cur[i] = cur[i - 1]
-            cur[0] = 0
-            if carry:
-                for i in range(d):
-                    cur[i] = (cur[i] - carry * modulus[i]) % p
-    if _pack(cur, p) != 1:
+        exp_table[k] = cur
+        log_table[cur] = k
+        c, rest = divmod(cur, top)
+        cur = rest * p
+        if c:
+            low, high = folds[c]
+            cur = low[cur % lo_size] + high[cur // lo_size]
+    if cur != 1:
         raise RuntimeError("primitive element order check failed")
     return exp_table, log_table

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .codes import CodeParams, TraceCode, check_closed_form_hypotheses
 from .cyclotomy import semiprimitive_j
 from .errors import HypothesesNotMet
@@ -171,11 +170,17 @@ def character_sum_count(code: TraceCode, basis) -> complex:
 
     Each member b contributes, for h = 1..t, the Gauss period at
     gamma^(a*h) * sum_j b_j beta^(delta_j*h).  That argument vector is
-    GF(q)-linear in b, so it is computed once per basis vector and the
-    members' arguments are the GF(q)-span of those images, enumerated in
-    the members' coefficient order.  The result must agree with the exact
-    integer count within 1e-6 (at most Q * q^r * t unit-magnitude summands
-    at desk scale).  Requires e == t.
+    GF(q)-linear in b, so it is computed once per basis vector, and the
+    members' arguments are the GF(q)-span of those images, enumerated slot
+    by slot as flat lists of element codes.  The multiples of an image
+    coordinate x are gamma^(log c + log x) for the nonzero scalars c, read
+    from the exp table; each later basis vector adds one field addition per
+    member and slot.  A summand is the period of its argument's class,
+    log(arg) mod N, or the class size at 0.  Summation runs members outer,
+    in coefficient order with the last basis vector slowest, and slots
+    inner, the order of the member-by-member reference.  The result must
+    agree with the exact integer count within 1e-6 (at most Q * q^r * t
+    unit-magnitude summands at desk scale).  Requires e == t.
     """
     params = code.params
     if params.e != params.t:
@@ -183,7 +188,7 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     field = code.field
     values = code.cyclotomy.period_table()
     group = params.Q - 1
-    exp = field.exp
+    exp, log = field.exp, field.log
     mul, add = field.mul, field.add
     t = params.t
     step = group // params.e
@@ -201,12 +206,30 @@ def character_sum_count(code: TraceCode, basis) -> complex:
                 if b[j]:
                     acc = add(acc, mul(b[j], beta_pows[h][j]))
             image.append(mul(g_pows[h], acc))
-        images.append(tuple(image))
-    log, N = field.log, params.N
+        images.append(image)
+    scalar_logs = [log[c] for c in field.subfield_q[1:]]
+    q, N = params.q, params.N
     class_size = complex(code.cyclotomy.class_size)
+    slots = []
+    for h in range(t):
+        members = [0]
+        for image in images:
+            x = image[h]
+            if not x:
+                members = members * q
+                continue
+            lx = log[x]
+            mults = [exp[(lc + lx) % group] for lc in scalar_logs]
+            if len(members) == 1:  # the first image: 0 + c*x needs no addition
+                members = [0] + mults
+            else:
+                members = members + [add(e, mb) for mb in mults for e in members]
+        slots.append([values[log[arg] % N] if arg else class_size for arg in members])
+    summands = [0j] * (t * len(slots[0]))
+    for h, slot in enumerate(slots):
+        summands[h::t] = slot  # member-major: slot h of member i at i*t + h
     total = 0j
-    for args in linalg.span_vectors(field, images):
-        for arg in args:
-            total += values[log[arg] % N] if arg else class_size
+    for summand in summands:
+        total += summand
     r = len(basis)
     return total * params.N / (params.t * params.delta * params.q**r)

@@ -59,18 +59,3 @@ def vector_from_coords(ctx, t, coords) -> tuple:
 
 def vectors_independent(ctx, vecs) -> bool:
     return is_independent(ctx, [vector_coords(ctx, v) for v in vecs])
-
-
-def span_vectors(ctx, vecs):
-    """All GF(q)-combinations of the given vectors over F_Q.
-
-    The last vector's coefficient changes slowest, the scalars in
-    ``subfield_q`` order.
-    """
-    add, mul = ctx.add, ctx.mul
-    t = len(vecs[0]) if vecs else 0
-    out = [(0,) * t]
-    for b in vecs:
-        mults = [tuple([mul(c, x) for x in b]) for c in ctx.subfield_q]
-        out = [tuple(map(add, e, mb)) for mb in mults for e in out]
-    return out

@@ -88,6 +88,46 @@ def digit_neg(ctx, a):
     return total
 
 
+def digit_loop_tables(p, d, modulus):
+    """exp/log tables of gamma = x mod ``modulus``, one digit list per power.
+
+    Walks gamma^k as a list of base-p digits, multiplies by x with a digit
+    shift and a digit-by-digit reduction, and packs each power digit by
+    digit.  The reference for ``fields._build_tables``.
+    """
+    def pack(digits):
+        total = 0
+        for digit in reversed(digits):
+            total = total * p + digit
+        return total
+
+    Q = p**d
+    group = Q - 1
+    exp_table = [0] * group
+    log_table = [-1] * Q
+    cur = [0] * d
+    cur[0] = 1
+    for k in range(group):
+        packed = pack(cur)
+        if log_table[packed] != -1:
+            raise RuntimeError("exp table collision: modulus is not primitive")
+        exp_table[k] = packed
+        log_table[packed] = k
+        if d == 1:
+            cur[0] = (cur[0] * -modulus[0]) % p
+        else:
+            carry = cur[d - 1]
+            for i in range(d - 1, 0, -1):
+                cur[i] = cur[i - 1]
+            cur[0] = 0
+            if carry:
+                for i in range(d):
+                    cur[i] = (cur[i] - carry * modulus[i]) % p
+    if pack(cur) != 1:
+        raise RuntimeError("primitive element order check failed")
+    return exp_table, log_table
+
+
 def nullspace(ctx, rows, ncols):
     """Basis of the right null space of the given rows, over GF(q)."""
     reduced, pivots = linalg.rref(ctx, rows)
@@ -102,6 +142,21 @@ def nullspace(ctx, rows, ncols):
             vec[pc] = ctx.neg(reduced[i][free])
         basis.append(vec)
     return basis
+
+
+def span_vectors(ctx, vecs):
+    """All GF(q)-combinations of the given vectors over F_Q.
+
+    The last vector's coefficient changes slowest, the scalars in
+    ``subfield_q`` order.
+    """
+    add, mul = ctx.add, ctx.mul
+    t = len(vecs[0]) if vecs else 0
+    out = [(0,) * t]
+    for b in vecs:
+        mults = [tuple([mul(c, x) for x in b]) for c in ctx.subfield_q]
+        out = [tuple(map(add, e, mb)) for mb in mults for e in out]
+    return out
 
 
 def span_elements(ctx, elements):
@@ -318,7 +373,7 @@ def member_character_sum_count(code, basis):
     ]
     class_size = complex(code.cyclotomy.class_size)
     total = 0j
-    for b in linalg.span_vectors(field, list(basis)):
+    for b in span_vectors(field, list(basis)):
         for h in range(t):
             acc = 0
             for j in range(t):

@@ -2,8 +2,9 @@
 member-by-member reference.
 
 ``character_sum_count`` computes each basis vector's argument vector once
-and enumerates their GF(q)-span; ``helpers.member_character_sum_count``
-recomputes the arguments of every member.  The summands and their order
+and enumerates their GF(q)-span slot by slot in the log domain;
+``helpers.member_character_sum_count`` recomputes the arguments of every
+member.  The summands and their order
 are the same, so the floats must be equal, not merely close.
 """
 
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.hierarchy import character_sum_count
+from ghwlab.linalg import vectors_independent
 
 import helpers
 
@@ -41,6 +43,32 @@ def test_image_span_equals_member_sum_bigfield():
     code = TraceCode(derive_params(3, 10, 1, 1, 1, 968))
     basis = helpers.random_basis(code, 1, random.Random(61))
     assert character_sum_count(code, basis) == helpers.member_character_sum_count(code, basis)
+
+
+def test_image_span_equals_member_sum_bigfield_two_classes():
+    # GF(3^5) inside GF(3^10), N = 2, r = 2: 59,049 members; the second basis
+    # vector's multiples are added to every member and the class lookup
+    # sees both classes
+    code = TraceCode(derive_params(3, 5, 2, 1, 1, 2))
+    assert code.params.N == 2
+    basis = helpers.random_basis(code, 2, random.Random(35))
+    assert character_sum_count(code, basis) == helpers.member_character_sum_count(code, basis)
+
+
+def test_image_span_equals_member_sum_with_a_zero_slot():
+    # ex1 has e = t = 2 and deltas (0, 1), so beta = -1: slot h = 1 of b is
+    # gamma^a * (b_0 - b_1) and slot h = 2 is gamma^(2a) * (b_0 + b_1)
+    code = TraceCode(derive_params(*CODES["ex1"]))
+    field = code.field
+    beta = field.exp[(field.Q - 1) // 2]
+    x, y = 5, field.neg(3)
+    assert field.add(x, field.mul(x, beta)) == 0
+    assert field.add(3, field.mul(y, field.mul(beta, beta))) == 0
+    for basis in ([(x, x)], [(3, y)], [(x, x), (1, 2)], [(1, 2), (x, x)],
+                  [(x, x), (3, y)], [(x, x), (1, 2), (7, 1)]):
+        assert vectors_independent(field, basis), basis
+        assert (character_sum_count(code, basis)
+                == helpers.member_character_sum_count(code, basis)), basis
 
 
 @given(helpers.small_sweeps(), st.randoms(use_true_random=False))

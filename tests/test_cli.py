@@ -4,6 +4,7 @@ import json
 import pytest
 
 import ghwlab.cli as cli
+from ghwlab import fields
 from ghwlab.cli import _auto_jobs, main
 from ghwlab.oracle import DEFAULT_BUDGET, GHWResult
 
@@ -307,6 +308,24 @@ def test_sweep_rejects_parameters_invalid_for_every_a(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+def test_sweep_builds_the_field_once(capsys, monkeypatch):
+    # every row of a sweep shares one field, and through it one trace table
+    built = []
+    init = fields.FieldCtx.__init__
+
+    def counting_init(self, *args):
+        built.append(args[:3])
+        init(self, *args)
+
+    monkeypatch.setattr(fields.FieldCtx, "__init__", counting_init)
+    fields.build_field.cache_clear()
+    code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                       "--t", "2", "--a-range", "1:12")
+    assert code == 0
+    assert len(out.strip().splitlines()) > 2
+    assert built == [(7, 1, 2)]
 
 
 def test_ghw_runtime_error_exit_3(capsys, monkeypatch):

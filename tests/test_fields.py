@@ -323,3 +323,32 @@ def test_zech_table_marks_minus_one(f49):
     assert all(z >= 0 for k, z in enumerate(f49.zech) if k != half)
     assert f49.zech[0] == f49.log[2]
     assert build_field(2, 4).zech is None
+
+
+# -- exp/log tables against the digit loop -----------------------------------
+
+TABLE_FIELDS = ([(2, d) for d in range(1, 17)] + [(3, d) for d in range(1, 12)]
+                + [(5, d) for d in range(1, 7)] + [(7, d) for d in range(1, 6)])
+
+
+@pytest.mark.parametrize("p,degree", TABLE_FIELDS)
+def test_tables_match_digit_loop(p, degree):
+    import helpers
+    field = build_field(p, degree)
+    assert (field.exp, field.log) == helpers.digit_loop_tables(p, degree, field.modulus)
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (2, [1, 1, 1, 1, 1]),   # x^4+x^3+x^2+x+1: x has order 5, not 15
+    (3, [2, 0, 1]),         # x^2+2 = (x+1)(x+2): reducible
+    (2, [0, 1, 1]),         # x^2+x: x is a zero divisor
+    (5, [1, 1]),            # x+1: gamma = -1 has order 2, not 4
+    (7, [0, 1]),            # x: gamma = 0
+])
+def test_tables_reject_non_primitive_modulus(p, modulus):
+    import helpers
+    from ghwlab.fields import _build_tables
+    d = len(modulus) - 1
+    for build in (_build_tables, helpers.digit_loop_tables):
+        with pytest.raises(RuntimeError):
+            build(p, d, modulus)

@@ -10,7 +10,7 @@ from ghwlab.linalg import rref, vector_coords, vectors_independent
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
 from ghwlab.subspaces import SubspaceIter
 
-from helpers import DualContext, frobenius_trace
+from helpers import DualContext, frobenius_trace, span_vectors
 from paper_lemmas import count_via_dual
 
 
@@ -159,7 +159,6 @@ def test_orthogonality_identity(example1):
     f = example1.field
     dual = DualContext(f, 2)
     rng = random.Random(5)
-    from ghwlab.linalg import span_vectors
     basis = []
     while len(basis) < 2:
         cand = (rng.randrange(49), rng.randrange(49))

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ghwlab.linalg import rank, rref, span_vectors
+from ghwlab.linalg import rank, rref
 from ghwlab.subspaces import SubspaceIter, gaussian_binomial, pivot_patterns
 
 import helpers
@@ -55,7 +55,7 @@ def test_enumeration_no_duplicates(f4):
     it = SubspaceIter(f4, 4, 2)
     seen = set()
     for rows in helpers.all_subspaces(it):
-        key = frozenset(span_vectors(f4, [list(r) for r in rows]))
+        key = frozenset(helpers.span_vectors(f4, [list(r) for r in rows]))
         assert key not in seen
         seen.add(key)
     assert len(seen) == gaussian_binomial(4, 2, 2)
