@@ -178,7 +178,8 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     member and slot.  A summand is the period of its argument's class,
     log(arg) mod N, or the class size at 0.  Summation runs members outer,
     in coefficient order with the last basis vector slowest, and slots
-    inner, the order of the member-by-member reference.  The result must
+    inner, as a member-by-member evaluation would add them, so the float
+    does not depend on how the arguments were enumerated.  The result must
     agree with the exact integer count within 1e-6 (at most Q * q^r * t
     unit-magnitude summands at desk scale).  Requires e == t.
     """

@@ -3,12 +3,13 @@ from itertools import product
 import pytest
 
 from ghwlab.fields import (
+    _build_tables,
     build_field,
     is_prime,
     prime_factors,
 )
 
-from helpers import order
+from helpers import digit_loop_tables, order
 from paper_lemmas import evaluate, is_monic, minimal_poly, poly_divmod, poly_mul
 
 
@@ -333,9 +334,8 @@ TABLE_FIELDS = ([(2, d) for d in range(1, 17)] + [(3, d) for d in range(1, 12)]
 
 @pytest.mark.parametrize("p,degree", TABLE_FIELDS)
 def test_tables_match_digit_loop(p, degree):
-    import helpers
     field = build_field(p, degree)
-    assert (field.exp, field.log) == helpers.digit_loop_tables(p, degree, field.modulus)
+    assert (field.exp, field.log) == digit_loop_tables(p, degree, field.modulus)
 
 
 @pytest.mark.parametrize("p,modulus", [
@@ -346,9 +346,7 @@ def test_tables_match_digit_loop(p, degree):
     (7, [0, 1]),            # x: gamma = 0
 ])
 def test_tables_reject_non_primitive_modulus(p, modulus):
-    import helpers
-    from ghwlab.fields import _build_tables
     d = len(modulus) - 1
-    for build in (_build_tables, helpers.digit_loop_tables):
+    for build in (_build_tables, digit_loop_tables):
         with pytest.raises(RuntimeError):
             build(p, d, modulus)
