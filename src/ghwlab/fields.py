@@ -5,8 +5,8 @@ coefficients of the residue polynomial modulo a fixed primitive polynomial,
 constant term first.  Multiplication goes through dense exponent/logarithm
 tables built once at construction by stepping gamma^k to gamma^(k+1) on
 the packed code: a shift by one digit, then the top digit folded back in
-through two small tables per digit value, one for each half of the code,
-so no step loops over digits.  For odd p, addition goes through a table
+through two small tables per digit value, one for each half of the
+shifted digits, so no step loops over digits.  For odd p, addition goes through a table
 of Zech logarithms, zech[k] = log(1 + gamma^k), and negation adds (Q-1)/2 to
 the logarithm; for p = 2 addition is XOR.  Every operation is a few table
 lookups.  The intermediate field GF(q), q = p^s, is kept as the subset of
@@ -366,11 +366,11 @@ def _zech_table(p, exp_table, log_table):
     return [log_succ[x] for x in exp_table]
 
 
-def _digitwise_add_table(p, width, addend, scale):
-    """``table[v]`` is ``scale`` times the digit-by-digit sum, mod p and
-    without carries, of the ``width``-digit code v and the digit list
-    ``addend``; built one digit at a time, ``p**width`` entries."""
-    table = [0]
+def _digitwise_add_table(p, width, addend, scale, offset=0):
+    """``table[v]`` is ``offset`` plus ``scale`` times the digit-by-digit
+    sum, mod p and without carries, of the ``width``-digit code v and the
+    digit list ``addend``; built one digit at a time, ``p**width`` entries."""
+    table = [offset]
     for i in range(width):
         place = scale * p**i
         table = [v + (j + addend[i]) % p * place for j in range(p) for v in table]
@@ -380,23 +380,27 @@ def _digitwise_add_table(p, width, addend, scale):
 def _build_tables(p, d, modulus):
     """exp[k] = gamma^k and its inverse log, with gamma the residue of x.
 
-    Multiplying a code c by x shifts its digits up by one place and folds
-    the top digit c_top back in as -c_top * (modulus without its leading 1),
-    added digit by digit.  That addend takes p - 1 values, so each is
-    applied through two precomputed tables: one for the low ceil(d/2)
-    digits of the shifted code and one for the high floor(d/2).  For d = 1
-    the shifted code is 0 and the low table maps it to c * gamma.
+    Multiplying a code c by x splits off its top digit c_top, shifts the
+    other d - 1 digits up by one place and folds c_top back in as
+    -c_top * (modulus without its leading 1), added digit by digit.  The
+    shifted code's constant digit is 0, so that digit of the addend is a
+    constant; the other d - 1 digits take the addend through two
+    precomputed tables per value of c_top, one for the low ceil((d-1)/2)
+    digits and one for the high floor((d-1)/2).  The tables hold
+    (p - 1) * (p^ceil((d-1)/2) + p^floor((d-1)/2)) entries in all, at most
+    about Q; for d = 1 each table is the single entry c_top * gamma or 0.
     """
     Q = p**d
     group = Q - 1
     top = p ** (d - 1)
-    lo_width = (d + 1) // 2
+    lo_width = d // 2
     lo_size = p**lo_width
     folds = [None]
     for c in range(1, p):
         addend = [(-c * m) % p for m in modulus[:d]]
-        folds.append((_digitwise_add_table(p, lo_width, addend[:lo_width], 1),
-                      _digitwise_add_table(p, d - lo_width, addend[lo_width:], lo_size)))
+        folds.append((
+            _digitwise_add_table(p, lo_width, addend[1:lo_width + 1], p, addend[0]),
+            _digitwise_add_table(p, d - 1 - lo_width, addend[lo_width + 1:], p * lo_size)))
     exp_table = [0] * group
     log_table = [-1] * Q
     cur = 1
@@ -406,10 +410,11 @@ def _build_tables(p, d, modulus):
         exp_table[k] = cur
         log_table[cur] = k
         c, rest = divmod(cur, top)
-        cur = rest * p
         if c:
             low, high = folds[c]
-            cur = low[cur % lo_size] + high[cur // lo_size]
+            cur = low[rest % lo_size] + high[rest // lo_size]
+        else:
+            cur = rest * p
     if cur != 1:
         raise RuntimeError("primitive element order check failed")
     return exp_table, log_table

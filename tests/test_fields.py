@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -336,6 +337,26 @@ TABLE_FIELDS = ([(2, d) for d in range(1, 17)] + [(3, d) for d in range(1, 12)]
 def test_tables_match_digit_loop(p, degree):
     field = build_field(p, degree)
     assert (field.exp, field.log) == digit_loop_tables(p, degree, field.modulus)
+
+
+@pytest.mark.parametrize("p", [1009, 65537])
+def test_tables_match_digit_loop_large_prime(p):
+    field = build_field(p, 1)
+    assert (field.exp, field.log) == digit_loop_tables(p, 1, field.modulus)
+
+
+def test_tables_prime_field_build_is_linear():
+    # The fold tables of a prime field hold 2 (p - 1) entries, not (p - 1) p:
+    # at p = 1009 a quadratic build would peak near 40 MB.
+    p = 1009
+    modulus = build_field(p, 1).modulus
+    tracemalloc.start()
+    try:
+        _build_tables(p, 1, list(modulus))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("p,modulus", [
