@@ -236,8 +236,9 @@ def _check_hierarchy_shape(r_list, d_list, n, k):
 
 def _auto_jobs(tm, r_list, q):
     """Serial for small sweeps, else one worker per usable CPU and pattern."""
-    # on 2 CPUs, --jobs 2 won at least 9 of 10 timed pairs only from this size on
-    if max(gaussian_binomial(tm, r, q) for r in r_list) < 896_260:
+    # on 2 CPUs, --jobs 2 won at least 9 of 10 timed pairs from this size on
+    # ([73,9] over GF(2) at r=3) and at most 7 of 10 below it
+    if max(gaussian_binomial(tm, r, q) for r in r_list) < 788_035:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))

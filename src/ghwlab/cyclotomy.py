@@ -59,7 +59,9 @@ class CyclotomyCtx:
     def gauss_period(self, arg) -> complex:
         """Sum of the canonical additive character over arg times class 0.
 
-        Direct summation of p-th roots of unity.  The zero argument is
+        Direct summation of p-th roots of unity, in the exponent order of
+        ``class_elements(0)``: class 0 is gamma^(k*N), so arg times its k-th
+        element is exp[(log arg + k*N) mod (Q-1)].  The zero argument is
         allowed and gives the class size (every summand is 1), the reading
         that keeps the character-sum expressions consistent with integer
         counts.
@@ -67,13 +69,13 @@ class CyclotomyCtx:
         field = self.field
         if arg == 0:
             return complex(self.class_size)
-        p = field.p
+        p, exp, group = field.p, field.exp, field.Q - 1
         zetas = [cmath.exp(2j * cmath.pi * v / p) for v in range(p)]
         traces = field.trace_table(1)
-        mul = field.mul
+        start = field.log[arg]
         total = 0j
-        for x in self.class_elements(0):
-            total += zetas[traces[mul(arg, x)]]
+        for e in range(start, start + group, self.N):
+            total += zetas[traces[exp[e % group]]]
         return total
 
     def period_table(self) -> tuple:

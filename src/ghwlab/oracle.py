@@ -6,24 +6,40 @@ dual of each message subspace under the trace bilinear form, where common
 zeros become axis-supported dual vectors landing in a fixed cyclotomy class.
 The two sweeps must agree on the maximum (the dual expression counts a
 relabeled subspace, so agreement is between maxima, not per subspace).
-Both score a subspace the same way: the positions no basis row marks, from
-one bitmask per row.  A pivot pattern's subspaces are the product of its
-rows' independent choices, so each choice's mask is computed once per
-pattern and every subspace is scored from a tuple of masks.
-The dual count of a single basis, ``count_via_dual``, is a test reference
-in ``tests/paper_lemmas.py`` that scores through this module's dual kernel.
 
-Sweeps are partitioned by pivot-column pattern; partitions are independent
-and combine by max reduction, so multi-process runs return identical results
-to serial ones, including the reported witness.  Forked pool workers inherit
-the code from the parent, so a task sends only its dimension, patterns and
-mode, never the code's tables.
+Both sweeps are one kernel over a k x w matrix M over GF(q): a message row
+marks the positions where ``row . M`` is nonzero.  For the direct sweep M is
+the generator matrix; for the dual sweep row (h, j) of M holds
+Tr_{Q->q}(gamma^j * y) at slot h for each target y, since a slot's element is
+sum_j c_j gamma^j and the trace is GF(q)-linear.  The sweeps differ only in
+how they turn a count of marked positions into a zero count.
+
+A pivot pattern's subspaces are the product of its rows' independent
+choices.  The kernel gives every choice of a row at once: it builds the
+row's prefix words depth first, then sorts the positions of each prefix
+word into one bucket per value of the last free entry (the value that zeroes
+the position), so a choice's mask is the complement of its bucket and of
+the positions that vanish for every value.  A subspace is then scored by
+OR-ing its first r-1 masks once per prefix and taking one popcount per mask
+of the last row.  The dual count of a single basis, ``count_via_dual``, is
+a test reference in ``tests/paper_lemmas.py`` that scores through this
+module's dual scorer.
+
+Sweeps are split into work units, slices of a pattern's first-row choices;
+units are independent and combine by max reduction, so multi-process runs
+return identical results to serial ones, including the reported witness.
+Units are dealt largest first to the least-loaded worker.  Forked pool
+workers inherit the code from the parent, so a task sends only its
+dimension, units and mode, never the code's tables.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import multiprocessing
+import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -32,6 +48,9 @@ from .errors import BudgetExceeded
 from .subspaces import SubspaceIter, gaussian_binomial
 
 DEFAULT_BUDGET = 10_000_000
+
+# a pooled sweep is cut into about this many work units per worker
+_UNITS_PER_JOB = 4
 
 
 @dataclass(frozen=True)
@@ -62,7 +81,7 @@ def _require_e_equals_t(params):
         raise ValueError(f"dual counting requires e == t, got e={params.e}, t={params.t}")
 
 
-# -- exhaustive sweeps ------------------------------------------------------
+# -- the row-mask kernel ------------------------------------------------------
 
 class _OpRows(dict):
     """q x q table of a GF(q) operation on scalar indices.  Rows are built
@@ -78,47 +97,94 @@ class _OpRows(dict):
         return row
 
 
-def _unmarked(width, masks):
-    """The number of the ``width`` positions that no row's mask marks."""
-    union = 0
-    for mask in masks:
-        union |= mask
-    return width - union.bit_count()
+class _RowMasks:
+    """Support bitmasks of ``row . M`` for a k x w matrix M over GF(q).
+
+    M is held as scalar indices in ``subfield_q`` order (index 0 is zero).
+    A pattern row is 1 at its pivot pc and any scalar at its free columns
+    f_1 < ... < f_s, so its words are M[pc] + c_1 M[f_1] + ... + c_s M[f_s].
+    """
+
+    def __init__(self, field, matrix):
+        scalars = field.subfield_q
+        index = {c: i for i, c in enumerate(scalars)}
+        self.q = len(scalars)
+        self.rows = [[index[c] for c in row] for row in matrix]
+        self.add = _OpRows(field.add, scalars, index)
+        self.mul = _OpRows(field.mul, scalars, index)
+        # root[g][x] is the c with x + c*g = 0; a row per nonzero g in use
+        self.root = _OpRows(lambda g, x: field.neg(field.mul(x, field.inv(g))),
+                            scalars, index)
+        width = len(self.rows[0])
+        self.bits = [1 << i for i in range(width)]
+        self.full = (1 << width) - 1
+
+    def row_masks(self, pivot, free):
+        """The mask of every choice of the row, in ``row_choices`` order.
+
+        For the last free column g, position i of a prefix word w vanishes
+        for the one c with w_i + c*g_i = 0 when g_i != 0, and for every c
+        or none when g_i = 0; one pass puts each position in its bucket, or
+        in ``zz`` when g_i = w_i = 0, and the mask for c is the rest.
+        """
+        rows, bits, full = self.rows, self.bits, self.full
+        if not free:
+            return [sum(b for b, x in zip(bits, rows[pivot]) if x)]
+        *heads, last = free
+        g = rows[last]
+        live = [(i, bits[i], self.root[x]) for i, x in enumerate(g) if x]
+        dead = [(i, bits[i]) for i, x in enumerate(g) if not x]
+        # steps[h][c][i] is the add-table row of c * M[heads[h]][i]
+        add, mul = self.add, self.mul
+        steps = [[[add[mul[x][c]] for x in rows[f]] for c in range(self.q)] for f in heads]
+        masks = []
+        for word in _prefixes(rows[pivot], steps):
+            bucket = [0] * self.q
+            for i, bit, root in live:
+                bucket[root[word[i]]] |= bit
+            zz = 0
+            for i, bit in dead:
+                if not word[i]:
+                    zz |= bit
+            masks.extend([full ^ (zz | b) for b in bucket])
+        return masks
+
+
+def _prefixes(word, steps):
+    """``word + c_1 M[f_1] + ...`` for every (c_1, ...) in product order,
+    one table add per word, depth first: one word per level is alive."""
+    if not steps:
+        yield word
+        return
+    first, *rest = steps
+    for step in first:
+        prefix = [row[a] for a, row in zip(word, step)]
+        if rest:
+            yield from _prefixes(prefix, rest)
+        else:
+            yield prefix
+
+
+def _unmarked(width, pops):
+    """For each count of marked positions, the number of the ``width``
+    positions left unmarked."""
+    return [width - p for p in pops]
 
 
 def _brute_scorer(code):
-    """``(row_mask, score)``: a row's support bitmask, and the common-zero
-    count of a basis from its rows' masks.
+    """``(matrix, score)``: the generator matrix, whose ``row . M`` is the
+    row's codeword, and the common-zero count of the best subspace of a list
+    from the subspaces' support sizes (each a popcount of OR-ed row masks).
 
-    By GF(q)-linearity a row's word is its combination of generator rows,
-    computed on scalar indices (index 0 is zero), and the subcode's support
-    is the union of its rows' supports.  ``TraceCode.codeword`` is the
-    reference path.
+    By GF(q)-linearity the subcode's support is the union of its rows'
+    supports.  ``TraceCode.codeword`` is the reference path.
     """
-    field = code.field
-    scalars = field.subfield_q
-    index = {c: i for i, c in enumerate(scalars)}
-    add = _OpRows(field.add, scalars, index)
-    mul = _OpRows(field.mul, scalars, index)
-    gen = [[index[c] for c in word] for word in code.generator_matrix()]
-    bits = [1 << i for i in range(code.n)]
-
-    def row_mask(row):
-        word = None
-        for coef, g in zip(row, gen):
-            if coef:
-                if coef != 1:
-                    scale = mul[index[coef]]
-                    g = [scale[x] for x in g]
-                word = g if word is None else [add[w][x] for w, x in zip(word, g)]
-        return sum(b for b, w in zip(bits, word) if w)
-
-    return row_mask, lambda masks: _unmarked(code.n, masks)
+    return code.generator_matrix(), lambda pops: code.n - min(pops)
 
 
 def _dual_scorer(code):
-    """``(row_mask, score)``: a row's marked (slot, target) pairs, and the
-    common-zero count of a basis through the dual expression.
+    """``(matrix, score)``: the trace-pairing matrix, and the common-zero
+    count of the best subspace of a list through the dual expression.
 
     A row's message b marks the pair (h, y), y in -C_0, when
     Tr_{Q->q}(b_h * y) != 0.  The trace form is GF(q)-linear in b, so the
@@ -127,47 +193,59 @@ def _dual_scorer(code):
     0.  Their count times N/(t*delta) is the zero count, checked integral.
     """
     field, params, t, m = code.field, code.params, code.t, code.field.m
-    trace_q, mul = field.trace_table(field.s), field.mul
+    trace_q = field.trace_table(field.s)
     targets = [field.neg(x) for x in code.cyclotomy.class_elements(0)]
-    slot_bits = [[1 << (h * len(targets) + i) for i in range(len(targets))]
-                 for h in range(t)]
-    width, denom = t * len(targets), t * params.delta
+    size = len(targets)
+    width, denom = t * size, t * params.delta
+    matrix = []
+    for h in range(t):
+        for j in range(m):
+            row = [0] * width
+            row[h * size:(h + 1) * size] = [trace_q[field.mul(field.exp[j], y)]
+                                            for y in targets]
+            matrix.append(row)
 
-    def row_mask(row):
-        mask = 0
-        for h, bits in enumerate(slot_bits):
-            bh = field.element_from_coords(row[h * m:(h + 1) * m])
-            if bh:
-                mask |= sum(b for b, y in zip(bits, targets) if trace_q[mul(bh, y)])
-        return mask
+    def score(pops):
+        totals = _unmarked(width, set(pops))  # every count, each once
+        for total in totals:
+            if params.N * total % denom:
+                raise RuntimeError(f"dual count {total} times N={params.N} "
+                                   f"not divisible by t*delta={denom}")
+        return params.N * max(totals) // denom
 
-    def score(masks):
-        total = _unmarked(width, masks)
-        scaled = params.N * total
-        if scaled % denom:
-            raise RuntimeError(f"dual count {total} times N={params.N} "
-                               f"not divisible by t*delta={denom}")
-        return scaled // denom
-
-    return row_mask, score
+    return matrix, score
 
 
-def _sweep_patterns(code, r, indexed_patterns, mode):
-    row_mask, score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
+# -- exhaustive sweeps ------------------------------------------------------
+
+def _sweep_units(code, r, units, mode):
+    """Best subspace of the units ``(pat_idx, pattern, lo, hi)``, each the
+    slice [lo, hi) of its pattern's first-row choices, given in sweep order."""
+    matrix, score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
+    kernel = _RowMasks(code.field, matrix)
     field = code.field
     it = SubspaceIter(field, code.k, r)
     best = -1
     best_pos = None
     best_pattern = None
     examined = 0
-    for pat_idx, pattern in indexed_patterns:
-        masks = [[row_mask(row) for row in rows] for rows in it.row_choices(pattern)]
-        for local, subspace in enumerate(itertools.product(*masks)):
-            zeros = score(subspace)
-            examined += 1
+    masks_of, masks = None, None
+    for pat_idx, pattern, lo, hi in units:
+        if masks_of != pat_idx:
+            masks_of = pat_idx
+            masks = [kernel.row_masks(pc, free) for pc, free in it.row_columns(pattern)]
+        first, *rest = masks
+        *heads, last = [first[lo:hi], *rest]
+        offset = lo * math.prod(map(len, rest))
+        for pos, prefix in enumerate(itertools.product(*heads)):
+            union = functools.reduce(operator.or_, prefix, 0)
+            pops = [(union | mask).bit_count() for mask in last]
+            zeros = score(pops)
+            examined += len(pops)
             if zeros > best:
+                # fewest marked positions is most zeros, for both scores
                 best = zeros
-                best_pos = (pat_idx, local)
+                best_pos = (pat_idx, offset + pos * len(last) + pops.index(min(pops)))
                 best_pattern = pattern
     best_rows = next(itertools.islice(it.iter_pattern(best_pattern), best_pos[1], None))
     witness = tuple(linalg.vector_from_coords(field, code.t, row) for row in best_rows)
@@ -177,6 +255,38 @@ def _sweep_patterns(code, r, indexed_patterns, mode):
             raise RuntimeError(f"brute witness at r={r} recounts to {recount} "
                                f"common zeros, the sweep scored {best}")
     return best, best_pos, witness, examined
+
+
+def _work_units(code, r, jobs, total):
+    """The sweep as ``(size, pat_idx, pattern, lo, hi)`` units, in sweep order.
+
+    A serial sweep takes whole patterns.  A pooled one slices each pattern's
+    first-row choices so that a unit holds about total / (jobs *
+    _UNITS_PER_JOB) subspaces, or one first-row choice if that is more.
+    """
+    it = SubspaceIter(code.field, code.k, r)
+    cap = total if jobs <= 1 else -(-total // (jobs * _UNITS_PER_JOB))
+    units = []
+    for pat_idx, pattern in enumerate(it.patterns()):
+        first, *rest = [code.q ** len(free) for _, free in it.row_columns(pattern)]
+        other = math.prod(rest)
+        step = max(1, cap // other)
+        for lo in range(0, first, step):
+            hi = min(lo + step, first)
+            units.append(((hi - lo) * other, pat_idx, pattern, lo, hi))
+    return units
+
+
+def _deal(units, jobs):
+    """Units largest first, each to the least-loaded worker, so the workers'
+    loads differ by at most the largest unit; each chunk in sweep order."""
+    loads = [0] * jobs
+    chunks = [[] for _ in range(jobs)]
+    for size, *unit in sorted(units, key=lambda u: -u[0]):
+        w = loads.index(min(loads))
+        loads[w] += size
+        chunks[w].append(tuple(unit))
+    return [sorted(c) for c in chunks if c]
 
 
 _worker_code = None  # set by _inherit_code in pool workers only
@@ -189,8 +299,8 @@ def _inherit_code(code):
     _worker_code = code
 
 
-def _sweep_inherited(r, indexed_patterns, mode):
-    return _sweep_patterns(_worker_code, r, indexed_patterns, mode)
+def _sweep_inherited(r, units, mode):
+    return _sweep_units(_worker_code, r, units, mode)
 
 
 def _sweep(code, r, mode, budget, jobs) -> GHWResult:
@@ -201,15 +311,15 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     budget = DEFAULT_BUDGET if budget is None else budget
     if total > budget:
         raise BudgetExceeded(total, budget, f"[{tm} choose {r}]_{code.q} = {total}")
-    indexed = list(enumerate(SubspaceIter(code.field, tm, r).patterns()))
-    if jobs and jobs > 1 and len(indexed) > 1:
-        chunks = [indexed[w::jobs] for w in range(jobs)]
-        chunks = [c for c in chunks if c]
+    jobs = jobs or 1
+    units = _work_units(code, r, jobs, total)
+    if jobs > 1 and len(units) > 1:
+        chunks = _deal(units, jobs)
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(chunks), initializer=_inherit_code, initargs=(code,)) as pool:
             parts = pool.starmap(_sweep_inherited, [(r, c, mode) for c in chunks])
     else:
-        parts = [_sweep_patterns(code, r, indexed, mode)]
+        parts = [_sweep_units(code, r, [unit[1:] for unit in units], mode)]
     best, best_pos, best_witness = -1, None, ()
     examined = 0
     for zeros, pos, witness, count in parts:

@@ -59,16 +59,22 @@ class SubspaceIter:
     def patterns(self):
         return pivot_patterns(self.d, self.r)
 
+    def row_columns(self, pattern):
+        """``(pivot, free columns)`` of each RREF row of ``pattern``: its
+        free columns are the later non-pivot ones, in ascending order."""
+        pivots = set(pattern)
+        return [(pc, [j for j in range(pc + 1, self.d) if j not in pivots])
+                for pc in pattern]
+
     def row_choices(self, pattern):
         """Every value each RREF row of ``pattern`` takes, one list per row.
 
-        A row is 1 at its pivot, any scalar at a later non-pivot column and 0
+        A row is 1 at its pivot, any scalar at a free column and 0
         elsewhere; a row's list is the product of those per-column options.
         """
-        pivots = set(pattern)
         choices = []
-        for pc in pattern:
-            options = [(1,) if j == pc else self.scalars if j > pc and j not in pivots else (0,)
+        for pc, free in self.row_columns(pattern):
+            options = [(1,) if j == pc else self.scalars if j in free else (0,)
                        for j in range(self.d)]
             choices.append(list(itertools.product(*options)))
         return choices

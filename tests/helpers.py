@@ -1,5 +1,6 @@
 """Shared corpora and independent oracles used across the test modules."""
 
+import cmath
 import itertools
 import math
 from functools import lru_cache
@@ -11,7 +12,7 @@ from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams
 from ghwlab import linalg
-from ghwlab.oracle import ghw_bruteforce
+from ghwlab.oracle import _OpRows, _RowMasks, _brute_scorer, _dual_scorer, ghw_bruteforce
 from ghwlab.subspaces import SubspaceIter, gaussian_binomial
 
 # (q, m, N) regimes satisfying every closed-form hypothesis, m <= 6.
@@ -384,6 +385,21 @@ def member_character_sum_count(code, basis):
     return total * params.N / (params.t * params.delta * params.q ** len(basis))
 
 
+def mul_gauss_period(cyc, arg) -> complex:
+    """Gauss period at ``arg`` with one field product per class-0 element,
+    in the order of ``class_elements(0)``: the reference for the
+    log-domain ``CyclotomyCtx.gauss_period``."""
+    field = cyc.field
+    if arg == 0:
+        return complex(cyc.class_size)
+    zetas = [cmath.exp(2j * cmath.pi * v / field.p) for v in range(field.p)]
+    traces = field.trace_table(1)
+    total = 0j
+    for x in cyc.class_elements(0):
+        total += zetas[traces[field.mul(arg, x)]]
+    return total
+
+
 def nullspace_dual_count(code, basis):
     """Definitional dual recount of the common zeros of a message subspace.
 
@@ -406,3 +422,86 @@ def nullspace_dual_count(code, basis):
     scaled, denom = params.N * total, params.t * params.delta
     assert scaled % denom == 0, (total, params.N, denom)
     return scaled // denom
+
+
+# -- per-row mask references for the sweep kernel ----------------------------
+
+def brute_row_mask(code):
+    """Support bitmask of one message row's codeword, the word built as a
+    combination of generator rows one coefficient at a time: the per-row
+    reference for the brute sweep's kernel."""
+    field = code.field
+    scalars = field.subfield_q
+    index = {c: i for i, c in enumerate(scalars)}
+    add = _OpRows(field.add, scalars, index)
+    mul = _OpRows(field.mul, scalars, index)
+    gen = [[index[c] for c in word] for word in code.generator_matrix()]
+    bits = [1 << i for i in range(code.n)]
+
+    def row_mask(row):
+        word = None
+        for coef, g in zip(row, gen):
+            if coef:
+                if coef != 1:
+                    scale = mul[index[coef]]
+                    g = [scale[x] for x in g]
+                word = g if word is None else [add[w][x] for w, x in zip(word, g)]
+        return sum(b for b, w in zip(bits, word) if w)
+
+    return row_mask
+
+
+def dual_row_mask(code):
+    """Bitmask of the (slot, target) pairs one message row marks: bit
+    (h, y), y in -C_0, when Tr_{Q->q}(b_h * y) != 0, with b_h assembled by
+    ``element_from_coords`` and one big-field product per target: the
+    per-row reference for the dual sweep's kernel."""
+    field, t, m = code.field, code.t, code.field.m
+    trace_q, mul = field.trace_table(field.s), field.mul
+    targets = [field.neg(x) for x in code.cyclotomy.class_elements(0)]
+    slot_bits = [[1 << (h * len(targets) + i) for i in range(len(targets))]
+                 for h in range(t)]
+
+    def row_mask(row):
+        mask = 0
+        for h, bits in enumerate(slot_bits):
+            bh = field.element_from_coords(row[h * m:(h + 1) * m])
+            if bh:
+                mask |= sum(b for b, y in zip(bits, targets) if trace_q[mul(bh, y)])
+        return mask
+
+    return row_mask
+
+
+REFERENCE_ROW_MASKS = {"brute": brute_row_mask, "dual": dual_row_mask}
+SCORERS = {"brute": _brute_scorer, "dual": _dual_scorer}
+
+
+def kernel(code, mode):
+    """The sweep kernel on the brute or dual matrix of ``code``."""
+    return _RowMasks(code.field, SCORERS[mode](code)[0])
+
+
+def kernel_mismatches(code, mode, dims):
+    """Every (r, pattern, row) whose kernel masks differ from the per-row
+    reference masks of its ``row_choices``, over the dimensions ``dims``."""
+    masks, reference = kernel(code, mode), REFERENCE_ROW_MASKS[mode](code)
+    bad = []
+    for r in dims:
+        it = SubspaceIter(code.field, code.k, r)
+        for pattern in it.patterns():
+            columns, choices = it.row_columns(pattern), it.row_choices(pattern)
+            for i, ((pc, free), rows) in enumerate(zip(columns, choices)):
+                if masks.row_masks(pc, free) != [reference(row) for row in rows]:
+                    bad.append((r, pattern, i))
+    return bad
+
+
+def kernel_subspaces(code, mode, r):
+    """Every r-dimensional subspace as (rows, masks): its RREF rows from
+    ``iter_pattern`` beside the kernel's masks of those rows."""
+    masks_of = kernel(code, mode)
+    it = SubspaceIter(code.field, code.k, r)
+    for pattern in it.patterns():
+        masks = [masks_of.row_masks(pc, free) for pc, free in it.row_columns(pattern)]
+        yield from zip(it.iter_pattern(pattern), itertools.product(*masks))

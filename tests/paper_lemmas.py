@@ -288,10 +288,19 @@ def count_via_dual(code, basis) -> int:
     class 0; the zero count is N/(t*delta) times the total.  Requires
     e == t.  Equals the direct count of a relabeled subspace, so only the
     maxima over all subspaces of fixed dimension are comparable.  Scores
-    through the dual sweep's own kernel, ``oracle._dual_scorer``.
+    through the dual sweep's own matrix and score, ``oracle._dual_scorer``,
+    with each basis vector's word ``coords . M`` formed in field arithmetic.
     """
     _require_e_equals_t(code.params)
-    if not linalg.vectors_independent(code.field, basis):
+    field = code.field
+    if not linalg.vectors_independent(field, basis):
         raise ValueError("basis vectors are GF(q)-dependent")
-    row_mask, score = _dual_scorer(code)
-    return score([row_mask(linalg.vector_coords(code.field, b)) for b in basis])
+    matrix, score = _dual_scorer(code)
+    union = 0
+    for b in basis:
+        word = [0] * len(matrix[0])
+        for c, row in zip(linalg.vector_coords(field, b), matrix):
+            if c:
+                word = [field.add(w, field.mul(c, x)) for w, x in zip(word, row)]
+        union |= sum(1 << i for i, w in enumerate(word) if w)
+    return score([union.bit_count()])

@@ -1,8 +1,12 @@
-"""Differential checks of the brute sweep's generator-matrix kernel.
+"""Differential checks of the brute sweep on the generator-matrix kernel.
 
-The kernel scores a subspace from per-row support bitmasks; the reference
-path recomputes every basis word through ``TraceCode.codeword``.
+The kernel scores a subspace from per-row support bitmasks of
+``row . generator_matrix``; the reference path recomputes every basis word
+through ``TraceCode.codeword``.
 """
+
+import functools
+import operator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +16,7 @@ from ghwlab.linalg import vector_from_coords
 from ghwlab.oracle import GHWResult, _brute_scorer, count_common_zeros, ghw_bruteforce
 from ghwlab.subspaces import SubspaceIter
 
-from helpers import all_subspaces, small_sweeps
+from helpers import all_subspaces, kernel_subspaces, small_sweeps
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +47,11 @@ def reference_brute(code, r):
 
 
 def _assert_kernel_matches(code, dims):
-    row_mask, score = _brute_scorer(code)
+    _, score = _brute_scorer(code)
     for r in dims:
-        for rows in all_subspaces(SubspaceIter(code.field, code.k, r)):
-            masks = [row_mask(row) for row in rows]
-            assert score(masks) == count_common_zeros(code, _messages(code, rows))
+        for rows, masks in kernel_subspaces(code, "brute", r):
+            union = functools.reduce(operator.or_, masks)
+            assert score([union.bit_count()]) == count_common_zeros(code, _messages(code, rows))
 
 
 def test_generator_matrix_rows_are_unit_message_words(example1):

@@ -377,7 +377,8 @@ def test_verify_rejects_count_below_1(capsys):
 def test_auto_jobs_uses_affinity_and_pattern_count(monkeypatch):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert _auto_jobs(4, [1, 2], 7) == 1        # at most 2,850 subspaces: serial
-    assert _auto_jobs(9, [1, 3], 2) == 1        # 788,035 subspaces: still serial
+    assert _auto_jobs(6, [2], 5) == 1           # 508,431 subspaces: still serial
+    assert _auto_jobs(9, [1, 3], 2) == 64       # 788,035 subspaces in 84 patterns
     assert _auto_jobs(8, [2], 3) == 28          # 896,260 subspaces in 28 patterns
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert _auto_jobs(8, [2], 3) == 2

@@ -1,6 +1,7 @@
 import pytest
 
 from ghwlab.cyclotomy import CyclotomyCtx, semiprimitive_j
+from ghwlab.fields import FieldCtx
 
 import helpers
 
@@ -81,6 +82,22 @@ def test_period_table_matches_direct_summation(f49):
         direct = cyc.gauss_period(f49.exp[i])
         assert abs(table[i] - direct) < 1e-12
         assert abs(table[(i + 4) % cyc.N] - direct) < 1e-12
+
+
+@pytest.mark.parametrize("p, degree, N", [(7, 2, 4), (3, 4, 5), (2, 6, 3), (3, 6, 7), (2, 10, 11)])
+def test_gauss_period_is_log_domain(p, degree, N, monkeypatch):
+    # the same summands in the same order as one field product per class-0
+    # element, so every float is equal, and no product is taken
+    field = helpers.field(p, degree)
+    cyc = CyclotomyCtx(field, N)
+    args = [0, 1, field.exp[1], field.exp[N + 2], field.exp[field.Q - 2]]
+    expected = [helpers.mul_gauss_period(cyc, x) for x in args]
+
+    def no_mul(self, a, b):
+        raise AssertionError("gauss_period called FieldCtx.mul")
+
+    monkeypatch.setattr(FieldCtx, "mul", no_mul)
+    assert [cyc.gauss_period(x) for x in args] == expected
 
 
 def test_period_depends_only_on_class(f49):

@@ -1,10 +1,13 @@
-"""Differential checks of the dual sweep's per-row mask kernel.
+"""Differential checks of the dual sweep on the trace-pairing kernel.
 
 The kernel marks, for each basis row, the targets y in -C_0 that pair to a
-nonzero trace with the row's slot; the reference path solves each slot's
-trace system as a null space and enumerates it
-(``helpers.nullspace_dual_count``).
+nonzero trace with the row's slot, as the support of ``row . M`` for the
+trace-pairing matrix M; the reference path solves each slot's trace system
+as a null space and enumerates it (``helpers.nullspace_dual_count``).
 """
+
+import functools
+import operator
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +19,7 @@ from ghwlab.linalg import vector_from_coords
 from ghwlab.oracle import GHWResult, _dual_scorer, ghw_dual_sweep
 from ghwlab.subspaces import SubspaceIter
 
-from helpers import all_subspaces, nullspace_dual_count, small_sweeps
+from helpers import all_subspaces, kernel_subspaces, nullspace_dual_count, small_sweeps
 from paper_lemmas import count_via_dual
 
 EX1 = ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"]
@@ -52,11 +55,11 @@ def reference_dual(code, r):
 
 
 def _assert_kernel_matches(code, dims):
-    row_mask, score = _dual_scorer(code)
+    _, score = _dual_scorer(code)
     for r in dims:
-        for rows in all_subspaces(SubspaceIter(code.field, code.k, r)):
-            masks = [row_mask(row) for row in rows]
-            assert score(masks) == nullspace_dual_count(code, _messages(code, rows))
+        for rows, masks in kernel_subspaces(code, "dual", r):
+            union = functools.reduce(operator.or_, masks)
+            assert score([union.bit_count()]) == nullspace_dual_count(code, _messages(code, rows))
 
 
 @pytest.mark.parametrize("key", ["example1", "example2", "irreducible21"])
@@ -101,15 +104,16 @@ def off_by_one(monkeypatch):
     # divides by t*delta
     real = oracle._unmarked
 
-    def wrong(width, masks):
-        return real(width, masks) + 1
+    def wrong(width, pops):
+        return [count + 1 for count in real(width, pops)]
 
     monkeypatch.setattr(oracle, "_unmarked", wrong)
 
 
 def test_divisibility_check_catches_a_wrong_count(example1, off_by_one):
-    with pytest.raises(RuntimeError, match="not divisible"):
-        ghw_dual_sweep(example1, 1)
+    for jobs in (1, 2):
+        with pytest.raises(RuntimeError, match="not divisible"):
+            ghw_dual_sweep(example1, 1, jobs=jobs)
     with pytest.raises(RuntimeError, match="not divisible"):
         count_via_dual(example1, [(1, 0)])
 

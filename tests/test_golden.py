@@ -11,6 +11,7 @@ Each ``tests/golden/params_<name>.json`` is the stdout of ``ghwlab params
 pass, one repeated minimal polynomial, two kinds of degree failure).
 """
 
+import time
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,12 @@ CASES = {
                    "--a", "1", "--r", "1,7", "--method", "all", "--jobs", "1"],
     "dual_par_17_8": ["--p", "2", "--s", "1", "--m", "8", "--e", "1", "--t", "1",
                       "--a", "15", "--r", "3", "--method", "all", "--jobs", "2"],
+    # k = 1 over GF(3^10) and k = 2 over GF(3^5): q is large, so the kernel's
+    # q x q tables must be built a row at a time
+    "bigfield_61_1": ["--p", "3", "--s", "10", "--m", "1", "--e", "1", "--t", "1",
+                      "--a", "968", "--method", "all"],
+    "gf243_242_2": ["--p", "3", "--s", "5", "--m", "1", "--e", "2", "--t", "2",
+                    "--a", "1", "--method", "all"],
 }
 
 VERIFY_CASES = {
@@ -58,6 +65,18 @@ def test_ghw_output_is_byte_identical(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["bigfield_61_1", "gf243_242_2"])
+def test_big_field_sweeps_finish_in_2_s(name, capsys):
+    # about 0.7 s and 0.5 s on a 2-CPU box; a whole q x q table over
+    # GF(3^10) would hold 3.5e9 entries
+    start = time.perf_counter()
+    code = main(["ghw", *CASES[name], "--no-timing"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}.json").read_bytes()
+    assert elapsed < 2.0
 
 
 @pytest.mark.parametrize("name", sorted(VERIFY_CASES))

@@ -8,7 +8,7 @@ from ghwlab.codes import TraceCode, derive_params
 from ghwlab.errors import BudgetExceeded
 from ghwlab.linalg import rref, vector_coords, vectors_independent
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
-from ghwlab.subspaces import SubspaceIter
+from ghwlab.subspaces import gaussian_binomial
 
 from helpers import DualContext, frobenius_trace, span_vectors
 from paper_lemmas import count_via_dual
@@ -51,8 +51,8 @@ def test_brute_witness_recount_catches_a_wrong_score(example1, monkeypatch):
     real = oracle._brute_scorer
 
     def off_by_one(code):
-        row_mask, score = real(code)
-        return row_mask, lambda masks: score(masks) + 1
+        matrix, score = real(code)
+        return matrix, lambda pops: score(pops) + 1
 
     monkeypatch.setattr(oracle, "_brute_scorer", off_by_one)
     with pytest.raises(RuntimeError, match="recounts to 6 common zeros, the sweep scored 7"):
@@ -63,17 +63,35 @@ def test_brute_witness_recount_catches_a_wrong_score(example1, monkeypatch):
 
 
 def test_examined_check_catches_a_skipped_subspace(example1, monkeypatch):
-    class Skipping(SubspaceIter):
+    real = oracle._RowMasks.row_masks
+
+    def skipping(self, pivot, free):
         # drops the last choice of every row that has several: on example 1
         # at r=1 the patterns hold 343 + 49 + 7 + 1 = 400 subspaces
-        def row_choices(self, pattern):
-            return [rows[:-1] if len(rows) > 1 else rows
-                    for rows in super().row_choices(pattern)]
+        masks = real(self, pivot, free)
+        return masks[:-1] if len(masks) > 1 else masks
 
-    monkeypatch.setattr(oracle, "SubspaceIter", Skipping)
+    monkeypatch.setattr(oracle._RowMasks, "row_masks", skipping)
     for jobs in (1, 2):
         with pytest.raises(RuntimeError, match="sweep visited 397 subspaces, expected 400"):
             ghw_bruteforce(example1, 1, jobs=jobs)
+
+
+def test_pool_units_balance_the_workers():
+    # [15,6] over GF(4) at r=3: pattern (0,1,2) alone holds 262,144 of the
+    # 376,805 subspaces, so dealing whole patterns cannot balance two workers
+    code = TraceCode(derive_params(2, 2, 2, 3, 3, 1))
+    total = gaussian_binomial(6, 3, 4)
+    units = oracle._work_units(code, 3, 2, total)
+    sizes = {unit[1:]: unit[0] for unit in units}
+    chunks = oracle._deal(units, 2)
+    loads = [sum(sizes[unit] for unit in chunk) for chunk in chunks]
+    assert len(chunks) == 2 and sum(loads) == total
+    assert max(loads) - min(loads) <= max(sizes.values())
+    for chunk, load in zip(chunks, loads):
+        assert oracle._sweep_units(code, 3, chunk, "brute")[3] == load
+    for sweep in (ghw_bruteforce, ghw_dual_sweep):
+        assert sweep(code, 3, jobs=2) == sweep(code, 3, jobs=1)
 
 
 def test_parallel_matches_serial(example1):

@@ -1,0 +1,66 @@
+"""The sweep kernel's row masks against the per-row references.
+
+``oracle._RowMasks`` gives the masks of every choice of a pattern row at
+once, from depth-first prefix words and one bucket pass per prefix;
+``helpers.brute_row_mask`` and ``helpers.dual_row_mask`` build each
+choice's word on its own, the way the sweeps did before the kernel.
+"""
+
+import tracemalloc
+from functools import lru_cache
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from ghwlab.codes import TraceCode, derive_params
+
+from helpers import kernel, kernel_mismatches, small_sweeps
+
+# (p, s, m, e, t, a) and the dimensions whose patterns are checked (None:
+# every dimension); all have e == t, so both kernels apply
+CODES = {
+    "ex1": ((7, 1, 2, 2, 2, 6), None),
+    "ex2": ((7, 1, 2, 2, 2, 2), None),
+    "irr21": ((2, 1, 6, 1, 1, 3), None),
+    "gf4": ((2, 2, 2, 3, 3, 1), None),    # [15,6] over GF(4), codes not 0..3
+    "q9": ((3, 2, 2, 1, 1, 5), None),     # over GF(9)
+    "80_8": ((3, 1, 4, 2, 2, 1), (1, 7)),
+}
+
+
+@lru_cache(maxsize=None)
+def _code(key):
+    return TraceCode(derive_params(*CODES[key][0]))
+
+
+@pytest.mark.parametrize("mode", ["brute", "dual"])
+@pytest.mark.parametrize("key", sorted(CODES))
+def test_kernel_masks_match_reference(key, mode):
+    code = _code(key)
+    dims = CODES[key][1] or range(1, code.k + 1)
+    assert kernel_mismatches(code, mode, dims) == []
+
+
+@given(small_sweeps())
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+def test_kernel_masks_match_reference_random(sweep):
+    code, r = sweep
+    for mode in ("brute", "dual"):
+        assert kernel_mismatches(code, mode, [r]) == []
+
+
+def test_prefix_words_are_built_depth_first():
+    # pattern (0,) of [80,8] over GF(3): 3^7 masks from 3^6 prefix words of
+    # 80 entries each.  The masks take about 0.1 MB; all prefix words of
+    # one level at once would take another 0.5 MB.
+    masks = kernel(_code("80_8"), "brute")
+    masks.row_masks(0, list(range(1, 8)))  # fills the lazily built tables
+    tracemalloc.start()
+    try:
+        out = masks.row_masks(0, list(range(1, 8)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 3 ** 7
+    assert peak < 200_000
