@@ -221,9 +221,9 @@ def _dual_scorer(code):
 def _sweep_units(code, r, units, mode):
     """Best subspace of the units ``(pat_idx, pattern, lo, hi)``, each the
     slice [lo, hi) of its pattern's first-row choices, given in sweep order."""
-    matrix, score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
-    kernel = _RowMasks(code.field, matrix)
     field = code.field
+    matrix, score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
+    kernel = _RowMasks(field, matrix)
     it = SubspaceIter(field, code.k, r)
     best = -1
     best_pos = None
@@ -258,7 +258,7 @@ def _sweep_units(code, r, units, mode):
 
 
 def _work_units(code, r, jobs, total):
-    """The sweep as ``(size, pat_idx, pattern, lo, hi)`` units, in sweep order.
+    """The sweep as ``(size, (pat_idx, pattern, lo, hi))`` units, in sweep order.
 
     A serial sweep takes whole patterns.  A pooled one slices each pattern's
     first-row choices so that a unit holds about total / (jobs *
@@ -273,7 +273,7 @@ def _work_units(code, r, jobs, total):
         step = max(1, cap // other)
         for lo in range(0, first, step):
             hi = min(lo + step, first)
-            units.append(((hi - lo) * other, pat_idx, pattern, lo, hi))
+            units.append(((hi - lo) * other, (pat_idx, pattern, lo, hi)))
     return units
 
 
@@ -282,10 +282,10 @@ def _deal(units, jobs):
     loads differ by at most the largest unit; each chunk in sweep order."""
     loads = [0] * jobs
     chunks = [[] for _ in range(jobs)]
-    for size, *unit in sorted(units, key=lambda u: -u[0]):
+    for size, unit in sorted(units, key=lambda u: -u[0]):
         w = loads.index(min(loads))
         loads[w] += size
-        chunks[w].append(tuple(unit))
+        chunks[w].append(unit)
     return [sorted(c) for c in chunks if c]
 
 
@@ -319,7 +319,7 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
         with ctx.Pool(len(chunks), initializer=_inherit_code, initargs=(code,)) as pool:
             parts = pool.starmap(_sweep_inherited, [(r, c, mode) for c in chunks])
     else:
-        parts = [_sweep_units(code, r, [unit[1:] for unit in units], mode)]
+        parts = [_sweep_units(code, r, [unit for _, unit in units], mode)]
     best, best_pos, best_witness = -1, None, ()
     examined = 0
     for zeros, pos, witness, count in parts:

@@ -485,14 +485,14 @@ def kernel(code, mode):
 def kernel_mismatches(code, mode, dims):
     """Every (r, pattern, row) whose kernel masks differ from the per-row
     reference masks of its ``row_choices``, over the dimensions ``dims``."""
-    masks, reference = kernel(code, mode), REFERENCE_ROW_MASKS[mode](code)
+    row_masks, reference = kernel(code, mode).row_masks, REFERENCE_ROW_MASKS[mode](code)
     bad = []
     for r in dims:
         it = SubspaceIter(code.field, code.k, r)
         for pattern in it.patterns():
             columns, choices = it.row_columns(pattern), it.row_choices(pattern)
             for i, ((pc, free), rows) in enumerate(zip(columns, choices)):
-                if masks.row_masks(pc, free) != [reference(row) for row in rows]:
+                if row_masks(pc, free) != [reference(row) for row in rows]:
                     bad.append((r, pattern, i))
     return bad
 

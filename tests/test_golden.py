@@ -69,8 +69,8 @@ def test_ghw_output_is_byte_identical(name, capsys):
 
 @pytest.mark.parametrize("name", ["bigfield_61_1", "gf243_242_2"])
 def test_big_field_sweeps_finish_in_2_s(name, capsys):
-    # about 0.7 s and 0.5 s on a 2-CPU box; a whole q x q table over
-    # GF(3^10) would hold 3.5e9 entries
+    # about 0.6 s and 0.2 s as separate processes on a 2-CPU box; a whole
+    # q x q table over GF(3^10) would hold 3.5e9 entries
     start = time.perf_counter()
     code = main(["ghw", *CASES[name], "--no-timing"])
     elapsed = time.perf_counter() - start

@@ -83,7 +83,7 @@ def test_pool_units_balance_the_workers():
     code = TraceCode(derive_params(2, 2, 2, 3, 3, 1))
     total = gaussian_binomial(6, 3, 4)
     units = oracle._work_units(code, 3, 2, total)
-    sizes = {unit[1:]: unit[0] for unit in units}
+    sizes = {unit: size for size, unit in units}
     chunks = oracle._deal(units, 2)
     loads = [sum(sizes[unit] for unit in chunk) for chunk in chunks]
     assert len(chunks) == 2 and sum(loads) == total
