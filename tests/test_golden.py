@@ -49,6 +49,12 @@ VERIFY_CASES = {
              "--count", "10"],
     "61_1": ["--p", "3", "--s", "10", "--m", "1", "--e", "1", "--t", "1",
              "--a", "968", "--count", "2", "--seed", "0"],
+    # p = 2: GF(4) inside GF(16) with three scalars per image, and q = 2,
+    # where each image has a single nonzero multiple
+    "gf4": ["--p", "2", "--s", "2", "--m", "2", "--e", "3", "--t", "3", "--a", "1",
+            "--count", "20"],
+    "15_12": ["--p", "2", "--m", "4", "--e", "3", "--t", "3", "--a", "1",
+              "--count", "20", "--seed", "0"],
 }
 
 PARAMS_CASES = {
