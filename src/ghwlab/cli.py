@@ -139,6 +139,8 @@ def build_parser():
     sv.add_argument("--count", type=_at_least(1), default=100,
                     help="random subspaces to check, >= 1 (default %(default)s)")
     sv.add_argument("--seed", type=int, default=0)
+    sv.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
+                    help="max members of one subspace, q^r, >= 0 (default %(default)s)")
     _add_output_flags(sv, formats=("json",))
 
     return parser
@@ -425,6 +427,9 @@ def cmd_verify(args):
     checked = 0
     for _ in range(args.count):
         r = rng.randint(1, tm)
+        if params.q**r > args.budget:  # the character sum enumerates every member
+            raise BudgetExceeded(params.q**r, args.budget,
+                                 f"verify drew r={r}: q^r = {params.q}^{r}", unit="subspace members")
         basis = []
         while len(basis) < r:
             cand = tuple(rng.randrange(params.Q) for _ in range(params.t))

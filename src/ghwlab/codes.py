@@ -289,6 +289,42 @@ class TraceCode:
             word.append(trace[acc])
         return tuple(word)
 
+    def relabel(self, vec) -> tuple:
+        """Slot h of the image, h = 1..t, is
+        gamma^(a*h) * sum_j b_j beta^(delta_j*h), with beta = gamma^((Q-1)/e).
+
+        Coordinate i of the word of b is Tr_{Q->q}(sum_j b_j gamma^(a_j*i)),
+        and gamma^(a_j*i) = gamma^(a*i) beta^(delta_j*i).  Let e = t, and
+        let i run over 0..Q-2, which counts each coordinate delta times.
+        Write i = h + t*u; beta^t = 1, so the sum inside the trace is
+        relabel(b)_h * gamma^(a*t*u).  Count the common zeros of an
+        r-dimensional subspace S with the additive character psi of F_Q.
+        Scaling b by c in GF(q)^* scales its image by c, and the products
+        c * gamma^(a*t*u) cover class 0 evenly, so the sum over u becomes a
+        Gauss period:
+            zeros(S) = N/(t*delta*q^r) * sum_{b in S} sum_h eta(relabel(b)_h),
+        eta(y) = sum_{z in C_0} psi(y*z), eta(0) = |C_0|.  That sum is
+        ``hierarchy.character_sum_count``.  The sum of psi(y_h*z) over a
+        subspace S' is q^r when Tr_{Q->q}(y_h*z) = 0 on all of S' and 0
+        otherwise, so the dual count of relabel(S), the pairs (h, z) with
+        z*e_h orthogonal to it, is zeros(S).  The map is F_Q-linear: a
+        diagonal times a Vandermonde matrix in the beta^(delta_j), which
+        assumption ii makes distinct, so it is invertible.
+        """
+        field = self.field
+        add, mul, exp = field.add, field.mul, field.exp
+        params = self.params
+        group = params.Q - 1
+        step = group // params.e
+        image = []
+        for h in range(1, self.t + 1):
+            acc = 0
+            for bj, dj in zip(vec, params.deltas):
+                if bj:
+                    acc = add(acc, mul(bj, exp[(step * dj * h) % group]))
+            image.append(mul(exp[(params.a * h) % group], acc))
+        return tuple(image)
+
     def support_union(self, basis) -> frozenset:
         """0-based coordinates where some basis word is nonzero.
 

@@ -46,6 +46,7 @@ class CyclotomyCtx:
         self.N = N
         self.class_size = (field.Q - 1) // N
         self._table = None
+        self._by_log = None
 
     def __repr__(self):
         return f"CyclotomyCtx(Q={self.field.Q}, N={self.N})"
@@ -89,3 +90,17 @@ class CyclotomyCtx:
             self._table = tuple(self.gauss_period(exp[i % (self.field.Q - 1)])
                                 for i in range(self.N))
         return self._table
+
+    def periods_by_log(self) -> list:
+        """The period at every element, indexed by its log: entry l < Q-1 is
+        ``period_table()[l % N]``, and the last entry, index -1 = log[0],
+        is the class size, the period at 0.  Built on first use, one
+        pointer per field element.
+        """
+        if self._by_log is None:
+            group = self.field.Q - 1
+            by_log = [complex(self.class_size)] * (group + 1)
+            for i, value in enumerate(self.period_table()):
+                by_log[i:group:self.N] = [value] * self.class_size
+            self._by_log = by_log
+        return self._by_log

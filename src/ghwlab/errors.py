@@ -6,12 +6,12 @@ class GhwlabError(Exception):
 
 
 class BudgetExceeded(GhwlabError):
-    """Enumeration refused: the subspace count is over the configured budget."""
+    """Enumeration refused: the count of ``unit`` is over the configured budget."""
 
-    def __init__(self, count: int, budget: int, detail: str = ""):
+    def __init__(self, count: int, budget: int, detail: str = "", unit: str = "subspaces"):
         self.count = count
         self.budget = budget
-        msg = f"enumeration of {count} subspaces exceeds budget {budget}"
+        msg = f"enumeration of {count} {unit} exceeds budget {budget}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

@@ -139,6 +139,7 @@ class FieldCtx:
         self._subfields: dict[int, tuple] = {}
         self._trace_tables: dict[int, list] = {}
         self._dual_basis = None
+        self._scalar_logs = None
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, m={self.m}, Q={self.Q})"
@@ -219,6 +220,9 @@ class FieldCtx:
                 f"subfield degree {sub_degree} does not divide {self.degree}"
             )
         size = self.p**sub_degree
+        if size == self.Q:  # every code, in order: the identity trace table
+            result = self._subfields[sub_degree] = tuple(self.trace_table(sub_degree))
+            return result
         step = (self.Q - 1) // (size - 1)
         elems = sorted({0} | {self.exp[(k * step) % (self.Q - 1)] for k in range(size - 1)})
         result = tuple(elems)
@@ -230,6 +234,23 @@ class FieldCtx:
     @property
     def subfield_q(self) -> tuple:
         return self.subfield(self.s)
+
+    @property
+    def scalar_logs(self) -> tuple:
+        """Logs of the nonzero scalars of ``subfield_q``, in its order, to
+        the base gamma^((Q-1)/(q-1)), the primitive element of GF(q); built
+        on first use.
+
+        The scalar c is ``exp[scalar_logs[i] * (Q-1)/(q-1)]``.  At q = Q
+        these are the field's own logs, held as the log table's objects,
+        so the cache is one pointer per element.
+        """
+        if self._scalar_logs is None:
+            step = (self.Q - 1) // (self.q - 1)
+            logs = tuple(map(self.log.__getitem__, self.subfield_q[1:]))
+            # step > 1 only when m > 1, so at most sqrt(Q) new ints
+            self._scalar_logs = tuple(lc // step for lc in logs) if step > 1 else logs
+        return self._scalar_logs
 
     def trace_table(self, sub_degree) -> list:
         """Relative trace onto GF(p^sub_degree) of every element; built once.

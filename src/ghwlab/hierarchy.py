@@ -12,7 +12,9 @@ arithmetic.  Every division required to be exact is checked at runtime.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from .codes import CodeParams, TraceCode, check_closed_form_hypotheses
 from .cyclotomy import semiprimitive_j
@@ -165,72 +167,74 @@ def branch_label(fp: FormulaParams, r2: int) -> str:
     return "low" if r2 < fp.half else "high"
 
 
+def _gather(keys, seq) -> tuple:
+    """``seq[k]`` for every k in ``keys``, as a tuple, in one C-level call.
+
+    ``itemgetter`` with a single key returns the bare item, not a 1-tuple;
+    at q = 2 an image has a single nonzero multiple.
+    """
+    if len(keys) == 1:
+        return (seq[keys[0]],)
+    return operator.itemgetter(*keys)(seq)
+
+
 def character_sum_count(code: TraceCode, basis) -> complex:
     """Common-zero count of a message subspace as a numeric character sum.
 
-    Each member b contributes, for h = 1..t, the Gauss period at
-    gamma^(a*h) * sum_j b_j beta^(delta_j*h).  That argument vector is
-    GF(q)-linear in b, so it is computed once per basis vector, and the
-    members' arguments are the GF(q)-span of those images, enumerated slot
-    by slot as flat lists of element codes.  The multiples of an image
-    coordinate x are gamma^(log c + log x) for the nonzero scalars c, read
-    from the exp table; each later basis vector adds one field addition per
-    member and slot.  A summand is the period of its argument's class,
-    log(arg) mod N, or the class size at 0.  Summation runs members outer,
-    in coefficient order with the last basis vector slowest, and slots
-    inner, as a member-by-member evaluation would add them, so the float
-    does not depend on how the arguments were enumerated.  The result must
-    agree with the exact integer count within 1e-6 (at most Q * q^r * t
-    unit-magnitude summands at desk scale).  Requires e == t.
+    Each member b contributes, for h = 1..t, the Gauss period at slot h of
+    ``code.relabel(b)`` (the derivation is there).  The image is GF(q)-linear
+    in b, so it is computed once per basis vector, and the members' images
+    are the GF(q)-span of those, enumerated slot by slot by table gathers.
+    The multiples c*x of an image coordinate x are exp at log x + log c:
+    with step = (Q-1)/(q-1), the exps at log x, log x + step, ... are two
+    strided slices of exp, rotated so that position k holds exp at
+    log x + k*step, and the multiples are gathered from them at the
+    ``scalar_logs``.  Each later basis vector adds one field addition per
+    member.  A summand is ``periods_by_log()`` at log(arg); log 0 = -1
+    reads the class size.  The members' logs, then their periods, are two
+    more gathers.  When a slot's members are 0 and the multiples of a
+    single image (every slot at r = 1), their periods are gathered directly
+    from the rotated ``periods_by_log()``.  Summation is a strict left fold
+    over members outer, in coefficient order with the last basis vector
+    slowest, and slots inner, as a member-by-member evaluation adds them, so
+    the float does not depend on how the arguments were enumerated.  The
+    result must agree with the exact integer count within 1e-6 (at most
+    Q * q^r * t unit-magnitude summands at desk scale).  Requires e == t.
     """
     params = code.params
     if params.e != params.t:
         raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
     field = code.field
-    values = code.cyclotomy.period_table()
-    group = params.Q - 1
-    exp, log = field.exp, field.log
-    mul, add = field.mul, field.add
-    t = params.t
-    step = group // params.e
-    g_pows = [exp[(params.a * h) % group] for h in range(1, t + 1)]
-    beta_pows = [
-        [exp[(step * params.deltas[j] * h) % group] for j in range(t)]
-        for h in range(1, t + 1)
-    ]
-    images = []
-    for b in basis:
-        image = []
-        for h in range(t):
-            acc = 0
-            for j in range(t):
-                if b[j]:
-                    acc = add(acc, mul(b[j], beta_pows[h][j]))
-            image.append(mul(g_pows[h], acc))
-        images.append(image)
-    scalar_logs = [log[c] for c in field.subfield_q[1:]]
-    q, N = params.q, params.N
-    class_size = complex(code.cyclotomy.class_size)
+    exp, log, add = field.exp, field.log, field.add
+    by_log = code.cyclotomy.periods_by_log()
+    scalar_logs = field.scalar_logs
+    group, q, t = params.Q - 1, params.q, params.t
+    step = group // (q - 1)
+
+    def multiples(table, x):
+        # table[(log x + log c) mod (Q-1)] for the nonzero scalars c
+        lx = log[x]
+        return _gather(scalar_logs, table[lx:group:step] + table[lx % step:lx:step])
+
+    images = [code.relabel(b) for b in basis]
     slots = []
     for h in range(t):
+        xs = [image[h] for image in images]
+        if len(xs) == 1 and xs[0]:
+            slots.append((by_log[-1], *multiples(by_log, xs[0])))
+            continue
         members = [0]
-        for image in images:
-            x = image[h]
+        for x in xs:
             if not x:
                 members = members * q
-                continue
-            lx = log[x]
-            mults = [exp[(lc + lx) % group] for lc in scalar_logs]
-            if len(members) == 1:  # the first image: 0 + c*x needs no addition
-                members = [0] + mults
+            elif len(members) == 1:  # the first image: 0 + c*x needs no addition
+                members = [0, *multiples(exp, x)]
             else:
-                members = members + [add(e, mb) for mb in mults for e in members]
-        slots.append([values[log[arg] % N] if arg else class_size for arg in members])
+                members = members + [add(e, mb) for mb in multiples(exp, x) for e in members]
+        slots.append(_gather(_gather(members, log), by_log))
     summands = [0j] * (t * len(slots[0]))
     for h, slot in enumerate(slots):
         summands[h::t] = slot  # member-major: slot h of member i at i*t + h
-    total = 0j
-    for summand in summands:
-        total += summand
+    total = reduce(operator.add, summands, 0j)
     r = len(basis)
     return total * params.N / (params.t * params.delta * params.q**r)

@@ -286,8 +286,10 @@ def count_via_dual(code, basis) -> int:
     For each slot h, intersect the dual of the message subspace with the
     h-th axis, then count the vectors whose negated h-component falls in
     class 0; the zero count is N/(t*delta) times the total.  Requires
-    e == t.  Equals the direct count of a relabeled subspace, so only the
-    maxima over all subspaces of fixed dimension are comparable.  Scores
+    e == t.  It is the direct count of the subspace that ``TraceCode.relabel``
+    maps onto this one: count_via_dual(code, [code.relabel(b) for b in S])
+    == count_common_zeros(code, S) for every subspace S, and relabel is
+    invertible, so the maxima over each dimension agree as well.  Scores
     through the dual sweep's own matrix and score, ``oracle._dual_scorer``,
     with each basis vector's word ``coords . M`` formed in field arithmetic.
     """

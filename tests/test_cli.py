@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -372,6 +373,34 @@ def test_verify_rejects_count_below_1(capsys):
     code, out, _ = run(capsys, "verify", *EX1, "--count", "1")
     assert code == 0
     assert json.loads(out)["checked"] == 1
+
+
+def test_verify_budget_refuses_before_enumerating(capsys, monkeypatch):
+    # [1023,30] over GF(2): seed 0 draws r = 28, a subspace of 2^28 members
+    def enumerated(code, basis):
+        raise AssertionError("enumerated a refused subspace")
+    monkeypatch.setattr(cli, "character_sum_count", enumerated)
+    monkeypatch.setattr(cli, "count_common_zeros", enumerated)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--p", "2", "--m", "10", "--e", "3", "--t", "3",
+                         "--a", "1", "--count", "1", "--seed", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: enumeration of {2**28} subspace members exceeds budget {DEFAULT_BUDGET} "
+        "(verify drew r=28: q^r = 2^28)"]
+    # ex1 at seed 5 draws r = 3 first: 7^3 = 343 members
+    code, _, err = run(capsys, "verify", *EX1, "--count", "1", "--seed", "5", "--budget", "342")
+    assert code == 5
+    assert "enumeration of 343 subspace members exceeds budget 342" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "verify", *EX1, "--count", "1", "--seed", "5", "--budget", "343")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+    code, _, err = run(capsys, "verify", *EX1, "--budget", "-1")
+    assert code == 2
+    assert "argument --budget: must be >= 0" in err
 
 
 def test_auto_jobs_uses_affinity_and_pattern_count(monkeypatch):
