@@ -311,6 +311,8 @@ class TraceCode:
         diagonal times a Vandermonde matrix in the beta^(delta_j), which
         assumption ii makes distinct, so it is invertible.
         """
+        if len(vec) != self.t:
+            raise ValueError(f"message must have {self.t} components, got {len(vec)}")
         field = self.field
         add, mul, exp = field.add, field.mul, field.exp
         params = self.params
