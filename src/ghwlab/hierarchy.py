@@ -193,8 +193,8 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     member.  A summand is ``periods_by_log()`` at log(arg); log 0 = -1
     reads the class size.  The members' logs, then their periods, are two
     more gathers.  When a slot's members are 0 and the multiples of a
-    single image (every slot at r = 1), their periods are gathered directly
-    from the rotated ``periods_by_log()``.  Summation is a strict left fold
+    single image (at r = 1, unless the image is 0), their periods are
+    gathered directly from the rotated ``periods_by_log()``.  Summation is a strict left fold
     over members outer, in coefficient order with the last basis vector
     slowest, and slots inner, as a member-by-member evaluation adds them, so
     the float does not depend on how the arguments were enumerated.  The
@@ -235,6 +235,6 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     summands = [0j] * (t * len(slots[0]))
     for h, slot in enumerate(slots):
         summands[h::t] = slot  # member-major: slot h of member i at i*t + h
-    total = reduce(operator.add, summands, 0j)
+    total = reduce(operator.add, summands, 0j)  # not sum(): it compensates floats from 3.12
     r = len(basis)
     return total * params.N / (params.t * params.delta * params.q**r)
