@@ -13,29 +13,24 @@ package is 0-based and says so via an explicit "index_base" field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .cyclotomy import CyclotomyCtx, semiprimitive_j
 from .fields import FieldCtx, build_field, is_prime
 
 
-@dataclass(frozen=True)
-class AssumptionCheck:
-    ok: bool
-    detail: str
+class AssumptionCheck(namedtuple("AssumptionCheck", "ok detail")):
+    __slots__ = ()
 
     def to_dict(self):
         return {"ok": self.ok, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(namedtuple("AssumptionReport", "i ii iii")):
     """Pass/fail record, with witnesses, for the three parameter assumptions."""
 
-    i: AssumptionCheck
-    ii: AssumptionCheck
-    iii: AssumptionCheck
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
@@ -50,21 +45,18 @@ class AssumptionReport:
         }
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(namedtuple(
+        "HypothesisReport",
+        "e_equals_t N_in_range j sm_over_2j_odd m_even irreducible")):
     """Which closed-form hypotheses hold for a parameter set.
 
     Never raised from; the closed-form engine consults it and refuses when
     any flag is false.  t = 1 is accepted and flagged as the irreducible
-    (one-nonzero) special case.
+    (one-nonzero) special case.  N_in_range is 2 < N and N^2 <= Q; j is the
+    smallest j with p^j = -1 (mod N), or None.
     """
 
-    e_equals_t: bool
-    N_in_range: bool      # 2 < N and N^2 <= Q
-    j: int | None
-    sm_over_2j_odd: bool
-    m_even: bool
-    irreducible: bool
+    __slots__ = ()
 
     @property
     def semiprimitive(self) -> bool:
@@ -102,23 +94,24 @@ class HypothesisReport:
         }
 
 
-@dataclass(eq=False)
 class CodeParams:
-    p: int
-    s: int
-    m: int
-    e: int
-    t: int
-    a: int
-    deltas: tuple
-    q: int
-    Q: int
-    a_list: tuple
-    delta: int
-    n: int
-    N: int
-    field: FieldCtx
-    assumptions: AssumptionReport
+    """The derived parameters of one code, built by ``derive_params``.
+
+    Mutable, and equal only to itself.
+    """
+
+    __slots__ = ("p", "s", "m", "e", "t", "a", "deltas", "q", "Q", "a_list",
+                 "delta", "n", "N", "field", "assumptions")
+
+    def __init__(self, **fields):
+        if fields.keys() != set(self.__slots__):
+            raise TypeError(f"CodeParams takes exactly the fields {self.__slots__}")
+        for name, value in fields.items():
+            setattr(self, name, value)
+
+    def __repr__(self):
+        return "CodeParams(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
     @property
     def k(self) -> int:

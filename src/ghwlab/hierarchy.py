@@ -13,7 +13,7 @@ arithmetic.  Every division required to be exact is checked at runtime.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .codes import CodeParams, TraceCode, check_closed_form_hypotheses
@@ -22,45 +22,47 @@ from .errors import HypothesesNotMet
 from .fields import prime_factors
 
 
-@dataclass(frozen=True)
-class FormulaParams:
+class FormulaParams(namedtuple("FormulaParams", "q m N p s j")):
     """The (q, m, N) regime in which the closed form is valid.
 
     Construction enforces the full set of hypotheses: m even, 2 < N with
     N^2 <= q^m, a smallest j with p^j = -1 (mod N), and sm/(2j) odd (p, s
     recovered from the prime power q).  These are exactly the conditions
-    under which the per-slot intersection bound below is attained.
+    under which the per-slot intersection bound below is attained.  Built
+    from (q, m, N) alone; p, s and j are derived, and repr shows q, m, N.
     """
 
-    q: int
-    m: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        factors = prime_factors(self.q)
+    def __new__(cls, q, m, N):
+        factors = prime_factors(q)
         if len(factors) != 1:
-            raise ValueError(f"q={self.q} is not a prime power")
+            raise ValueError(f"q={q} is not a prime power")
         p = factors[0]
         s = 0
-        qq = self.q
+        qq = q
         while qq > 1:
             qq //= p
             s += 1
-        if p**s != self.q:
-            raise ValueError(f"q={self.q} is not a prime power")
-        if self.m < 2 or self.m % 2:
-            raise ValueError(f"m must be even and positive, got {self.m}")
-        if not (2 < self.N and self.N * self.N <= self.q**self.m):
-            raise ValueError(f"need 2 < N <= sqrt(Q), got N={self.N}, Q={self.q**self.m}")
-        j = semiprimitive_j(p, self.N)
+        if p**s != q:
+            raise ValueError(f"q={q} is not a prime power")
+        if m < 2 or m % 2:
+            raise ValueError(f"m must be even and positive, got {m}")
+        if not (2 < N and N * N <= q**m):
+            raise ValueError(f"need 2 < N <= sqrt(Q), got N={N}, Q={q**m}")
+        j = semiprimitive_j(p, N)
         if j is None:
-            raise ValueError(f"no j with {p}^j = -1 (mod {self.N})")
-        sm = s * self.m
+            raise ValueError(f"no j with {p}^j = -1 (mod {N})")
+        sm = s * m
         if sm % (2 * j) or (sm // (2 * j)) % 2 == 0:
             raise ValueError(f"sm/(2j) must be an odd integer, got sm={sm}, j={j}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "j", j)
+        return super().__new__(cls, q, m, N, p, s, j)
+
+    def __getnewargs__(self):  # copy and pickle rebuild through the checks
+        return self[:3]
+
+    def __repr__(self):
+        return f"FormulaParams(q={self.q}, m={self.m}, N={self.N})"
 
     @classmethod
     def from_code_params(cls, params: CodeParams) -> "FormulaParams":
@@ -190,9 +192,9 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     strided slices of exp, rotated so that position k holds exp at
     log x + k*step, and the multiples are gathered from them at the
     ``scalar_logs``.  Each later basis vector adds one field addition per
-    member.  A summand is ``periods_by_log()`` at log(arg); log 0 = -1
-    reads the class size.  The members' logs, then their periods, are two
-    more gathers.  When a slot's members are 0 and the multiples of a
+    member, a C-level XOR at p = 2.  A summand is ``periods_by_log()`` at
+    log(arg); log 0 = -1 reads the class size.  The members' logs, then
+    their periods, are two more gathers.  When a slot's members are 0 and the multiples of a
     single image (at r = 1, unless the image is 0), their periods are
     gathered directly from the rotated ``periods_by_log()``.  Summation is a strict left fold
     over members outer, in coefficient order with the last basis vector
@@ -205,7 +207,8 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     if params.e != params.t:
         raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
     field = code.field
-    exp, log, add = field.exp, field.log, field.add
+    exp, log = field.exp, field.log
+    add = operator.xor if field.p == 2 else field.add
     by_log = code.cyclotomy.periods_by_log()
     scalar_logs = field.scalar_logs
     group, q, t = params.Q - 1, params.q, params.t

@@ -38,9 +38,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import multiprocessing
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .codes import TraceCode
@@ -53,13 +52,12 @@ DEFAULT_BUDGET = 10_000_000
 _UNITS_PER_JOB = 4
 
 
-@dataclass(frozen=True)
-class GHWResult:
-    r: int
-    d_r: int
-    common_zeros: int          # max over subspaces of the zero count
-    witness: tuple             # basis of messages achieving the max
-    examined: int
+class GHWResult(namedtuple("GHWResult", "r d_r common_zeros witness examined")):
+    """r-th GHW of an exhaustive sweep: common_zeros is the max over
+    subspaces of the zero count, witness a basis of messages achieving it,
+    examined the number of subspaces scored."""
+
+    __slots__ = ()
 
     def to_dict(self):
         return {
@@ -314,6 +312,8 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     jobs = jobs or 1
     units = _work_units(code, r, jobs, total)
     if jobs > 1 and len(units) > 1:
+        import multiprocessing  # only pooled sweeps pay for its import
+
         chunks = _deal(units, jobs)
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(len(chunks), initializer=_inherit_code, initargs=(code,)) as pool:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import time
 
@@ -251,7 +250,7 @@ def test_sweep_exit_3_on_mismatch(capsys, monkeypatch):
 
     def off_by_one(code, r, budget=None, jobs=1):
         res = real(code, r, budget=budget, jobs=jobs)
-        return dataclasses.replace(res, d_r=res.d_r + 1)
+        return res._replace(d_r=res.d_r + 1)
 
     monkeypatch.setattr(cli, "ghw_bruteforce", off_by_one)
     code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",

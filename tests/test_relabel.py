@@ -7,6 +7,7 @@ of the subspace itself, subspace by subspace, not only in the maxima.
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ghwlab import linalg
 from ghwlab.codes import TraceCode, derive_params
@@ -34,6 +35,9 @@ def _every_subspace(code, r):
 @pytest.mark.parametrize("params, dims", [
     ((7, 1, 2, 2, 2, 6), (1, 2, 3)),  # ex1, [8,4] over GF(7)
     (GF4_15_6, (1,)),
+    ((7, 1, 2, 2, 2, 2), (1, 2, 3)),  # helpers.code("example2"), [24,4] over GF(7)
+    ((2, 1, 6, 1, 1, 3), (1, 2, 3)),  # helpers.code("irreducible21"), [21,6] over GF(2)
+    (GF4_15_6, (5,)),
 ])
 def test_relabel_links_counts_on_every_subspace(params, dims):
     code = TraceCode(derive_params(*params))
@@ -50,6 +54,15 @@ def test_relabel_links_counts_on_sampled_subspaces(r):
     code = TraceCode(derive_params(*TERNARY_80_8))
     rng = random.Random(f"80_8 r={r}")
     for _ in range(500):
+        _assert_relabel_links_counts(code, helpers.random_basis(code, r, rng))
+
+
+@given(helpers.small_sweeps(), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_relabel_links_counts_random(sweep, rng):
+    code, r = sweep
+    for _ in range(20):
         _assert_relabel_links_counts(code, helpers.random_basis(code, r, rng))
 
 
