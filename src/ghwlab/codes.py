@@ -17,7 +17,7 @@ from collections import namedtuple
 
 from . import linalg
 from .cyclotomy import CyclotomyCtx, semiprimitive_j
-from .fields import FieldCtx, build_field, is_prime
+from .fields import build_field, is_prime
 
 
 class AssumptionCheck(namedtuple("AssumptionCheck", "ok detail")):

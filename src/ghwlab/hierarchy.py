@@ -194,12 +194,13 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     ``scalar_logs``.  Each later basis vector adds one field addition per
     member, a C-level XOR at p = 2.  A summand is ``periods_by_log()`` at
     log(arg); log 0 = -1 reads the class size.  The members' logs, then
-    their periods, are two more gathers.  When a slot's members are 0 and the multiples of a
-    single image (at r = 1, unless the image is 0), their periods are
-    gathered directly from the rotated ``periods_by_log()``.  Summation is a strict left fold
-    over members outer, in coefficient order with the last basis vector
-    slowest, and slots inner, as a member-by-member evaluation adds them, so
-    the float does not depend on how the arguments were enumerated.  The
+    their periods, are two more gathers.  When a slot's members are 0 and
+    the multiples of a single image (at r = 1, unless the image is 0),
+    their periods are gathered directly from the rotated
+    ``periods_by_log()``.  Summation is a strict left fold over members
+    outer, in coefficient order with the last basis vector slowest, and
+    slots inner, as a member-by-member evaluation adds them, so the float
+    does not depend on how the arguments were enumerated.  The
     result must agree with the exact integer count within 1e-6 (at most
     Q * q^r * t unit-magnitude summands at desk scale).  Requires e == t.
     """
