@@ -258,8 +258,9 @@ class FieldCtx:
         The trace is GF(p)-linear, so it is fixed by its values on the basis
         X^i (element code p**i), each the Frobenius sum of its conjugates.
         The table then grows one base-p digit at a time:
-        tr[x + c*p^i] = tr[x + (c-1)*p^i] + tr[p^i].  The trace onto the
-        whole field is the identity.
+        tr[x + c*p^i] = tr[x + (c-1)*p^i] + tr[p^i], where adding tr[p^i]
+        is a lookup in a shift table over the subfield, which holds every
+        trace value.  The trace onto the whole field is the identity.
         """
         table = self._trace_tables.get(sub_degree)
         if table is not None:
@@ -270,16 +271,17 @@ class FieldCtx:
         if sub_degree == self.degree:
             table = self._trace_tables[sub_degree] = list(range(self.Q))
             return table
-        add = self.add
+        add, values = self.add, self.subfield(sub_degree)
         table = [0]
         for i in range(self.degree):
             tr = cur = self.p**i
             for _ in range(self.degree // sub_degree - 1):
                 cur = self.frobenius(cur, sub_degree)
                 tr = add(tr, cur)
+            shift = {v: add(v, tr) for v in values}
             block = len(table)
             for _ in range(self.p - 1):
-                table.extend([add(v, tr) for v in table[-block:]])
+                table.extend(map(shift.__getitem__, table[-block:]))
         self._trace_tables[sub_degree] = table
         return table
 

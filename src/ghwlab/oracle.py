@@ -28,17 +28,20 @@ module's dual scorer.
 Sweeps are split into work units, slices of a pattern's first-row choices;
 units are independent and combine by max reduction, so multi-process runs
 return identical results to serial ones, including the reported witness.
-Units are dealt largest first to the least-loaded worker.  Forked pool
-workers inherit the code from the parent, so a task sends only its
-dimension, units and mode, never the code's tables.
+Units are dealt largest first to the least-loaded worker.  With N jobs the
+parent forks N-1 children and sweeps the last share itself; the children
+inherit the code, so only their results cross a pipe, never the code's
+tables.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import marshal
 import math
 import operator
+import os
 from collections import namedtuple
 
 from . import linalg
@@ -48,7 +51,7 @@ from .subspaces import SubspaceIter, gaussian_binomial
 
 DEFAULT_BUDGET = 10_000_000
 
-# a pooled sweep is cut into about this many work units per worker
+# a fanned-out sweep is cut into about this many work units per worker
 _UNITS_PER_JOB = 4
 
 
@@ -258,8 +261,8 @@ def _sweep_units(code, r, units, mode):
 def _work_units(code, r, jobs, total):
     """The sweep as ``(size, (pat_idx, pattern, lo, hi))`` units, in sweep order.
 
-    A serial sweep takes whole patterns.  A pooled one slices each pattern's
-    first-row choices so that a unit holds about total / (jobs *
+    A serial sweep takes whole patterns.  A fanned-out one slices each
+    pattern's first-row choices so that a unit holds about total / (jobs *
     _UNITS_PER_JOB) subspaces, or one first-row choice if that is more.
     """
     it = SubspaceIter(code.field, code.k, r)
@@ -287,18 +290,52 @@ def _deal(units, jobs):
     return [sorted(c) for c in chunks if c]
 
 
-_worker_code = None  # set by _inherit_code in pool workers only
-
-
-def _inherit_code(code):
-    """Pool initializer.  A forked worker gets its arguments by inheritance,
-    so the code reaches it without pickling; tasks carry only chunks."""
-    global _worker_code
-    _worker_code = code
-
-
-def _sweep_inherited(r, units, mode):
-    return _sweep_units(_worker_code, r, units, mode)
+def _fan_out(code, r, chunks, mode):
+    """``_sweep_units`` of every chunk: a forked child per chunk but the
+    last, which the parent sweeps itself.  Children inherit the code, so
+    only their parts cross a pipe, or the exception a child raised.  A child
+    leaves by ``os._exit``: no atexit handlers, no flush of the parent's
+    buffers.  The parent reaps every child, first killing them all if its
+    own share or a read fails."""
+    pids, pipes, parts = [], [], []
+    try:
+        for chunk in chunks[:-1]:
+            rfd, wfd = os.pipe()
+            if not (pid := os.fork()):
+                status = 1
+                try:
+                    try:
+                        data = marshal.dumps((True, _sweep_units(code, r, chunk, mode)))
+                    except Exception as exc:
+                        import pickle  # only a failed child pays for its import
+                        data = marshal.dumps((False, pickle.dumps(exc)))
+                    with open(wfd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(wfd)
+            pids.append(pid)
+            pipes.append(open(rfd, "rb"))
+        last = _sweep_units(code, r, chunks[-1], mode)
+        for pid, pipe in zip(pids, pipes):
+            if not (data := pipe.read()):
+                raise RuntimeError(f"sweep child {pid} ended without a result")
+            ok, part = marshal.loads(data)
+            if not ok:
+                import pickle
+                raise pickle.loads(part)
+            parts.append(part)
+    except BaseException:
+        for pid in pids:  # unreaped, so running or a zombie: kill cannot miss
+            os.kill(pid, 9)  # SIGKILL
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return parts + [last]
 
 
 def _sweep(code, r, mode, budget, jobs) -> GHWResult:
@@ -312,12 +349,7 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     jobs = jobs or 1
     units = _work_units(code, r, jobs, total)
     if jobs > 1 and len(units) > 1:
-        import multiprocessing  # only pooled sweeps pay for its import
-
-        chunks = _deal(units, jobs)
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(len(chunks), initializer=_inherit_code, initargs=(code,)) as pool:
-            parts = pool.starmap(_sweep_inherited, [(r, c, mode) for c in chunks])
+        parts = _fan_out(code, r, _deal(units, jobs), mode)
     else:
         parts = [_sweep_units(code, r, [unit for _, unit in units], mode)]
     best, best_pos, best_witness = -1, None, ()

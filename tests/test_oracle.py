@@ -1,9 +1,14 @@
 import cmath
+import os
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from ghwlab import oracle
+from ghwlab import cli, oracle
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.errors import BudgetExceeded
 from ghwlab.linalg import rref, vector_coords, vectors_independent
@@ -111,6 +116,87 @@ def test_pool_workers_inherit_the_code(example1, monkeypatch):
     monkeypatch.setattr(TraceCode, "__reduce_ex__", refuse)
     assert [ghw_bruteforce(example1, 2, jobs=2),
             ghw_dual_sweep(example1, 2, jobs=2)] == serial
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _in_children(monkeypatch, child, parent=None):
+    """Patch ``_sweep_units`` to run ``child`` in forked children only, and
+    ``parent`` (default: the real sweep) in this process."""
+    real, me = oracle._sweep_units, os.getpid()
+
+    def patched(*args):
+        return (parent or real)(*args) if os.getpid() == me else child(real, *args)
+    monkeypatch.setattr(oracle, "_sweep_units", patched)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_fan_out_passes_a_child_error_through(example1, monkeypatch, error):
+    def fail(real, code, r, units, mode):
+        raise error(f"unit sweep failed at r={r}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_sweep_units", lambda *args: fail(None, *args))
+        with pytest.raises(error) as serial:
+            ghw_bruteforce(example1, 1, jobs=1)
+    _in_children(monkeypatch, fail)
+    with pytest.raises(error) as fanned:
+        ghw_bruteforce(example1, 1, jobs=2)
+    assert type(fanned.value) is type(serial.value) is error
+    assert str(fanned.value) == str(serial.value) == "unit sweep failed at r=1"
+    _no_children_left()
+
+
+def test_fan_out_reports_a_child_that_dies(example1, monkeypatch, capsys):
+    _in_children(monkeypatch, lambda *args: os._exit(1))
+    with pytest.raises(RuntimeError, match=r"sweep child \d+ ended without a result"):
+        ghw_dual_sweep(example1, 1, jobs=2)
+    _no_children_left()
+    argv = ["ghw", "--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6",
+            "--r", "1", "--method", "brute", "--jobs", "2", "--no-timing"]
+    assert cli.main(argv) == 3
+    assert "ended without a result" in capsys.readouterr().err
+    _no_children_left()
+
+
+def test_fan_out_kills_the_children_when_its_own_share_fails(example1, monkeypatch):
+    def slow(real, *args):
+        time.sleep(60)
+        return real(*args)
+
+    def fail(*args):
+        raise RuntimeError("the parent's share failed")
+
+    killed = []
+    kill = os.kill
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
+    _in_children(monkeypatch, slow, fail)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="the parent's share failed"):
+        ghw_bruteforce(example1, 1, jobs=2)
+    assert time.monotonic() - start < 30
+    assert len(killed) == 1 and killed[0] != os.getpid()
+    _no_children_left()
+
+
+def test_fan_out_children_skip_atexit_and_buffered_output():
+    # stdout is a pipe, so "before" sits in the buffer when the parent forks
+    probe = """
+import atexit, sys
+from ghwlab.codes import TraceCode, derive_params
+from ghwlab.oracle import ghw_bruteforce
+atexit.register(lambda: print("atexit"))
+sys.stdout.write("before\\n")
+code = TraceCode(derive_params(7, 1, 2, 2, 2, 6, (0, 1)))
+print(ghw_bruteforce(code, 2, jobs=2).d_r)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout == "before\n4\natexit\n"
 
 
 def test_count_common_zeros_extremes(example1):

@@ -3,9 +3,10 @@
 The five frozen records are named tuples: immutable, equal by value, with a
 ``Name(field=value, ...)`` repr and the same ``to_dict()`` as before.
 ``CodeParams`` is a plain ``__slots__`` class equal only to itself.  Neither
-needs ``dataclasses`` (which loads ``inspect``), and ``multiprocessing`` is
-imported only by a pooled sweep; a fresh interpreter checks both, since
-pytest itself loads all three.
+needs ``dataclasses`` (which loads ``inspect``), and a sweep at any job
+count forks its own children without ``multiprocessing``; a fresh
+interpreter checks that none of the three is loaded, since pytest itself
+loads all three.
 """
 
 import ast
@@ -54,12 +55,12 @@ def test_import_loads_no_dataclasses_inspect_or_multiprocessing():
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen["exit"] == [0, 0]
     assert seen["import"] == []
-    assert seen["jobs1"] == []   # a serial sweep never imports the pool
-    assert seen["jobs2"] == ["multiprocessing"]   # a pooled one does
+    assert seen["jobs1"] == []
+    assert seen["jobs2"] == []   # the fan-out forks without multiprocessing
 
 
 def test_heavy_imports_in_source():
-    # the one import of any of them is multiprocessing in oracle._sweep
+    # the package imports none of them, not even inside a function
     found = []
     for path in sorted((SRC / "ghwlab").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -76,7 +77,7 @@ def test_heavy_imports_in_source():
                 continue
             found += [(path.stem, owner.get(node), name)
                       for name in names if name.split(".")[0] in HEAVY]
-    assert found == [("oracle", "_sweep", "multiprocessing")]
+    assert found == []
 
 
 def _records():
