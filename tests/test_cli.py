@@ -405,7 +405,9 @@ def test_verify_budget_refuses_before_enumerating(capsys, monkeypatch):
 def test_auto_jobs_uses_affinity_and_pattern_count(monkeypatch):
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
     assert _auto_jobs(4, [1, 2], 7) == 1        # at most 2,850 subspaces: serial
-    assert _auto_jobs(6, [2], 5) == 1           # 508,431 subspaces: still serial
+    assert _auto_jobs(8, [3], 2) == 1           # 97,155 subspaces: still serial
+    assert _auto_jobs(10, [2], 2) == 45         # 174,251 subspaces in 45 patterns
+    assert _auto_jobs(6, [2], 5) == 15          # 508,431 subspaces in 15 patterns
     assert _auto_jobs(9, [1, 3], 2) == 64       # 788,035 subspaces in 84 patterns
     assert _auto_jobs(8, [2], 3) == 28          # 896,260 subspaces in 28 patterns
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
