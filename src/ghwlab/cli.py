@@ -239,7 +239,7 @@ def _check_hierarchy_shape(r_list, d_list, n, k):
 def _auto_jobs(tm, r_list, q):
     """Serial for small sweeps, else one worker per usable CPU and pattern."""
     # on 2 CPUs, --jobs 2 won at least 9 of 10 timed pairs from this size on
-    # ([93,10] over GF(2) at r=2) and at most 8 of 10 below it (BENCH_13.json)
+    # ([93,10] over GF(2) at r=2) and at most 8 of 10 below it
     if max(gaussian_binomial(tm, r, q) for r in r_list) < 174_251:
         return 1
     try:

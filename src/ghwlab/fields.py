@@ -282,7 +282,7 @@ class FieldCtx:
             block = len(table)
             for _ in range(self.p - 1):
                 # extend by a sized list: a bare map grows the table append by
-                # append, which raised the peak RSS of verify on GF(3^10) 0.3 MB
+                # append, which raised the peak RSS of verify on GF(3^10) about 0.3 MB
                 table.extend(list(map(shift.__getitem__, table[-block:])))
         self._trace_tables[sub_degree] = table
         return table
