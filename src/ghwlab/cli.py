@@ -30,7 +30,6 @@ from .hierarchy import (
     branch_label,
     character_sum_count,
     closed_form_dr,
-    closed_form_hierarchy,
     max_class_intersection,
     optimize_profile,
     rank_decomposition,
@@ -81,11 +80,10 @@ def _add_param_flags(sub, need_a=True):
                      help="comma list; defaults to 0,1,...,t-1 when e == t")
 
 
-def _add_output_flags(sub, formats=("json", "csv", "table")):
-    sub.add_argument("--format", choices=formats, default=formats[0])
+def _add_output_flags(sub, formats=()):
+    if formats:
+        sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--output", default="-", help="output path, - for stdout")
-    sub.add_argument("--no-timing", action="store_true",
-                     help="omit timing fields for byte-identical reruns")
 
 
 def build_parser():
@@ -98,11 +96,11 @@ def build_parser():
 
     sp = subs.add_parser("params", help="derive parameters and assumption checks")
     _add_param_flags(sp)
-    _add_output_flags(sp, formats=("json",))
+    _add_output_flags(sp)
 
     sc = subs.add_parser("check", help="like params; exit 4 when the closed-form hypotheses fail")
     _add_param_flags(sc)
-    _add_output_flags(sc, formats=("json",))
+    _add_output_flags(sc)
 
     sg = subs.add_parser("ghw", help="weight hierarchy by formula, brute force, dual sweep, or all")
     _add_param_flags(sg)
@@ -113,18 +111,20 @@ def build_parser():
                     help="max subspaces per sweep, >= 0 (default %(default)s)")
     sg.add_argument("--jobs", type=_at_least(0), default=0,
                     help="worker processes for sweeps, >= 0; 0 = auto")
-    _add_output_flags(sg)
+    _add_output_flags(sg, formats=("json", "csv", "table"))
+    sg.add_argument("--no-timing", action="store_true",
+                    help="omit timing fields for byte-identical reruns")
 
     sa = subs.add_parser("gauss", help="numeric Gauss periods for a field and divisor N")
     sa.add_argument("--p", type=int, required=True)
     sa.add_argument("--s", type=int, default=1)
     sa.add_argument("--m", type=int, required=True)
     sa.add_argument("--N", type=int, required=True)
-    _add_output_flags(sa, formats=("json",))
+    _add_output_flags(sa)
 
     sf = subs.add_parser("flv", help="table of per-slot maximum intersections")
     _add_param_flags(sf)
-    _add_output_flags(sf)
+    _add_output_flags(sf, formats=("json", "csv", "table"))
 
     sw = subs.add_parser("sweep", help="CSV over a range of a values with cross-checks")
     _add_param_flags(sw, need_a=False)
@@ -132,7 +132,7 @@ def build_parser():
                     help="inclusive range of a values")
     sw.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
                     help="max subspaces per sweep, >= 0 (default %(default)s)")
-    sw.add_argument("--output", default="-")
+    _add_output_flags(sw)
 
     sv = subs.add_parser("verify", help="character-sum counts vs exact counts on random subspaces")
     _add_param_flags(sv)
@@ -141,21 +141,19 @@ def build_parser():
     sv.add_argument("--seed", type=int, default=0)
     sv.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET,
                     help="max members of one subspace, q^r, >= 0 (default %(default)s)")
-    _add_output_flags(sv, formats=("json",))
+    _add_output_flags(sv)
 
     return parser
 
 
 def _write(args, text):
-    if getattr(args, "output", "-") in ("-", None):
+    if not text.endswith("\n"):
+        text += "\n"
+    if args.output == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(args.output, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
 def _derive(args):
@@ -223,6 +221,25 @@ def _oracle_rows(code, r_list, method, budget, jobs, timing):
     return rows
 
 
+def _run_methods(params, methods, r_list, budget, jobs, timing, hierarchies):
+    """Every row of each method in turn.  Each method's d_r list goes into
+    ``hierarchies`` as it finishes, so the caller keeps the finished lists
+    when a later method raises; all lists are shape-checked at the end."""
+    code = None  # built for the first sweep
+    rows = []
+    for method in methods:
+        if method == "formula":
+            method_rows = _formula_rows(params, r_list, timing)
+        else:
+            code = code or TraceCode(params)
+            method_rows = _oracle_rows(code, r_list, method, budget, jobs, timing)
+        rows += method_rows
+        hierarchies[method] = [row["d_r"] for row in method_rows]
+    for d_list in hierarchies.values():
+        _check_hierarchy_shape(r_list, d_list, params.n, params.k)
+    return rows
+
+
 def _check_hierarchy_shape(r_list, d_list, n, k):
     """d_r < d_r' for every requested r < r', and d_r <= n - k + r."""
     # sorted by (r, d): each r's largest d meets the next r's smallest
@@ -268,23 +285,11 @@ def cmd_ghw(args):
     if args.method == "all" and params.e != params.t:
         methods.remove("dual")  # dual counting is only defined for e == t
 
-    code = None
-    if "brute" in methods or "dual" in methods:
-        code = TraceCode(params)
-
     record = _base_record(params, report)
     record["budget"] = budget
-    record["results"] = []
     hierarchies = {}
-    timing = not args.no_timing
-    for method in methods:
-        if method == "formula":
-            rows = _formula_rows(params, r_list, timing)
-        else:
-            rows = _oracle_rows(code, r_list, method, budget, jobs, timing)
-        record["results"].extend(rows)
-        hierarchies[method] = [row["d_r"] for row in rows]
-        _check_hierarchy_shape(r_list, hierarchies[method], params.n, tm)
+    record["results"] = _run_methods(params, methods, r_list, budget, jobs,
+                                     not args.no_timing, hierarchies)
     record["hierarchy"] = hierarchies
     match = len({tuple(h) for h in hierarchies.values()}) <= 1
     record["match"] = match
@@ -369,7 +374,6 @@ def cmd_sweep(args):
         raise ValueError(f"--a-range START must be >= 1, got {args.a_range!r}")
     if a_start > a_stop:
         raise ValueError(f"--a-range START exceeds STOP, got {args.a_range!r}")
-    budget = args.budget
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(SWEEP_COLUMNS)
@@ -386,31 +390,19 @@ def cmd_sweep(args):
                report.e_equals_t, report.N_in_range,
                report.j if report.j is not None else "",
                report.sm_over_2j_odd, report.m_even, report.all_hold]
-        error = ""
-        formula_cell = "n/a (hypotheses)"
-        oracle_cell = ""
-        match_cell = ""
         r_all = range(1, params.k + 1)
+        within = all(gaussian_binomial(params.k, r, params.q) <= args.budget for r in r_all)
+        hierarchies = {}
+        error = ""
         try:
-            hierarchies = []
-            if report.all_hold:
-                formula = closed_form_hierarchy(params)
-                formula_cell = ";".join(str(d) for d in formula)
-                hierarchies.append(formula)
-            within = all(gaussian_binomial(params.k, r, params.q) <= budget for r in r_all)
-            if within:
-                code = TraceCode(params)
-                oracle = [ghw_bruteforce(code, r, budget=budget).d_r for r in r_all]
-                oracle_cell = ";".join(str(d) for d in oracle)
-                hierarchies.append(oracle)
-            else:
-                oracle_cell = "n/a (budget)"
-            if report.all_hold and within:
-                match_cell = str(formula == oracle)
-            for hierarchy in hierarchies:
-                _check_hierarchy_shape(r_all, hierarchy, params.n, params.k)
+            _run_methods(params, ["formula"] * report.all_hold + ["brute"] * within,
+                         r_all, args.budget, 1, False, hierarchies)
         except Exception as exc:  # per-row error column, sweep keeps going
             error = f"{type(exc).__name__}: {exc}"
+        cells = {method: ";".join(map(str, d_list)) for method, d_list in hierarchies.items()}
+        formula_cell = cells.get("formula", "") if report.all_hold else "n/a (hypotheses)"
+        oracle_cell = cells.get("brute", "") if within else "n/a (budget)"
+        match_cell = str(cells["formula"] == cells["brute"]) if len(cells) == 2 else ""
         failed = failed or match_cell == "False" or bool(error)
         writer.writerow(row + [formula_cell, oracle_cell, match_cell, error])
     _write(args, buf.getvalue())

@@ -134,7 +134,7 @@ class FieldCtx:
         self.exp = exp_table
         self.log = log_table
         self.zech = _zech_table(p, exp_table, log_table) if p != 2 else None
-        self.gamma = exp_table[1 % (self.Q - 1)] if self.Q > 2 else exp_table[0]
+        self.gamma = exp_table[1 % (self.Q - 1)]
         self.one = 1
         self._subfields: dict[int, tuple] = {}
         self._trace_tables: dict[int, list] = {}

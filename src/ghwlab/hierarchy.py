@@ -161,10 +161,6 @@ def closed_form_dr(params: CodeParams, r: int) -> int:
     return d
 
 
-def closed_form_hierarchy(params: CodeParams) -> list:
-    return [closed_form_dr(params, r) for r in range(1, params.k + 1)]
-
-
 def branch_label(fp: FormulaParams, r2: int) -> str:
     return "low" if r2 < fp.half else "high"
 
@@ -191,7 +187,7 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     with step = (Q-1)/(q-1), the exps at log x, log x + step, ... are two
     strided slices of exp, rotated so that position k holds exp at
     log x + k*step, and the multiples are gathered from them at the
-    ``scalar_logs``.  Each later basis vector adds one field addition per
+    ``scalar_logs``.  Each basis vector adds one field addition per
     member, a C-level XOR at p = 2.  A summand is ``periods_by_log()`` at
     log(arg); log 0 = -1 reads the class size.  The members' logs, then
     their periods, are two more gathers.  When a slot's members are 0 and
@@ -231,8 +227,6 @@ def character_sum_count(code: TraceCode, basis) -> complex:
         for x in xs:
             if not x:
                 members = members * q
-            elif len(members) == 1:  # the first image: 0 + c*x needs no addition
-                members = [0, *multiples(exp, x)]
             else:
                 members = members + [add(e, mb) for mb in multiples(exp, x) for e in members]
         slots.append(_gather(_gather(members, log), by_log))

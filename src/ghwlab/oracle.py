@@ -261,12 +261,13 @@ def _sweep_units(code, r, units, mode):
 def _work_units(code, r, jobs, total):
     """The sweep as ``(size, (pat_idx, pattern, lo, hi))`` units, in sweep order.
 
-    A serial sweep takes whole patterns.  A fanned-out one slices each
-    pattern's first-row choices so that a unit holds about total / (jobs *
-    _UNITS_PER_JOB) subspaces, or one first-row choice if that is more.
+    Each pattern's first-row choices are sliced so that a unit holds about
+    total / (jobs * _UNITS_PER_JOB) subspaces, or one first-row choice if
+    that is more.  A worker's consecutive units of one pattern share its
+    masks, so slicing a serial sweep costs no extra mask builds.
     """
     it = SubspaceIter(code.field, code.k, r)
-    cap = total if jobs <= 1 else -(-total // (jobs * _UNITS_PER_JOB))
+    cap = -(-total // (jobs * _UNITS_PER_JOB))
     units = []
     for pat_idx, pattern in enumerate(it.patterns()):
         first, *rest = [code.q ** len(free) for _, free in it.row_columns(pattern)]
@@ -347,16 +348,12 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     if total > budget:
         raise BudgetExceeded(total, budget, f"[{tm} choose {r}]_{code.q} = {total}")
     jobs = jobs or 1
-    units = _work_units(code, r, jobs, total)
-    if jobs > 1 and len(units) > 1:
-        parts = _fan_out(code, r, _deal(units, jobs), mode)
-    else:
-        parts = [_sweep_units(code, r, [unit for _, unit in units], mode)]
+    parts = _fan_out(code, r, _deal(_work_units(code, r, jobs, total), jobs), mode)
     best, best_pos, best_witness = -1, None, ()
     examined = 0
     for zeros, pos, witness, count in parts:
         examined += count
-        if zeros > best or (zeros == best and pos is not None and pos < best_pos):
+        if zeros > best or (zeros == best and pos < best_pos):
             best, best_pos, best_witness = zeros, pos, witness
     if examined != total:
         raise RuntimeError(f"sweep visited {examined} subspaces, expected {total}")

@@ -10,7 +10,7 @@ from hypothesis import assume, strategies as st
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
-from ghwlab.hierarchy import FormulaParams
+from ghwlab.hierarchy import FormulaParams, closed_form_dr
 from ghwlab import linalg
 from ghwlab.oracle import _OpRows, _RowMasks, _brute_scorer, _dual_scorer, ghw_bruteforce
 from ghwlab.subspaces import SubspaceIter, gaussian_binomial
@@ -231,6 +231,11 @@ def field(p, degree, s=1):
 @lru_cache(maxsize=None)
 def formula_params(q, m, N):
     return FormulaParams(q, m, N)
+
+
+def closed_form_hierarchy(params):
+    """d_1, ..., d_k by the closed form."""
+    return [closed_form_dr(params, r) for r in range(1, params.k + 1)]
 
 
 @lru_cache(maxsize=None)

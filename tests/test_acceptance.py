@@ -17,14 +17,13 @@ from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.hierarchy import (
     FormulaParams,
     character_sum_count,
-    closed_form_hierarchy,
     max_class_intersection,
     optimize_profile,
 )
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
 
 import helpers
-from helpers import span_elements
+from helpers import closed_form_hierarchy, span_elements
 from paper_lemmas import achieving_subspace, exhaustive_profile
 from test_hierarchy import _assert_monotonicity
 

@@ -1,5 +1,8 @@
+import argparse
+import ast
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +248,48 @@ def test_output_to_file(tmp_path, capsys):
     assert json.loads(target.read_text())["params"]["n"] == 8
 
 
+@pytest.mark.parametrize("cmd, flag", [
+    (cmd, flag)
+    for cmd in ("params", "check", "gauss", "verify") for flag in ("--format", "--no-timing")
+] + [("flv", "--no-timing")])
+def test_options_that_change_nothing_are_not_registered(capsys, cmd, flag):
+    argv = ["--p", "7", "--m", "2", "--N", "4"] if cmd == "gauss" else EX1
+    extra = [flag, "json"] if flag == "--format" else [flag]
+    code, out, err = run(capsys, cmd, *argv, *extra)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
+def _args_read(name, defs):
+    """Attributes of ``args`` read in cli function ``name`` or in a cli
+    function that it names, transitively."""
+    reads, pending, seen = set(), [name], set()
+    while pending:
+        if (fn := pending.pop()) in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(defs[fn]):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                reads.add(node.attr)
+            elif isinstance(node, ast.Name) and node.id in defs:
+                pending.append(node.id)
+    return reads
+
+
+def test_every_registered_option_is_read():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    subs = next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    unread = {}
+    for cmd, sub in subs.choices.items():
+        dests = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        if missing := dests - _args_read(cli.COMMANDS[cmd].__name__, defs):
+            unread[cmd] = sorted(missing)
+    assert unread == {}
+
+
 def test_sweep_exit_3_on_mismatch(capsys, monkeypatch):
     real = cli.ghw_bruteforce
 
@@ -275,7 +320,7 @@ def test_sweep_exit_3_on_error_row(capsys, monkeypatch):
 def test_sweep_exit_3_on_hierarchy_shape(capsys, monkeypatch):
     # ex1 is [8,4]: 8;8;8;8 from both methods matches, but is not strictly
     # increasing and breaks the Singleton bound d_1 <= 5
-    monkeypatch.setattr(cli, "closed_form_hierarchy", lambda params: [8] * params.k)
+    monkeypatch.setattr(cli, "closed_form_dr", lambda params, r: 8)
     monkeypatch.setattr(cli, "ghw_bruteforce", lambda code, r, budget=None, jobs=1:
                         GHWResult(r=r, d_r=8, common_zeros=0, witness=(), examined=1))
     code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
@@ -284,6 +329,20 @@ def test_sweep_exit_3_on_hierarchy_shape(capsys, monkeypatch):
     row = out.strip().splitlines()[1].split(",")
     assert row[-4:-1] == ["8;8;8;8", "8;8;8;8", "True"]
     assert row[-1] == "RuntimeError: hierarchy is not strictly increasing: 8;8;8;8"
+
+
+def test_sweep_formula_cell_empty_on_closed_form_error(capsys, monkeypatch):
+    # the hypotheses hold for ex1, so the cell used to read "n/a (hypotheses)"
+    def broken(params, r):
+        raise RuntimeError(f"scaled objective for r={r} is not an integer")
+
+    monkeypatch.setattr(cli, "closed_form_dr", broken)
+    code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                       "--t", "2", "--a-range", "6:6")
+    assert code == 3
+    row = out.strip().splitlines()[1].split(",")
+    assert row[-5:] == ["True", "", "", "",
+                        "RuntimeError: scaled objective for r=1 is not an integer"]
 
 
 def test_sweep_rejects_empty_a_range(capsys):

@@ -6,7 +6,6 @@ from ghwlab.hierarchy import (
     FormulaParams,
     character_sum_count,
     closed_form_dr,
-    closed_form_hierarchy,
     max_class_intersection,
     optimize_profile,
     profile_objective,
@@ -15,7 +14,7 @@ from ghwlab.hierarchy import (
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce
 
 import helpers
-from helpers import span_elements
+from helpers import closed_form_hierarchy, span_elements
 from paper_lemmas import (
     OpConditionError,
     achieving_subspace,

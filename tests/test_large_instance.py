@@ -12,10 +12,11 @@ import random
 import pytest
 
 from ghwlab.codes import TraceCode, check_closed_form_hypotheses, derive_params
-from ghwlab.hierarchy import character_sum_count, closed_form_hierarchy
+from ghwlab.hierarchy import character_sum_count
 from ghwlab.linalg import vectors_independent
 from ghwlab.oracle import count_common_zeros
 
+from helpers import closed_form_hierarchy
 from paper_lemmas import count_via_dual
 
 
