@@ -256,7 +256,8 @@ def _check_hierarchy_shape(r_list, d_list, n, k):
 def _auto_jobs(tm, r_list, q):
     """Serial for small sweeps, else one worker per usable CPU and pattern."""
     # on 2 CPUs, --jobs 2 won at least 9 of 10 timed pairs from this size on
-    # ([93,10] over GF(2) at r=2) and at most 8 of 10 below it
+    # ([93,10] over GF(2) at r=2) and at most 8 of 10 below it; with the
+    # trailing rows folded it still won 10 of 10 here and 4 of 10 at 43,435
     if max(gaussian_binomial(tm, r, q) for r in r_list) < 174_251:
         return 1
     try:

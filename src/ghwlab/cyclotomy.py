@@ -95,12 +95,11 @@ class CyclotomyCtx:
         """The period at every element, indexed by its log: entry l < Q-1 is
         ``period_table()[l % N]``, and the last entry, index -1 = log[0],
         is the class size, the period at 0.  Built on first use, one
-        pointer per field element.
+        pointer per field element: the N periods repeated class-size times,
+        then the class size appended, with no other list of that size.
         """
         if self._by_log is None:
-            group = self.field.Q - 1
-            by_log = [complex(self.class_size)] * (group + 1)
-            for i, value in enumerate(self.period_table()):
-                by_log[i:group:self.N] = [value] * self.class_size
+            by_log = list(self.period_table()) * self.class_size
+            by_log.append(complex(self.class_size))
             self._by_log = by_log
         return self._by_log

@@ -2,16 +2,21 @@
 
 An element is a plain integer in [0, Q): its base-p digits are the
 coefficients of the residue polynomial modulo a fixed primitive polynomial,
-constant term first.  Multiplication goes through dense exponent/logarithm
+constant term first.  Multiplication goes through exponent/logarithm
 tables built once at construction by stepping gamma^k to gamma^(k+1) on
 the packed code: a shift by one digit, then the top digit folded back in
 through two small tables per digit value, one for each half of the
 shifted digits, so no step loops over digits.  For odd p, addition goes through a table
 of Zech logarithms, zech[k] = log(1 + gamma^k), and negation adds (Q-1)/2 to
 the logarithm; for p = 2 addition is XOR.  Every operation is a few table
-lookups.  The intermediate field GF(q), q = p^s, is kept as the subset of
-elements fixed by x -> x^q rather than as a separate field object, which
-keeps all arithmetic inside a single context.  GF(q)-coordinates in the
+lookups.  ``exp`` is a list of the element codes, the only int objects a
+field holds per element (about 40 bytes each with its pointer); ``log``
+and ``zech`` are ``array("i")`` tables of 4 bytes per entry.  Each
+Q-sized table exists once: the trace onto the whole field and the whole
+field as a subfield are ``range(Q)``, not copies of it.  The intermediate
+field GF(q), q = p^s, is kept as the subset of elements fixed by
+x -> x^q rather than as a separate field object, which keeps all
+arithmetic inside a single context.  GF(q)-coordinates in the
 basis (1, gamma, ..., gamma^(m-1)) are trace pairings Tr_{Q->q}(x * d_j)
 with the trace-dual basis d, and the degree of x over GF(q) is the size of
 its q-conjugacy orbit.
@@ -23,6 +28,10 @@ verification, not cryptographic sizes.
 from __future__ import annotations
 
 import functools
+from array import array
+from collections import deque
+from itertools import repeat
+from operator import getitem, setitem
 
 from . import linalg
 
@@ -116,7 +125,7 @@ def _x_has_full_order(p, degree, modulus):
 
 
 class FieldCtx:
-    """GF(p^(s*m)) with a primitive element and dense exp/log tables.
+    """GF(p^(s*m)) with a primitive element and its exp/log tables.
 
     Not constructed directly; use :func:`build_field`.  All operations are
     pure and the context is immutable after construction (lazily built
@@ -162,6 +171,21 @@ class FieldCtx:
             return 0
         return self.exp[(la + z) % group]
 
+    def translate(self, codes, b) -> list:
+        """``[x + b for x in codes]``: XOR at p = 2, else digit by digit,
+        with no logarithm: the low and high halves of a code's digits each
+        index a table of their sum with b's digits, about 2 sqrt(Q) entries
+        built for b on each call."""
+        if self.p == 2:
+            return [x ^ b for x in codes]
+        p, d = self.p, self.degree
+        lo_width = d // 2
+        size = p**lo_width
+        digits = _digits(b, p, d)
+        low = _digitwise_add_table(p, lo_width, digits[:lo_width], 1)
+        high = _digitwise_add_table(p, d - lo_width, digits[lo_width:], size)
+        return [low[x % size] + high[x // size] for x in codes]
+
     def neg(self, a):
         """-a: -1 = gamma^((Q-1)/2) when p is odd."""
         if self.p == 2 or a == 0:
@@ -206,8 +230,9 @@ class FieldCtx:
 
     # -- subfields and traces ---------------------------------------------
 
-    def subfield(self, sub_degree) -> tuple:
-        """Elements of the subfield GF(p^sub_degree), sorted ascending.
+    def subfield(self, sub_degree) -> tuple | range:
+        """Elements of the subfield GF(p^sub_degree), sorted ascending: a
+        tuple, or ``range(Q)`` for the whole field.
 
         The result always starts with 0 and 1, which downstream code relies
         on when it needs canonical scalar lists.
@@ -220,9 +245,8 @@ class FieldCtx:
                 f"subfield degree {sub_degree} does not divide {self.degree}"
             )
         size = self.p**sub_degree
-        if size == self.Q:  # every code, in order: the identity trace table
-            result = self._subfields[sub_degree] = tuple(self.trace_table(sub_degree))
-            return result
+        if size == self.Q:  # every code, in order
+            return range(self.Q)
         step = (self.Q - 1) // (size - 1)
         elems = sorted({0} | {self.exp[(k * step) % (self.Q - 1)] for k in range(size - 1)})
         result = tuple(elems)
@@ -232,27 +256,28 @@ class FieldCtx:
         return result
 
     @property
-    def subfield_q(self) -> tuple:
+    def subfield_q(self) -> tuple | range:
         return self.subfield(self.s)
 
     @property
-    def scalar_logs(self) -> tuple:
+    def scalar_logs(self) -> tuple | array:
         """Logs of the nonzero scalars of ``subfield_q``, in its order, to
         the base gamma^((Q-1)/(q-1)), the primitive element of GF(q); built
         on first use.
 
         The scalar c is ``exp[scalar_logs[i] * (Q-1)/(q-1)]``.  At q = Q
-        these are the field's own logs, held as the log table's objects,
-        so the cache is one pointer per element.
+        the scalars are the codes 1..Q-1, so these are the slice ``log[1:]``
+        of the log table, 4 bytes per element.
         """
         if self._scalar_logs is None:
             step = (self.Q - 1) // (self.q - 1)
-            logs = tuple(map(self.log.__getitem__, self.subfield_q[1:]))
-            # step > 1 only when m > 1, so at most sqrt(Q) new ints
-            self._scalar_logs = tuple(lc // step for lc in logs) if step > 1 else logs
+            if step == 1:
+                self._scalar_logs = self.log[1:]
+            else:  # only when m > 1, so at most sqrt(Q) scalars
+                self._scalar_logs = tuple(self.log[c] // step for c in self.subfield_q[1:])
         return self._scalar_logs
 
-    def trace_table(self, sub_degree) -> list:
+    def trace_table(self, sub_degree) -> list | range:
         """Relative trace onto GF(p^sub_degree) of every element; built once.
 
         The trace is GF(p)-linear, so it is fixed by its values on the basis
@@ -260,7 +285,8 @@ class FieldCtx:
         The table then grows one base-p digit at a time:
         tr[x + c*p^i] = tr[x + (c-1)*p^i] + tr[p^i], where adding tr[p^i]
         is a lookup in a shift table over the subfield, which holds every
-        trace value.  The trace onto the whole field is the identity.
+        trace value.  The trace onto the whole field is the identity,
+        returned as ``range(Q)``.
         """
         table = self._trace_tables.get(sub_degree)
         if table is not None:
@@ -269,8 +295,7 @@ class FieldCtx:
             raise ValueError(
                 f"trace target degree {sub_degree} does not divide {self.degree}")
         if sub_degree == self.degree:
-            table = self._trace_tables[sub_degree] = list(range(self.Q))
-            return table
+            return range(self.Q)
         add, values = self.add, self.subfield(sub_degree)
         table = [0]
         for i in range(self.degree):
@@ -381,14 +406,15 @@ def build_field(p: int, ext_degree: int, subfield_degree: int = 1) -> FieldCtx:
 
 
 def _zech_table(p, exp_table, log_table):
-    """zech[k] = log(1 + gamma^k), or -1 where 1 + gamma^k = 0.
+    """zech[k] = log(1 + gamma^k), or -1 where 1 + gamma^k = 0, as an
+    ``array("i")`` like the log table.
 
     Adding 1 changes only the constant digit of a code: x + 1, wrapping to
     x + 1 - p when that digit is p - 1.  ``log_succ[x]`` is log(x + 1).
     """
     log_succ = log_table[1:] + log_table[:1]
     log_succ[p - 1::p] = log_table[::p]
-    return [log_succ[x] for x in exp_table]
+    return array("i", map(getitem, repeat(log_succ), exp_table))
 
 
 def _digitwise_add_table(p, width, addend, scale, offset=0):
@@ -403,7 +429,8 @@ def _digitwise_add_table(p, width, addend, scale, offset=0):
 
 
 def _build_tables(p, d, modulus):
-    """exp[k] = gamma^k and its inverse log, with gamma the residue of x.
+    """exp[k] = gamma^k, a list, and its inverse log, an ``array("i")``
+    with log[0] = -1, for gamma the residue of x.
 
     Multiplying a code c by x splits off its top digit c_top, shifts the
     other d - 1 digits up by one place and folds c_top back in as
@@ -414,6 +441,10 @@ def _build_tables(p, d, modulus):
     digits and one for the high floor((d-1)/2).  The tables hold
     (p - 1) * (p^ceil((d-1)/2) + p^floor((d-1)/2)) entries in all, at most
     about Q; for d = 1 each table is the single entry c_top * gamma or 0.
+
+    gamma is primitive exactly when its Q - 1 powers are the Q - 1 nonzero
+    codes: the walk never meets 0 and comes back to 1, and every nonzero
+    code gets a log, so -1 is left only at log[0].
     """
     Q = p**d
     group = Q - 1
@@ -427,19 +458,19 @@ def _build_tables(p, d, modulus):
             _digitwise_add_table(p, lo_width, addend[1:lo_width + 1], p, addend[0]),
             _digitwise_add_table(p, d - 1 - lo_width, addend[lo_width + 1:], p * lo_size)))
     exp_table = [0] * group
-    log_table = [-1] * Q
     cur = 1
     for k in range(group):
-        if log_table[cur] != -1:
-            raise RuntimeError("exp table collision: modulus is not primitive")
         exp_table[k] = cur
-        log_table[cur] = k
         c, rest = divmod(cur, top)
         if c:
             low, high = folds[c]
             cur = low[rest % lo_size] + high[rest // lo_size]
         else:
             cur = rest * p
-    if cur != 1:
-        raise RuntimeError("primitive element order check failed")
+    log_table = array("i", [-1]) * Q
+    # log[exp[k]] = k for every k, stored at C speed (the deque keeps nothing)
+    deque(map(setitem, repeat(log_table), exp_table, range(group)), maxlen=0)
+    if cur != 1 or log_table.count(-1) != 1:
+        raise RuntimeError("modulus is not primitive: the powers of x "
+                           "are not the nonzero codes")
     return exp_table, log_table

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from functools import reduce
+from itertools import chain, repeat
 
 from .codes import CodeParams, TraceCode, check_closed_form_hypotheses
 from .cyclotomy import semiprimitive_j
@@ -165,74 +166,91 @@ def branch_label(fp: FormulaParams, r2: int) -> str:
     return "low" if r2 < fp.half else "high"
 
 
-def _gather(keys, seq) -> tuple:
-    """``seq[k]`` for every k in ``keys``, as a tuple, in one C-level call.
-
-    ``itemgetter`` with a single key returns the bare item, not a 1-tuple;
-    at q = 2 an image has a single nonzero multiple.
-    """
-    if len(keys) == 1:
-        return (seq[keys[0]],)
-    return operator.itemgetter(*keys)(seq)
-
-
 def character_sum_count(code: TraceCode, basis) -> complex:
     """Common-zero count of a message subspace as a numeric character sum.
 
     Each member b contributes, for h = 1..t, the Gauss period at slot h of
     ``code.relabel(b)`` (the derivation is there).  The image is GF(q)-linear
     in b, so it is computed once per basis vector, and the members' images
-    are the GF(q)-span of those, enumerated slot by slot by table gathers.
-    The multiples c*x of an image coordinate x are exp at log x + log c:
-    with step = (Q-1)/(q-1), the exps at log x, log x + step, ... are two
-    strided slices of exp, rotated so that position k holds exp at
-    log x + k*step, and the multiples are gathered from them at the
-    ``scalar_logs``.  Each basis vector adds one field addition per
-    member, a C-level XOR at p = 2.  A summand is ``periods_by_log()`` at
-    log(arg); log 0 = -1 reads the class size.  The members' logs, then
-    their periods, are two more gathers.  When a slot's members are 0 and
-    the multiples of a single image (at r = 1, unless the image is 0),
-    their periods are gathered directly from the rotated
-    ``periods_by_log()``.  Summation is a strict left fold over members
-    outer, in coefficient order with the last basis vector slowest, and
-    slots inner, as a member-by-member evaluation adds them, so the float
-    does not depend on how the arguments were enumerated.  The
-    result must agree with the exact integer count within 1e-6 (at most
-    Q * q^r * t unit-magnitude summands at desk scale).  Requires e == t.
+    are the GF(q)-span of those, enumerated slot by slot.  The multiples
+    c*x of an image coordinate x have logs (log x + log c) mod (Q-1), with
+    log c = ``scalar_logs`` times (Q-1)/(q-1), so the multiples are exp at
+    those logs.  Each basis vector after the first adds each multiple to
+    every member with ``FieldCtx.translate``: an XOR at p = 2, else two
+    table reads per member.  A summand is ``periods_by_log()`` at
+    log(arg); log 0 = -1 reads the class size.  When a slot's members are
+    0 and the multiples of a single image (at r = 1, unless the image is
+    0), their periods are read straight at the multiples' logs, as a lazy
+    stream that builds nothing of the field's size; otherwise a slot's
+    periods are one tuple, read through a per-call table of every code's
+    period once the members outnumber the field's elements.  Summation is
+    a strict left fold over members outer, in coefficient order with the
+    last basis vector slowest, and slots inner, as a member-by-member
+    evaluation adds them, so the float does not depend on how the
+    arguments were enumerated.  The result must agree with the exact
+    integer count within 1e-6 (at most Q * q^r * t unit-magnitude summands
+    at desk scale).  Requires e == t.
     """
     params = code.params
     if params.e != params.t:
         raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
     field = code.field
     exp, log = field.exp, field.log
-    add = operator.xor if field.p == 2 else field.add
     by_log = code.cyclotomy.periods_by_log()
-    scalar_logs = field.scalar_logs
+    class_size = by_log[-1]
     group, q, t = params.Q - 1, params.q, params.t
     step = group // (q - 1)
+    # log c for the nonzero scalars c; at step 1 the log table's own slice
+    scalar_logs = field.scalar_logs if step == 1 else [k * step for k in field.scalar_logs]
 
     def multiples(table, x):
-        # table[(log x + log c) mod (Q-1)] for the nonzero scalars c
+        # table at log(c*x) = (log x + log c) mod (Q-1), for each nonzero scalar c
         lx = log[x]
-        return _gather(scalar_logs, table[lx:group:step] + table[lx % step:lx:step])
+        return (table[(lx + k) % group] for k in scalar_logs)
+
+    r = len(basis)
+    if r > 1 and q**r >= group:
+        # more members than field elements: one pass over the log table
+        # gives every code's period, and then a member's is one list read
+        by_code = list(map(by_log.__getitem__, log))
+
+        def periods(members):
+            return tuple(map(by_code.__getitem__, members))
+    else:
+        def periods(members):
+            return tuple(map(by_log.__getitem__, map(operator.getitem, repeat(log), members)))
+
+    def span(xs):
+        # codes of sum_j c_j xs[j] over the coefficients, the last slowest
+        members = [0]
+        for x in xs:
+            if not x:
+                members = members * q
+            else:  # block i holds the members plus the i-th multiple of x
+                size = len(members)
+                shifted = members * q
+                for i, mb in enumerate(multiples(exp, x), 1):
+                    shifted[i * size:(i + 1) * size] = field.translate(members, mb)
+                members = shifted
+        return members
 
     images = [code.relabel(b) for b in basis]
     slots = []
     for h in range(t):
         xs = [image[h] for image in images]
-        if len(xs) == 1 and xs[0]:
-            slots.append((by_log[-1], *multiples(by_log, xs[0])))
-            continue
-        members = [0]
-        for x in xs:
-            if not x:
-                members = members * q
-            else:
-                members = members + [add(e, mb) for mb in multiples(exp, x) for e in members]
-        slots.append(_gather(_gather(members, log), by_log))
-    summands = [0j] * (t * len(slots[0]))
-    for h, slot in enumerate(slots):
-        summands[h::t] = slot  # member-major: slot h of member i at i*t + h
+        if r == 1:
+            slots.append(chain((class_size,), multiples(by_log, xs[0])) if xs[0]
+                         else repeat(class_size, q))
+        else:  # a tuple of periods: a slot's members are freed before the next
+            slots.append(periods(span(xs)))
+    # member-major: slot h of member i is the (i*t + h)-th summand
+    if t == 1:
+        summands = slots[0]
+    elif r == 1:  # interleave the lazy streams, with no list of the field's size
+        summands = chain.from_iterable(zip(*slots))
+    else:  # a list of the tuples' size folds faster than the interleaved streams
+        summands = [0j] * (t * len(slots[0]))
+        for h, slot in enumerate(slots):
+            summands[h::t] = slot
     total = reduce(operator.add, summands, 0j)  # not sum(): it compensates floats from 3.12
-    r = len(basis)
     return total * params.N / (params.t * params.delta * params.q**r)

@@ -4,8 +4,12 @@ Two independent oracles validate the closed form: a direct sweep that takes
 the support union of every r-dimensional subcode, and a recount through the
 dual of each message subspace under the trace bilinear form, where common
 zeros become axis-supported dual vectors landing in a fixed cyclotomy class.
-The two sweeps must agree on the maximum (the dual expression counts a
-relabeled subspace, so agreement is between maxima, not per subspace).
+The two sweeps must agree on the maximum.  The dual sweep reads each
+subspace it enumerates as an image relabel(S) under ``TraceCode.relabel``,
+an invertible linear map, and the dual count of relabel(S) is the direct
+count of S subspace by subspace (``tests/test_relabel.py``).  The sweeps
+therefore maximize the same counts, though the dual sweep's witness is a
+basis of the image, not of S.
 
 Both sweeps are one kernel over a k x w matrix M over GF(q): a message row
 marks the positions where ``row . M`` is nonzero.  For the direct sweep M is
@@ -19,11 +23,14 @@ choices.  The kernel gives every choice of a row at once: it builds the
 row's prefix words depth first, then sorts the positions of each prefix
 word into one bucket per value of the last free entry (the value that zeroes
 the position), so a choice's mask is the complement of its bucket and of
-the positions that vanish for every value.  A subspace is then scored by
-OR-ing its first r-1 masks once per prefix and taking one popcount per mask
-of the last row.  The dual count of a single basis, ``count_via_dual``, is
-a test reference in ``tests/paper_lemmas.py`` that scores through this
-module's dual scorer.
+the positions that vanish for every value.  Trailing rows whose choices
+number at most ``_TAIL_CAP`` together are OR-folded into one list of masks,
+in product order; a subspace is then scored by OR-ing the masks of the
+remaining rows once per prefix and taking one popcount per folded mask.
+The witness is decoded from the best subspace's position by
+``SubspaceIter.pattern_basis``.  The dual count of a single basis,
+``count_via_dual``, is a test reference in ``tests/paper_lemmas.py`` that
+scores through this module's dual scorer.
 
 Sweeps are split into work units, slices of a pattern's first-row choices;
 units are independent and combine by max reduction, so multi-process runs
@@ -53,6 +60,9 @@ DEFAULT_BUDGET = 10_000_000
 
 # a fanned-out sweep is cut into about this many work units per worker
 _UNITS_PER_JOB = 4
+
+# trailing rows are OR-folded into one mask list while it stays this long
+_TAIL_CAP = 4096
 
 
 class GHWResult(namedtuple("GHWResult", "r d_r common_zeros witness examined")):
@@ -238,6 +248,10 @@ def _sweep_units(code, r, units, mode):
         first, *rest = masks
         *heads, last = [first[lo:hi], *rest]
         offset = lo * math.prod(map(len, rest))
+        # one OR per combination of the folded rows, in product order, so
+        # a subspace keeps its position
+        while heads and len(heads[-1]) * len(last) <= _TAIL_CAP:
+            last = [a | b for a in heads.pop() for b in last]
         for pos, prefix in enumerate(itertools.product(*heads)):
             union = functools.reduce(operator.or_, prefix, 0)
             pops = [(union | mask).bit_count() for mask in last]
@@ -248,8 +262,8 @@ def _sweep_units(code, r, units, mode):
                 best = zeros
                 best_pos = (pat_idx, offset + pos * len(last) + pops.index(min(pops)))
                 best_pattern = pattern
-    best_rows = next(itertools.islice(it.iter_pattern(best_pattern), best_pos[1], None))
-    witness = tuple(linalg.vector_from_coords(field, code.t, row) for row in best_rows)
+    witness = tuple(linalg.vector_from_coords(field, code.t, row)
+                    for row in it.pattern_basis(best_pattern, best_pos[1]))
     if mode == "brute":
         recount = count_common_zeros(code, witness)
         if recount != best:

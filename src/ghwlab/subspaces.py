@@ -82,3 +82,21 @@ class SubspaceIter:
     def iter_pattern(self, pattern):
         """The pattern's subspaces: one row from each row's choices."""
         return itertools.product(*self.row_choices(pattern))
+
+    def pattern_basis(self, pattern, index) -> tuple:
+        """``iter_pattern(pattern)``'s subspace at ``index``, decoded by
+        mixed radix without enumerating: the index splits into one choice
+        per row, the last row fastest, and a row's choice into one scalar
+        per free column, the last column fastest."""
+        scalars, q = self.scalars, len(self.scalars)
+        rows = []
+        for pc, free in reversed(self.row_columns(pattern)):
+            row = [0] * self.d
+            row[pc] = 1
+            for j in reversed(free):
+                index, digit = divmod(index, q)
+                row[j] = scalars[digit]
+            rows.append(tuple(row))
+        if index:
+            raise IndexError("subspace index out of range for the pattern")
+        return tuple(reversed(rows))

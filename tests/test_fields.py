@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from ghwlab.fields import (
+    FieldCtx,
     _build_tables,
     build_field,
     is_prime,
@@ -336,13 +337,38 @@ TABLE_FIELDS = ([(2, d) for d in range(1, 17)] + [(3, d) for d in range(1, 12)]
 @pytest.mark.parametrize("p,degree", TABLE_FIELDS)
 def test_tables_match_digit_loop(p, degree):
     field = build_field(p, degree)
-    assert (field.exp, field.log) == digit_loop_tables(p, degree, field.modulus)
+    assert (field.exp, list(field.log)) == digit_loop_tables(p, degree, field.modulus)
 
 
 @pytest.mark.parametrize("p", [1009, 65537])
 def test_tables_match_digit_loop_large_prime(p):
     field = build_field(p, 1)
-    assert (field.exp, field.log) == digit_loop_tables(p, 1, field.modulus)
+    assert (field.exp, list(field.log)) == digit_loop_tables(p, 1, field.modulus)
+
+
+def test_tables_of_gf3_10_memory():
+    # exp's list and its int objects take about 40 bytes per element; log
+    # and zech are 4-byte arrays, and the peak adds one 4-byte temporary.
+    # As lists of ints, log and zech took 88 bytes per element, 96 at peak.
+    p, d = 3, 10
+    modulus = list(build_field(p, d).modulus)
+    tracemalloc.start()
+    try:
+        field = FieldCtx(p, 1, d, modulus, *_build_tables(p, d, modulus))
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.log.itemsize == field.zech.itemsize == 4
+    assert current <= 50 * field.Q
+    assert peak <= 56 * field.Q
+
+
+@pytest.mark.parametrize("p,degree", [(2, 1), (2, 6), (3, 1), (3, 5), (5, 3), (7, 2), (1009, 1)])
+def test_translate_matches_add(p, degree):
+    field = build_field(p, degree)
+    codes = list(range(field.Q))
+    for b in {0, 1, field.gamma, field.Q - 1, field.Q // 2}:
+        assert field.translate(codes, b) == [field.add(x, b) for x in codes], b
 
 
 def test_tables_prime_field_build_is_linear():

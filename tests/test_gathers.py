@@ -9,6 +9,7 @@ caches hold on [61,1] over GF(3^10).
 
 import copy
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -36,7 +37,7 @@ def test_subfield_equals_set_and_sort_definition(p, degree, s):
     field = helpers.field(p, degree, s)
     for sub in range(1, degree + 1):
         if degree % sub == 0:
-            assert field.subfield(sub) == _sorted_subfield(field, sub), sub
+            assert tuple(field.subfield(sub)) == _sorted_subfield(field, sub), sub
 
 
 @pytest.mark.parametrize("p, degree, s", FIELDS)
@@ -44,10 +45,10 @@ def test_scalar_logs_are_logs_in_gf_q(p, degree, s):
     field = helpers.field(p, degree, s)
     step = (field.Q - 1) // (field.q - 1)
     scalars = field.subfield_q[1:]
-    assert field.scalar_logs == tuple(field.log[c] // step for c in scalars)
-    assert tuple(field.exp[k * step] for k in field.scalar_logs) == scalars
-    if field.q == field.Q:  # the log table's own objects, no new ints
-        assert all(k is field.log[c] for k, c in zip(field.scalar_logs, scalars))
+    assert tuple(field.scalar_logs) == tuple(field.log[c] // step for c in scalars)
+    assert tuple(field.exp[k * step] for k in field.scalar_logs) == tuple(scalars)
+    if field.q == field.Q:  # no int object per element: at most 8 bytes each
+        assert sys.getsizeof(field.scalar_logs) <= 8 * len(scalars) + 128
 
 
 @pytest.mark.parametrize("p, degree, s", FIELDS)
@@ -109,3 +110,48 @@ def test_gathers_memory_on_gf3_10():
     # two arrays of one 8-byte pointer per element, plus their headers
     assert cache_bytes <= 16 * field.Q + 256
     assert peak - before < 1_600_000
+
+
+def _private_61_1():
+    # [61,1] over GF(3^10) on a field context of its own, so its lazily
+    # built caches start empty whatever ran before
+    params = derive_params(3, 10, 1, 1, 1, 968)
+    f = params.field
+    params = copy.copy(params)
+    params.field = FieldCtx(f.p, f.s, f.m, f.modulus, f.exp, f.log)
+    return params
+
+
+def test_trace_code_at_q_eq_Q_holds_no_field_sized_list():
+    # at q = Q the trace onto GF(q) is the identity, range(Q): building the
+    # code allocates its 61 evaluation points, not a list of Q codes (2.4 MB
+    # with their int objects)
+    params = _private_61_1()
+    tracemalloc.start()
+    try:
+        code = TraceCode(params)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code.field.trace_table(10) == range(code.field.Q)
+    assert code.field.subfield_q == range(code.field.Q)
+    assert peak < 16_384
+
+
+def test_character_sum_at_r1_builds_nothing_field_sized():
+    # [61,1] over GF(3^10), r = 1: the slot's periods are read at the
+    # multiples' logs one at a time and folded as they come; rotations,
+    # gathered tuples and the summands list took 1.42 MB
+    code = TraceCode(_private_61_1())
+    basis = helpers.random_basis(code, 1, random.Random(61))
+    expected = helpers.member_character_sum_count(code, basis)
+    assert character_sum_count(code, basis) == expected  # builds the caches
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        value = character_sum_count(code, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak - before < 16_384

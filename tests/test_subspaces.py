@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -106,3 +107,33 @@ def test_iter_pattern_matches_odometer(fixture, q, d, r, request):
     for pattern in it.patterns():
         assert list(it.iter_pattern(pattern)) == list(
             helpers.odometer_pattern(ctx.subfield_q, d, pattern))
+
+
+@pytest.mark.parametrize("fixture,q,d,r",
+                         ENUM_CASES + [("f4_in_f64", 4, 4, r) for r in range(5)])
+def test_pattern_basis_decodes_every_position(fixture, q, d, r, request):
+    # the mixed-radix decode the sweeps take their witness from, against
+    # next(islice(iter_pattern(pattern), pos, None)) at every position of
+    # every pattern, read off one walk of the stream
+    ctx = request.getfixturevalue(fixture)
+    it = SubspaceIter(ctx, d, r)
+    for pattern in it.patterns():
+        for pos, rows in enumerate(it.iter_pattern(pattern)):
+            assert it.pattern_basis(pattern, pos) == rows, (pattern, pos)
+        with pytest.raises(IndexError):
+            it.pattern_basis(pattern, pos + 1)
+
+
+def test_pattern_basis_memory_at_r1_gf3_12():
+    # pattern (0,) of GF(3)^12 at r = 1 holds 3^11 subspaces: walking
+    # iter_pattern to the last one materialized every row choice, 25.7 MiB
+    it = SubspaceIter(helpers.field(3, 1), 12, 1)
+    last = 3**11 - 1
+    tracemalloc.start()
+    try:
+        rows = it.pattern_basis((0,), last)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows == ((1,) + (2,) * 11,)
+    assert peak < 16_384
