@@ -47,6 +47,7 @@ class CyclotomyCtx:
         self.class_size = (field.Q - 1) // N
         self._table = None
         self._by_log = None
+        self._by_code = None
 
     def __repr__(self):
         return f"CyclotomyCtx(Q={self.field.Q}, N={self.N})"
@@ -103,3 +104,13 @@ class CyclotomyCtx:
             by_log.append(complex(self.class_size))
             self._by_log = by_log
         return self._by_log
+
+    def periods_by_code(self) -> list:
+        """The period at every element, indexed by the element's code:
+        ``periods_by_log()`` read at ``log[x]`` for each code x, so entry 0
+        is the class size.  Built on first use, one pointer per field
+        element, pointing at the same period objects.
+        """
+        if self._by_code is None:
+            self._by_code = list(map(self.periods_by_log().__getitem__, self.field.log))
+        return self._by_code

@@ -175,12 +175,15 @@ class FieldCtx:
         """``[x + b for x in codes]``: XOR at p = 2, else digit by digit,
         with no logarithm: the low and high halves of a code's digits each
         index a table of their sum with b's digits, about 2 sqrt(Q) entries
-        built for b on each call."""
+        built for b on each call.  Fewer codes than that are added one
+        ``add`` at a time instead."""
         if self.p == 2:
             return [x ^ b for x in codes]
         p, d = self.p, self.degree
         lo_width = d // 2
         size = p**lo_width
+        if len(codes) < size + p ** (d - lo_width):
+            return [self.add(x, b) for x in codes]
         digits = _digits(b, p, d)
         low = _digitwise_add_table(p, lo_width, digits[:lo_width], 1)
         high = _digitwise_add_table(p, d - lo_width, digits[lo_width:], size)

@@ -177,17 +177,19 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     log c = ``scalar_logs`` times (Q-1)/(q-1), so the multiples are exp at
     those logs.  Each basis vector after the first adds each multiple to
     every member with ``FieldCtx.translate``: an XOR at p = 2, else two
-    table reads per member.  A summand is ``periods_by_log()`` at
-    log(arg); log 0 = -1 reads the class size.  When a slot's members are
-    0 and the multiples of a single image (at r = 1, unless the image is
-    0), their periods are read straight at the multiples' logs, as a lazy
-    stream that builds nothing of the field's size; otherwise a slot's
-    periods are one tuple, read through a per-call table of every code's
-    period once the members outnumber the field's elements.  Summation is
-    a strict left fold over members outer, in coefficient order with the
-    last basis vector slowest, and slots inner, as a member-by-member
-    evaluation adds them, so the float does not depend on how the
-    arguments were enumerated.  The result must agree with the exact
+    table reads or one ``add`` per member.  A summand is the Gauss period
+    at the argument.  At r = 1 a slot's members are 0 and the multiples of
+    one image, so their periods are ``periods_by_log()`` read straight at
+    the multiples' logs, as a lazy stream that builds nothing of the
+    field's size.  At r >= 2 a slot's periods are one tuple, gathered from
+    ``periods_by_code()`` at its members (at least q >= 2 of them, so the
+    gather is a tuple); the slots' tuples are interleaved into one list
+    before the fold, which folds faster than interleaving them lazily.  A
+    single slot (t = 1) is folded as it is.  Summation is a strict left
+    fold over members outer, in coefficient order with the last basis
+    vector slowest, and slots inner, as a member-by-member evaluation adds
+    them, so the float does not depend on how the arguments were
+    enumerated.  The result must agree with the exact
     integer count within 1e-6 (at most Q * q^r * t unit-magnitude summands
     at desk scale).  Requires e == t.
     """
@@ -208,18 +210,6 @@ def character_sum_count(code: TraceCode, basis) -> complex:
         lx = log[x]
         return (table[(lx + k) % group] for k in scalar_logs)
 
-    r = len(basis)
-    if r > 1 and q**r >= group:
-        # more members than field elements: one pass over the log table
-        # gives every code's period, and then a member's is one list read
-        by_code = list(map(by_log.__getitem__, log))
-
-        def periods(members):
-            return tuple(map(by_code.__getitem__, members))
-    else:
-        def periods(members):
-            return tuple(map(by_log.__getitem__, map(operator.getitem, repeat(log), members)))
-
     def span(xs):
         # codes of sum_j c_j xs[j] over the coefficients, the last slowest
         members = [0]
@@ -234,6 +224,8 @@ def character_sum_count(code: TraceCode, basis) -> complex:
                 members = shifted
         return members
 
+    r = len(basis)
+    by_code = code.cyclotomy.periods_by_code() if r > 1 else None
     images = [code.relabel(b) for b in basis]
     slots = []
     for h in range(t):
@@ -242,13 +234,13 @@ def character_sum_count(code: TraceCode, basis) -> complex:
             slots.append(chain((class_size,), multiples(by_log, xs[0])) if xs[0]
                          else repeat(class_size, q))
         else:  # a tuple of periods: a slot's members are freed before the next
-            slots.append(periods(span(xs)))
+            slots.append(operator.itemgetter(*span(xs))(by_code))
     # member-major: slot h of member i is the (i*t + h)-th summand
     if t == 1:
         summands = slots[0]
     elif r == 1:  # interleave the lazy streams, with no list of the field's size
         summands = chain.from_iterable(zip(*slots))
-    else:  # a list of the tuples' size folds faster than the interleaved streams
+    else:
         summands = [0j] * (t * len(slots[0]))
         for h, slot in enumerate(slots):
             summands[h::t] = slot

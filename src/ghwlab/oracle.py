@@ -229,6 +229,20 @@ def _dual_scorer(code):
 
 # -- exhaustive sweeps ------------------------------------------------------
 
+def _fold_tail(rows):
+    """``rows`` with its trailing rows OR-folded into the last while that
+    holds at most ``_TAIL_CAP`` masks: one OR per combination, in product
+    order, so a subspace keeps its position.  Folding the rows after the
+    first once per pattern and then the unit's slice of the first row
+    gives what folding the unit's rows at once gives."""
+    if not rows:
+        return rows
+    *heads, last = rows
+    while heads and len(heads[-1]) * len(last) <= _TAIL_CAP:
+        last = [a | b for a in heads.pop() for b in last]
+    return [*heads, last]
+
+
 def _sweep_units(code, r, units, mode):
     """Best subspace of the units ``(pat_idx, pattern, lo, hi)``, each the
     slice [lo, hi) of its pattern's first-row choices, given in sweep order."""
@@ -240,18 +254,14 @@ def _sweep_units(code, r, units, mode):
     best_pos = None
     best_pattern = None
     examined = 0
-    masks_of, masks = None, None
+    masks_of = None
     for pat_idx, pattern, lo, hi in units:
-        if masks_of != pat_idx:
+        if masks_of != pat_idx:  # a worker's consecutive units share a pattern
             masks_of = pat_idx
-            masks = [kernel.row_masks(pc, free) for pc, free in it.row_columns(pattern)]
-        first, *rest = masks
-        *heads, last = [first[lo:hi], *rest]
+            first, *rest = [kernel.row_masks(pc, free) for pc, free in it.row_columns(pattern)]
+            rest = _fold_tail(rest)
+        *heads, last = _fold_tail([first[lo:hi], *rest])
         offset = lo * math.prod(map(len, rest))
-        # one OR per combination of the folded rows, in product order, so
-        # a subspace keeps its position
-        while heads and len(heads[-1]) * len(last) <= _TAIL_CAP:
-            last = [a | b for a in heads.pop() for b in last]
         for pos, prefix in enumerate(itertools.product(*heads)):
             union = functools.reduce(operator.or_, prefix, 0)
             pops = [(union | mask).bit_count() for mask in last]

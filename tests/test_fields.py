@@ -366,9 +366,10 @@ def test_tables_of_gf3_10_memory():
 @pytest.mark.parametrize("p,degree", [(2, 1), (2, 6), (3, 1), (3, 5), (5, 3), (7, 2), (1009, 1)])
 def test_translate_matches_add(p, degree):
     field = build_field(p, degree)
-    codes = list(range(field.Q))
-    for b in {0, 1, field.gamma, field.Q - 1, field.Q // 2}:
-        assert field.translate(codes, b) == [field.add(x, b) for x in codes], b
+    # every code, and fewer codes than the digit tables hold
+    for codes in (list(range(field.Q)), [0, 1, field.Q - 1]):
+        for b in {0, 1, field.gamma, field.Q - 1, field.Q // 2}:
+            assert field.translate(codes, b) == [field.add(x, b) for x in codes], b
 
 
 def test_tables_prime_field_build_is_linear():

@@ -1,10 +1,10 @@
 """The tables behind the gathers of ``character_sum_count``.
 
-``FieldCtx.subfield`` at q = Q, ``FieldCtx.scalar_logs`` and
-``CyclotomyCtx.periods_by_log`` each against its definition, on fields with
-p = 2 and odd p, with q < Q and q = Q; the character sum at q = 2, where an
-image has a single nonzero multiple; and the memory the gathers and their
-caches hold on [61,1] over GF(3^10).
+``FieldCtx.subfield`` at q = Q, ``FieldCtx.scalar_logs``,
+``CyclotomyCtx.periods_by_log`` and ``periods_by_code`` each against its
+definition, on fields with p = 2 and odd p, with q < Q and q = Q; the
+character sum at q = 2, where an image has a single nonzero multiple; and
+the memory the gathers and their caches hold on [61,1] over GF(3^10).
 """
 
 import copy
@@ -63,6 +63,10 @@ def test_periods_by_log_definition(p, degree, s):
         assert all(by_log[l] is table[l % N] for l in range(group)), N
         assert by_log[field.log[0]] == complex(cyc.class_size)
         assert isinstance(by_log[-1], complex)
+        by_code = cyc.periods_by_code()
+        assert len(by_code) == field.Q
+        assert all(by_code[x] is by_log[field.log[x]] for x in range(field.Q)), N
+        assert by_code[0] == complex(cyc.class_size)
 
 
 @pytest.mark.parametrize("params", [

@@ -6,6 +6,7 @@ best position, and with it the witness, must not move.  At a cap of 1 no
 row with a free column is folded.
 """
 
+import random
 from unittest import mock
 
 import pytest
@@ -47,3 +48,20 @@ def test_tail_fold_keeps_results_multi_row(params, r, jobs):
     code = TraceCode(derive_params(*params))
     unfolded, *folded = _sweeps_at_each_cap(code, r, jobs)
     assert all(f == unfolded for f in folded)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_fold_per_pattern_equals_fold_per_unit(cap):
+    # the sweep folds a pattern's later rows once, then each unit's slice of
+    # the first row onto them: the same lists as folding the unit's rows at once
+    rng = random.Random(cap)
+    for _ in range(50):
+        rows = [[rng.getrandbits(12) for _ in range(rng.choice((1, 2, 3, 4, 8, 16)))]
+                for _ in range(rng.randint(1, 5))]
+        first, *rest = rows
+        lo = rng.randrange(len(first))
+        hi = rng.randint(lo + 1, len(first))
+        with mock.patch.object(oracle, "_TAIL_CAP", cap):
+            at_once = oracle._fold_tail([first[lo:hi], *rest])
+            per_pattern = oracle._fold_tail([first[lo:hi], *oracle._fold_tail(rest)])
+        assert per_pattern == at_once
