@@ -20,10 +20,10 @@ import sys
 import time
 
 from . import __version__
-from .codes import check_closed_form_hypotheses, derive_params
+from .codes import check_closed_form_hypotheses, count_common_zeros, derive_params
 from .codes import TraceCode
 from .cyclotomy import CyclotomyCtx
-from .errors import BudgetExceeded, HypothesesNotMet
+from .errors import DEFAULT_BUDGET, BudgetExceeded, HypothesesNotMet
 from .fields import build_field
 from .hierarchy import (
     FormulaParams,
@@ -35,8 +35,6 @@ from .hierarchy import (
     rank_decomposition,
 )
 from .linalg import vectors_independent
-from .oracle import DEFAULT_BUDGET, count_common_zeros, ghw_bruteforce, ghw_dual_sweep
-from .subspaces import gaussian_binomial
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -208,6 +206,8 @@ def _formula_rows(params, r_list, timing):
 
 
 def _oracle_rows(code, r_list, method, budget, jobs, timing):
+    from .oracle import ghw_bruteforce, ghw_dual_sweep  # the sweeps load only where they run
+
     sweep = ghw_bruteforce if method == "brute" else ghw_dual_sweep
     rows = []
     for r in r_list:
@@ -255,6 +255,8 @@ def _check_hierarchy_shape(r_list, d_list, n, k):
 
 def _auto_jobs(tm, r_list, q):
     """Serial for small sweeps, else one worker per usable CPU and pattern."""
+    from .subspaces import gaussian_binomial
+
     # on 2 CPUs, --jobs 2 won at least 9 of 10 timed pairs from this size on
     # ([93,10] over GF(2) at r=2) and at most 8 of 10 below it; with the
     # trailing rows folded it still won 10 of 10 here and 4 of 10 at 43,435
@@ -367,6 +369,8 @@ SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args):
+    from .subspaces import gaussian_binomial
+
     try:
         a_start, a_stop = (int(v) for v in args.a_range.split(":"))
     except ValueError as exc:

@@ -346,3 +346,8 @@ class TraceCode:
         return tuple(
             self.codeword(linalg.vector_from_coords(field, t, [int(i == c) for i in range(k)]))
             for c in range(k))
+
+
+def count_common_zeros(code: TraceCode, basis) -> int:
+    """Number of coordinates at which every word of the subcode vanishes."""
+    return code.n - len(code.support_union(basis))

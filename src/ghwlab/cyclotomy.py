@@ -46,7 +46,6 @@ class CyclotomyCtx:
         self.N = N
         self.class_size = (field.Q - 1) // N
         self._table = None
-        self._by_log = None
         self._by_code = None
 
     def __repr__(self):
@@ -92,25 +91,16 @@ class CyclotomyCtx:
                                 for i in range(self.N))
         return self._table
 
-    def periods_by_log(self) -> list:
-        """The period at every element, indexed by its log: entry l < Q-1 is
-        ``period_table()[l % N]``, and the last entry, index -1 = log[0],
-        is the class size, the period at 0.  Built on first use, one
-        pointer per field element: the N periods repeated class-size times,
-        then the class size appended, with no other list of that size.
-        """
-        if self._by_log is None:
-            by_log = list(self.period_table()) * self.class_size
-            by_log.append(complex(self.class_size))
-            self._by_log = by_log
-        return self._by_log
-
     def periods_by_code(self) -> list:
-        """The period at every element, indexed by the element's code:
-        ``periods_by_log()`` read at ``log[x]`` for each code x, so entry 0
-        is the class size.  Built on first use, one pointer per field
-        element, pointing at the same period objects.
+        """The period at every element, indexed by the element's code: entry
+        x != 0 is ``period_table()[log[x] % N]`` and entry 0 is the class
+        size, the period at 0.  Built on first use, one pointer per field
+        element, pointing at the same period objects; the lookup by log it
+        is read from (the N periods repeated class-size times, then the
+        class size at index -1 = log[0]) is a temporary.
         """
         if self._by_code is None:
-            self._by_code = list(map(self.periods_by_log().__getitem__, self.field.log))
+            by_log = list(self.period_table()) * self.class_size
+            by_log.append(complex(self.class_size))
+            self._by_code = list(map(by_log.__getitem__, self.field.log))
         return self._by_code

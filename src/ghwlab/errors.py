@@ -5,6 +5,10 @@ class GhwlabError(Exception):
     pass
 
 
+# the most subspaces a sweep, or subspace members a verify sample, may enumerate
+DEFAULT_BUDGET = 10_000_000
+
+
 class BudgetExceeded(GhwlabError):
     """Enumeration refused: the count of ``unit`` is over the configured budget."""
 

@@ -394,18 +394,40 @@ def build_field(p: int, ext_degree: int, subfield_degree: int = 1) -> FieldCtx:
         raise ValueError(
             f"field size {Q} exceeds the enumeration cap {MAX_FIELD_SIZE}"
         )
-    d = ext_degree
-    for packed in range(Q):
+    modulus = _primitive_modulus(p, ext_degree)
+    exp_table, log_table = _build_tables(p, ext_degree, modulus)
+    return FieldCtx(p, subfield_degree, ext_degree // subfield_degree,
+                    modulus, exp_table, log_table)
+
+
+def _primitive_modulus(p, d):
+    """The first monic degree-d polynomial over GF(p), by packed value, for
+    which x has order p^d - 1, as its digit list (constant term first).
+
+    For d > 1 a candidate with a root in GF(p) has a linear factor, so it
+    is reducible and not primitive; it is skipped before the order test.
+    """
+    for packed in range(p**d):
         if packed % p == 0:
             continue  # constant term zero: x is not a unit
         modulus = _digits(packed, p, d) + [1]
-        if not _x_has_full_order(p, d, modulus):
+        if d > 1 and _has_root(modulus, p):
             continue
-        exp_table, log_table = _build_tables(p, d, modulus)
-        ctx = FieldCtx(p, subfield_degree, ext_degree // subfield_degree,
-                       modulus, exp_table, log_table)
-        return ctx
+        if _x_has_full_order(p, d, modulus):
+            return modulus
     raise RuntimeError(f"no primitive polynomial of degree {d} over GF({p})")
+
+
+def _has_root(poly, p):
+    """Whether the polynomial (digit list, constant term first) vanishes at
+    some nonzero c in GF(p), by Horner's rule at each c."""
+    for c in range(1, p):
+        acc = 0
+        for coeff in reversed(poly):
+            acc = (acc * c + coeff) % p
+        if not acc:
+            return True
+    return False
 
 
 def _zech_table(p, exp_table, log_table):

@@ -172,16 +172,18 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     Each member b contributes, for h = 1..t, the Gauss period at slot h of
     ``code.relabel(b)`` (the derivation is there).  The image is GF(q)-linear
     in b, so it is computed once per basis vector, and the members' images
-    are the GF(q)-span of those, enumerated slot by slot.  The multiples
-    c*x of an image coordinate x have logs (log x + log c) mod (Q-1), with
-    log c = ``scalar_logs`` times (Q-1)/(q-1), so the multiples are exp at
-    those logs.  Each basis vector after the first adds each multiple to
-    every member with ``FieldCtx.translate``: an XOR at p = 2, else two
-    table reads or one ``add`` per member.  A summand is the Gauss period
-    at the argument.  At r = 1 a slot's members are 0 and the multiples of
-    one image, so their periods are ``periods_by_log()`` read straight at
-    the multiples' logs, as a lazy stream that builds nothing of the
-    field's size.  At r >= 2 a slot's periods are one tuple, gathered from
+    are the GF(q)-span of those, enumerated slot by slot.  At r = 1 a slot's
+    members are 0 and the q - 1 nonzero multiples c*y of one image y.  They
+    all share one period: N divides (Q-1)/(q-1) (``derive_params`` takes N
+    as a divisor of it), so GF(q)^* lies in class 0 and c*y is in the class
+    of y.  The slot is the class size, then ``period_table()[log y mod N]``
+    (the class size again when y = 0) repeated q - 1 times, with nothing
+    read per member.  At r >= 2, the multiples c*x of an image coordinate x
+    have logs (log x + log c) mod (Q-1), with log c = ``scalar_logs`` times
+    (Q-1)/(q-1), so the multiples are exp at those logs.  Each basis vector
+    after the first adds each multiple to every member with
+    ``FieldCtx.translate``: an XOR at p = 2, else two table reads or one
+    ``add`` per member.  A slot's periods are one tuple, gathered from
     ``periods_by_code()`` at its members (at least q >= 2 of them, so the
     gather is a tuple); the slots' tuples are interleaved into one list
     before the fold, which folds faster than interleaving them lazily.  A
@@ -198,41 +200,38 @@ def character_sum_count(code: TraceCode, basis) -> complex:
         raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
     field = code.field
     exp, log = field.exp, field.log
-    by_log = code.cyclotomy.periods_by_log()
-    class_size = by_log[-1]
-    group, q, t = params.Q - 1, params.q, params.t
-    step = group // (q - 1)
-    # log c for the nonzero scalars c; at step 1 the log table's own slice
-    scalar_logs = field.scalar_logs if step == 1 else [k * step for k in field.scalar_logs]
-
-    def multiples(table, x):
-        # table at log(c*x) = (log x + log c) mod (Q-1), for each nonzero scalar c
-        lx = log[x]
-        return (table[(lx + k) % group] for k in scalar_logs)
+    cyclotomy = code.cyclotomy
+    class_size = complex(cyclotomy.class_size)
+    group, q, t, N = params.Q - 1, params.q, params.t, params.N
 
     def span(xs):
         # codes of sum_j c_j xs[j] over the coefficients, the last slowest
+        step = group // (q - 1)
+        # log c for the nonzero scalars c; at step 1 the log table's own slice
+        scalar_logs = field.scalar_logs if step == 1 else [k * step for k in field.scalar_logs]
         members = [0]
         for x in xs:
             if not x:
                 members = members * q
             else:  # block i holds the members plus the i-th multiple of x
+                lx = log[x]
                 size = len(members)
                 shifted = members * q
-                for i, mb in enumerate(multiples(exp, x), 1):
-                    shifted[i * size:(i + 1) * size] = field.translate(members, mb)
+                for i, k in enumerate(scalar_logs, 1):
+                    shifted[i * size:(i + 1) * size] = field.translate(members, exp[(lx + k) % group])
                 members = shifted
         return members
 
     r = len(basis)
-    by_code = code.cyclotomy.periods_by_code() if r > 1 else None
+    table = cyclotomy.period_table()
+    by_code = cyclotomy.periods_by_code() if r > 1 else None
     images = [code.relabel(b) for b in basis]
     slots = []
     for h in range(t):
         xs = [image[h] for image in images]
         if r == 1:
-            slots.append(chain((class_size,), multiples(by_log, xs[0])) if xs[0]
-                         else repeat(class_size, q))
+            period = table[log[xs[0]] % N] if xs[0] else class_size
+            slots.append(chain((class_size,), repeat(period, q - 1)))
         else:  # a tuple of periods: a slot's members are freed before the next
             slots.append(operator.itemgetter(*span(xs))(by_code))
     # member-major: slot h of member i is the (i*t + h)-th summand

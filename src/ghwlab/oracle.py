@@ -52,11 +52,9 @@ import os
 from collections import namedtuple
 
 from . import linalg
-from .codes import TraceCode
-from .errors import BudgetExceeded
+from .codes import TraceCode, count_common_zeros
+from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .subspaces import SubspaceIter, gaussian_binomial
-
-DEFAULT_BUDGET = 10_000_000
 
 # a fanned-out sweep is cut into about this many work units per worker
 _UNITS_PER_JOB = 4
@@ -80,11 +78,6 @@ class GHWResult(namedtuple("GHWResult", "r d_r common_zeros witness examined")):
             "witness_basis": [list(v) for v in self.witness],
             "subspaces_examined": self.examined,
         }
-
-
-def count_common_zeros(code: TraceCode, basis) -> int:
-    """Number of coordinates at which every word of the subcode vanishes."""
-    return code.n - len(code.support_union(basis))
 
 
 def _require_e_equals_t(params):
@@ -126,9 +119,7 @@ class _RowMasks:
         # root[g][x] is the c with x + c*g = 0; a row per nonzero g in use
         self.root = _OpRows(lambda g, x: field.neg(field.mul(x, field.inv(g))),
                             scalars, index)
-        width = len(self.rows[0])
-        self.bits = [1 << i for i in range(width)]
-        self.full = (1 << width) - 1
+        self.full = (1 << len(self.rows[0])) - 1
 
     def row_masks(self, pivot, free):
         """The mask of every choice of the row, in ``row_choices`` order.
@@ -138,13 +129,13 @@ class _RowMasks:
         or none when g_i = 0; one pass puts each position in its bucket, or
         in ``zz`` when g_i = w_i = 0, and the mask for c is the rest.
         """
-        rows, bits, full = self.rows, self.bits, self.full
-        if not free:
-            return [sum(b for b, x in zip(bits, rows[pivot]) if x)]
+        rows, full = self.rows, self.full
+        if not free:  # from a bitmap string, with no int per position
+            return [int("".join("1" if x else "0" for x in reversed(rows[pivot])), 2)]
         *heads, last = free
         g = rows[last]
-        live = [(i, bits[i], self.root[x]) for i, x in enumerate(g) if x]
-        dead = [(i, bits[i]) for i, x in enumerate(g) if not x]
+        live = [(i, 1 << i, self.root[x]) for i, x in enumerate(g) if x]
+        dead = [(i, 1 << i) for i, x in enumerate(g) if not x]
         # steps[h][c][i] is the add-table row of c * M[heads[h]][i]
         add, mul = self.add, self.mul
         steps = [[[add[mul[x][c]] for x in rows[f]] for c in range(self.q)] for f in heads]

@@ -24,6 +24,9 @@ CODES = {
     "ex2": (7, 1, 2, 2, 2, 2),
     # q = 9: GF(9) inside GF(81), scalar codes not 0..8
     "q9": (3, 2, 2, 1, 1, 5),
+    # q = Q = 9, t = 2, N = 1: each r = 1 slot is one period repeated q - 1
+    # times, and the two slots' streams are interleaved
+    "q9_t2": (3, 2, 1, 2, 2, 1),
 }
 
 

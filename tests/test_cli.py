@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ghwlab.cli as cli
-from ghwlab import fields
+from ghwlab import fields, oracle
 from ghwlab.cli import _auto_jobs, main
 from ghwlab.oracle import DEFAULT_BUDGET, GHWResult
 
@@ -291,13 +291,13 @@ def test_every_registered_option_is_read():
 
 
 def test_sweep_exit_3_on_mismatch(capsys, monkeypatch):
-    real = cli.ghw_bruteforce
+    real = oracle.ghw_bruteforce
 
     def off_by_one(code, r, budget=None, jobs=1):
         res = real(code, r, budget=budget, jobs=jobs)
         return res._replace(d_r=res.d_r + 1)
 
-    monkeypatch.setattr(cli, "ghw_bruteforce", off_by_one)
+    monkeypatch.setattr(oracle, "ghw_bruteforce", off_by_one)
     code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
                        "--t", "2", "--a-range", "2:6")
     assert code == 3
@@ -310,7 +310,7 @@ def test_sweep_exit_3_on_error_row(capsys, monkeypatch):
     def broken(code, r, budget=None, jobs=1):
         raise RuntimeError("count is not an integer")
 
-    monkeypatch.setattr(cli, "ghw_bruteforce", broken)
+    monkeypatch.setattr(oracle, "ghw_bruteforce", broken)
     code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
                        "--t", "2", "--a-range", "6:6")
     assert code == 3
@@ -321,7 +321,7 @@ def test_sweep_exit_3_on_hierarchy_shape(capsys, monkeypatch):
     # ex1 is [8,4]: 8;8;8;8 from both methods matches, but is not strictly
     # increasing and breaks the Singleton bound d_1 <= 5
     monkeypatch.setattr(cli, "closed_form_dr", lambda params, r: 8)
-    monkeypatch.setattr(cli, "ghw_bruteforce", lambda code, r, budget=None, jobs=1:
+    monkeypatch.setattr(oracle, "ghw_bruteforce", lambda code, r, budget=None, jobs=1:
                         GHWResult(r=r, d_r=8, common_zeros=0, witness=(), examined=1))
     code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
                        "--t", "2", "--a-range", "6:6")
@@ -391,7 +391,7 @@ def test_ghw_runtime_error_exit_3(capsys, monkeypatch):
     def flat(code, r, budget=None, jobs=1):
         return GHWResult(r=r, d_r=5, common_zeros=3, witness=(), examined=1)
 
-    monkeypatch.setattr(cli, "ghw_bruteforce", flat)
+    monkeypatch.setattr(oracle, "ghw_bruteforce", flat)
     code, out, err = run(capsys, "ghw", *EX1, "--method", "brute", "--no-timing")
     assert code == 3
     assert out == ""
@@ -408,7 +408,7 @@ def test_shape_check_covers_partial_r_lists(capsys, monkeypatch):
     for d, r_arg, message in ((8, "1", "Singleton bound violated at r=1"),
                               (8, "1,2", "not strictly increasing"),
                               (5, "3,1", "not strictly increasing")):
-        monkeypatch.setattr(cli, "ghw_bruteforce", constant(d))
+        monkeypatch.setattr(oracle, "ghw_bruteforce", constant(d))
         code, out, err = run(capsys, "ghw", *EX1, "--method", "brute", "--r", r_arg,
                              "--no-timing")
         assert code == 3, (d, r_arg)

@@ -38,6 +38,26 @@ def test_simplex_derivation(simplex_params):
     assert p.N == 1
 
 
+def test_gf_q_scalars_lie_in_class_zero():
+    # character_sum_count folds an r = 1 slot as one period repeated q - 1
+    # times: N divides (Q-1)/(q-1), so every c in GF(q)^* is a power of
+    # gamma^N and c*y lies in the class of y
+    checked = 0
+    for p, s, m in ((2, 1, 4), (2, 2, 2), (2, 1, 6), (2, 3, 2), (2, 2, 3), (3, 1, 4),
+                    (3, 2, 2), (3, 1, 3), (5, 1, 2), (5, 2, 1), (7, 1, 2), (13, 1, 2)):
+        Q = p ** (s * m)
+        for e in (d for d in (1, 2, 3, 4, 6) if (Q - 1) % d == 0):
+            for t in range(1, e + 1):
+                for a in range(1, Q + 1):
+                    params = derive_params(p, s, m, e, t, a, tuple(range(t)))
+                    field, N = params.field, params.N
+                    assert ((Q - 1) // (params.q - 1)) % N == 0, (p, s, m, e, t, a)
+                    assert all(field.log[c] % N == 0 for c in field.subfield_q[1:]), \
+                        (p, s, m, e, t, a)
+                    checked += 1
+    assert checked > 1000
+
+
 def test_default_deltas_when_e_equals_t():
     p = derive_params(7, 1, 2, 2, 2, 6)
     assert p.deltas == (0, 1)

@@ -6,6 +6,9 @@ import pytest
 from ghwlab.fields import (
     FieldCtx,
     _build_tables,
+    _digits,
+    _primitive_modulus,
+    _x_has_full_order,
     build_field,
     is_prime,
     prime_factors,
@@ -44,6 +47,29 @@ def test_build_field_deterministic():
     b = build_field(7, 2)
     assert a.modulus == b.modulus
     assert a.exp == b.exp
+
+
+def _first_primitive_unfiltered(p, d):
+    """The reference search: every candidate with a nonzero constant term
+    goes to the order test, in packed order."""
+    for packed in range(p**d):
+        if packed % p:
+            modulus = _digits(packed, p, d) + [1]
+            if _x_has_full_order(p, d, modulus):
+                return modulus
+    raise AssertionError(f"no primitive polynomial of degree {d} over GF({p})")
+
+
+def test_primitive_modulus_matches_unfiltered_search():
+    # skipping candidates with a root in GF(p) never skips the first
+    # primitive one, on every field of at most 2^16 elements (degree 1
+    # only for small p: the filter applies from degree 2 on)
+    pairs = [(p, d) for p in range(2, 257) if is_prime(p)
+             for d in range(1 if p < 100 else 2, 17) if p**d <= 1 << 16]
+    assert len(pairs) > 100
+    for p, d in pairs:
+        assert _primitive_modulus(p, d) == _first_primitive_unfiltered(p, d), (p, d)
+    assert build_field(3, 10).modulus == tuple(_first_primitive_unfiltered(3, 10))
 
 
 def test_build_field_rejections():

@@ -6,7 +6,8 @@ The five frozen records are named tuples: immutable, equal by value, with a
 needs ``dataclasses`` (which loads ``inspect``), and a sweep at any job
 count forks its own children without ``multiprocessing``; a fresh
 interpreter checks that none of the three is loaded, since pytest itself
-loads all three.
+loads all three.  ``verify`` runs no sweep, and a fresh interpreter checks
+that it loads neither sweep module.
 """
 
 import ast
@@ -57,6 +58,24 @@ def test_import_loads_no_dataclasses_inspect_or_multiprocessing():
     assert seen["import"] == []
     assert seen["jobs1"] == []
     assert seen["jobs2"] == []   # the fan-out forks without multiprocessing
+
+
+VERIFY_PROBE = """
+import json, sys
+import ghwlab.cli
+code = ghwlab.cli.main(["verify", "--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6",
+                        "--count", "3"])
+sweep = ("ghwlab.oracle", "ghwlab.subspaces")
+print(json.dumps({"exit": code, "loaded": [m for m in sweep if m in sys.modules]}))
+"""
+
+
+def test_verify_loads_no_sweep_modules():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", VERIFY_PROBE], env=env, capture_output=True,
+                          text=True, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"exit": 0, "loaded": []}
 
 
 def test_heavy_imports_in_source():

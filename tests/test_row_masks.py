@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from ghwlab.codes import TraceCode, derive_params
+from ghwlab.oracle import _RowMasks, _dual_scorer
 
 from helpers import kernel, kernel_mismatches, small_sweeps
 
@@ -64,3 +65,19 @@ def test_prefix_words_are_built_depth_first():
         tracemalloc.stop()
     assert len(out) == 3 ** 7
     assert peak < 200_000
+
+
+def test_row_masks_hold_no_int_per_position():
+    # the dual matrix of [61,1] over GF(3^10) is one row of 59,048 positions
+    # with no free column; a list of the single-bit ints 1 << i, one per
+    # position, took 223 MB
+    code = TraceCode(derive_params(3, 10, 1, 1, 1, 968))
+    matrix = _dual_scorer(code)[0]
+    tracemalloc.start()
+    try:
+        (mask,) = _RowMasks(code.field, matrix).row_masks(0, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask == sum(1 << i for i, x in enumerate(matrix[0]) if x)
+    assert peak < 16_000_000
