@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import reduce
 
 from . import linalg
 from .cyclotomy import CyclotomyCtx, semiprimitive_j
@@ -258,6 +259,10 @@ class TraceCode:
             tuple(exp[(aj * i) % group] for i in range(1, params.n + 1))
             for aj in params.a_list
         )
+        self._relabel_rows = tuple(
+            tuple(exp[(aj * h) % group] for aj in params.a_list)
+            for h in range(1, params.t + 1)
+        )
         self._trace_q = self.field.trace_table(params.s)
 
     def __repr__(self):
@@ -302,23 +307,13 @@ class TraceCode:
         otherwise, so the dual count of relabel(S), the pairs (h, z) with
         z*e_h orthogonal to it, is zeros(S).  The map is F_Q-linear: a
         diagonal times a Vandermonde matrix in the beta^(delta_j), which
-        assumption ii makes distinct, so it is invertible.
+        assumption ii makes distinct, so it is invertible.  Its row h holds
+        gamma^(a*h) beta^(delta_j*h) = gamma^(a_j*h), built once with the code.
         """
         if len(vec) != self.t:
             raise ValueError(f"message must have {self.t} components, got {len(vec)}")
-        field = self.field
-        add, mul, exp = field.add, field.mul, field.exp
-        params = self.params
-        group = params.Q - 1
-        step = group // params.e
-        image = []
-        for h in range(1, self.t + 1):
-            acc = 0
-            for bj, dj in zip(vec, params.deltas):
-                if bj:
-                    acc = add(acc, mul(bj, exp[(step * dj * h) % group]))
-            image.append(mul(exp[(params.a * h) % group], acc))
-        return tuple(image)
+        add, mul = self.field.add, self.field.mul
+        return tuple(reduce(add, map(mul, vec, row), 0) for row in self._relabel_rows)
 
     def support_union(self, basis) -> frozenset:
         """0-based coordinates where some basis word is nonzero.
@@ -336,16 +331,17 @@ class TraceCode:
         return frozenset(supp)
 
     def generator_matrix(self) -> tuple:
-        """The k words of the GF(q) unit messages, one per coordinate.
+        """The k x n generator matrix over GF(q), read from the trace tables.
 
-        Row c is the word of ``vector_from_coords`` of the c-th unit vector
-        of GF(q)^k, so an RREF row's word is its GF(q)-combination of these
-        rows.  Built on every call and never stored on the instance.
+        Row j*m + i is the word of gamma^i at slot j, the message that
+        ``vector_from_coords`` makes of unit vector j*m + i: coordinate i of
+        ``FieldCtx.trace_coords`` at each evaluation point.  An RREF row's
+        word is its GF(q)-combination of these rows.  Read without
+        ``codeword``, so the brute witness recount checks the two against
+        each other.  Built on every call and never stored on the instance.
         """
-        field, t, k = self.field, self.t, self.k
-        return tuple(
-            self.codeword(linalg.vector_from_coords(field, t, [int(i == c) for i in range(k)]))
-            for c in range(k))
+        coords = self.field.trace_coords
+        return tuple(row for pts in self.eval_points for row in zip(*map(coords, pts)))
 
 
 def count_common_zeros(code: TraceCode, basis) -> int:

@@ -16,9 +16,12 @@ Q-sized table exists once: the trace onto the whole field and the whole
 field as a subfield are ``range(Q)``, not copies of it.  The intermediate
 field GF(q), q = p^s, is kept as the subset of elements fixed by
 x -> x^q rather than as a separate field object, which keeps all
-arithmetic inside a single context.  GF(q)-coordinates in the
-basis (1, gamma, ..., gamma^(m-1)) are trace pairings Tr_{Q->q}(x * d_j)
-with the trace-dual basis d, and the degree of x over GF(q) is the size of
+arithmetic inside a single context.  The one map from an element to
+GF(q)^m is its trace coordinates (Tr_{Q->q}(x * gamma^j))_{j<m}, read from
+the exp, log and trace tables; the trace form is nondegenerate, so the map
+is a GF(q)-linear bijection.  Coordinates in the basis
+(1, gamma, ..., gamma^(m-1)) are read back to an element by
+``element_from_coords``, and the degree of x over GF(q) is the size of
 its q-conjugacy orbit.
 
 Fields are capped at 2^20 elements: this module targets desk-scale
@@ -32,8 +35,6 @@ from array import array
 from collections import deque
 from itertools import repeat
 from operator import getitem, setitem
-
-from . import linalg
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -147,8 +148,6 @@ class FieldCtx:
         self.one = 1
         self._subfields: dict[int, tuple] = {}
         self._trace_tables: dict[int, list] = {}
-        self._dual_basis = None
-        self._scalar_logs = None
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, m={self.m}, Q={self.Q})"
@@ -262,24 +261,6 @@ class FieldCtx:
     def subfield_q(self) -> tuple | range:
         return self.subfield(self.s)
 
-    @property
-    def scalar_logs(self) -> tuple | array:
-        """Logs of the nonzero scalars of ``subfield_q``, in its order, to
-        the base gamma^((Q-1)/(q-1)), the primitive element of GF(q); built
-        on first use.
-
-        The scalar c is ``exp[scalar_logs[i] * (Q-1)/(q-1)]``.  At q = Q
-        the scalars are the codes 1..Q-1, so these are the slice ``log[1:]``
-        of the log table, 4 bytes per element.
-        """
-        if self._scalar_logs is None:
-            step = (self.Q - 1) // (self.q - 1)
-            if step == 1:
-                self._scalar_logs = self.log[1:]
-            else:  # only when m > 1, so at most sqrt(Q) scalars
-                self._scalar_logs = tuple(self.log[c] // step for c in self.subfield_q[1:])
-        return self._scalar_logs
-
     def trace_table(self, sub_degree) -> list | range:
         """Relative trace onto GF(p^sub_degree) of every element; built once.
 
@@ -317,33 +298,22 @@ class FieldCtx:
 
     # -- GF(q)-coordinates and conjugates ---------------------------------
 
-    def _dual(self) -> tuple:
-        """Trace-dual basis d of (1, gamma, ..., gamma^(m-1)): Tr(gamma^i d_j) = [i = j].
-
-        Row j of the inverse of the Gram matrix G[i][k] = Tr(gamma^(i+k))
-        holds the coordinates of d_j; G is symmetric, so
-        Tr(gamma^i d_j) = (G^-1 G)[j][i].
-        """
-        if self._dual_basis is None:
-            m, group = self.m, self.Q - 1
-            trace = self.trace_table(self.s)
-            gram = [[trace[self.exp[(i + k) % group]] for k in range(m)]
-                    + [int(i == k) for k in range(m)] for i in range(m)]
-            rows, _ = linalg.rref(self, gram)
-            self._dual_basis = tuple(self.element_from_coords(row[m:]) for row in rows)
-        return self._dual_basis
-
-    def coords_over_q(self, x) -> tuple:
-        """Coordinates of x in the GF(q)-basis (1, gamma, ..., gamma^(m-1)).
-
-        Coordinate j is Tr_{Q->q}(x * d_j) for the trace-dual basis d.
-        Returns m elements of the subfield GF(q), as element codes.
-        """
-        trace = self.trace_table(self.s)
-        return tuple(trace[self.mul(x, d)] for d in self._dual())
+    def trace_coords(self, x) -> tuple:
+        """(Tr_{Q->q}(x * gamma^j))_{j<m}: a GF(q)-linear bijection of F_Q onto
+        GF(q)^m, since the trace form is nondegenerate.  Coordinate j is one read
+        ``trace[exp[(log x + j) mod (Q-1)]]``, x = 0 has zero coordinates, and at
+        m = 1 (q = Q), where the trace is the identity, the coordinate is x."""
+        if self.m == 1:
+            return (x,)
+        if not x:
+            return (0,) * self.m
+        trace, exp, group = self.trace_table(self.s), self.exp, self.Q - 1
+        lx = self.log[x]
+        return tuple(trace[exp[(lx + j) % group]] for j in range(self.m))
 
     def element_from_coords(self, coords):
-        """Inverse of :meth:`coords_over_q`."""
+        """sum_i coords[i] * gamma^i: the element with the given coordinates
+        in the GF(q)-basis (1, gamma, ..., gamma^(m-1))."""
         if len(coords) != self.m:
             raise ValueError(f"expected {self.m} coordinates, got {len(coords)}")
         acc = 0

@@ -178,48 +178,38 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     as a divisor of it), so GF(q)^* lies in class 0 and c*y is in the class
     of y.  The slot is the class size, then ``period_table()[log y mod N]``
     (the class size again when y = 0) repeated q - 1 times, with nothing
-    read per member.  At r >= 2, the multiples c*x of an image coordinate x
-    have logs (log x + log c) mod (Q-1), with log c = ``scalar_logs`` times
-    (Q-1)/(q-1), so the multiples are exp at those logs.  Each basis vector
-    after the first adds each multiple to every member with
-    ``FieldCtx.translate``: an XOR at p = 2, else two table reads or one
-    ``add`` per member.  A slot's periods are one tuple, gathered from
-    ``periods_by_code()`` at its members (at least q >= 2 of them, so the
-    gather is a tuple); the slots' tuples are interleaved into one list
-    before the fold, which folds faster than interleaving them lazily.  A
-    single slot (t = 1) is folded as it is.  Summation is a strict left
-    fold over members outer, in coefficient order with the last basis
-    vector slowest, and slots inner, as a member-by-member evaluation adds
-    them, so the float does not depend on how the arguments were
-    enumerated.  The result must agree with the exact
-    integer count within 1e-6 (at most Q * q^r * t unit-magnitude summands
-    at desk scale).  Requires e == t.
+    read per member.  At r >= 2, each basis vector adds each multiple c*x
+    of its image coordinate x, c over the nonzero scalars of ``subfield_q``
+    in order, to every member with ``FieldCtx.translate``: an XOR at p = 2,
+    else two table reads or one ``add`` per member.  A slot's periods are
+    one tuple, gathered from ``periods_by_code()`` at its members (at least
+    q >= 2 of them, so the gather is a tuple); the slots' tuples are
+    interleaved into one list before the fold, which folds faster than
+    interleaving them lazily.  A single slot (t = 1) is folded as it is.
+    Summation is a strict left fold over members outer, in coefficient
+    order with the last basis vector slowest, and slots inner, as a
+    member-by-member evaluation adds them, so the float does not depend on
+    how the arguments were enumerated.  The result must agree with the
+    exact integer count within 1e-6 (at most Q * q^r * t unit-magnitude
+    summands at desk scale).  Requires e == t.
     """
     params = code.params
     if params.e != params.t:
         raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
     field = code.field
-    exp, log = field.exp, field.log
     cyclotomy = code.cyclotomy
     class_size = complex(cyclotomy.class_size)
-    group, q, t, N = params.Q - 1, params.q, params.t, params.N
+    q, t, N = params.q, params.t, params.N
 
     def span(xs):
         # codes of sum_j c_j xs[j] over the coefficients, the last slowest
-        step = group // (q - 1)
-        # log c for the nonzero scalars c; at step 1 the log table's own slice
-        scalar_logs = field.scalar_logs if step == 1 else [k * step for k in field.scalar_logs]
         members = [0]
-        for x in xs:
-            if not x:
-                members = members * q
-            else:  # block i holds the members plus the i-th multiple of x
-                lx = log[x]
-                size = len(members)
-                shifted = members * q
-                for i, k in enumerate(scalar_logs, 1):
-                    shifted[i * size:(i + 1) * size] = field.translate(members, exp[(lx + k) % group])
-                members = shifted
+        for x in xs:  # block i holds the members plus the i-th multiple of x
+            size = len(members)
+            shifted = members * q
+            for i, c in enumerate(field.subfield_q[1:], 1):
+                shifted[i * size:(i + 1) * size] = field.translate(members, field.mul(c, x))
+            members = shifted
         return members
 
     r = len(basis)
@@ -230,7 +220,7 @@ def character_sum_count(code: TraceCode, basis) -> complex:
     for h in range(t):
         xs = [image[h] for image in images]
         if r == 1:
-            period = table[log[xs[0]] % N] if xs[0] else class_size
+            period = table[field.log[xs[0]] % N] if xs[0] else class_size
             slots.append(chain((class_size,), repeat(period, q - 1)))
         else:  # a tuple of periods: a slot's members are freed before the next
             slots.append(operator.itemgetter(*span(xs))(by_code))

@@ -2,7 +2,9 @@
 
 Vectors are sequences of element codes that all lie in the GF(q) subfield of
 one FieldCtx; the field context supplies the arithmetic, so nothing here
-depends on q being prime.
+depends on q being prime.  A vector over F_Q is viewed in GF(q)^(t*m) through
+``FieldCtx.trace_coords`` of each entry, and read back from coordinates in the
+basis (1, gamma, ..., gamma^(m-1)) by ``FieldCtx.element_from_coords``.
 """
 
 from __future__ import annotations
@@ -34,23 +36,7 @@ def rref(ctx, rows):
     return rows[:r], pivots
 
 
-def rank(ctx, rows) -> int:
-    return len(rref(ctx, rows)[0])
-
-
-def is_independent(ctx, rows) -> bool:
-    return rank(ctx, rows) == len(rows)
-
-
 # -- vectors in F_Q^t viewed as GF(q)-spaces -------------------------------
-
-def vector_coords(ctx, vec) -> tuple:
-    """Flatten a vector over F_Q into t*m GF(q)-coordinates."""
-    out = []
-    for x in vec:
-        out.extend(ctx.coords_over_q(x))
-    return tuple(out)
-
 
 def vector_from_coords(ctx, t, coords) -> tuple:
     m = ctx.m
@@ -58,4 +44,7 @@ def vector_from_coords(ctx, t, coords) -> tuple:
 
 
 def vectors_independent(ctx, vecs) -> bool:
-    return is_independent(ctx, [vector_coords(ctx, v) for v in vecs])
+    """Whether vectors over F_Q are GF(q)-independent: the rank of their trace
+    coordinates, a GF(q)-linear bijection onto GF(q)^(t*m), is their number."""
+    rows = [[c for x in v for c in ctx.trace_coords(x)] for v in vecs]
+    return len(rref(ctx, rows)[0]) == len(rows)

@@ -12,11 +12,13 @@ therefore maximize the same counts, though the dual sweep's witness is a
 basis of the image, not of S.
 
 Both sweeps are one kernel over a k x w matrix M over GF(q): a message row
-marks the positions where ``row . M`` is nonzero.  For the direct sweep M is
-the generator matrix; for the dual sweep row (h, j) of M holds
-Tr_{Q->q}(gamma^j * y) at slot h for each target y, since a slot's element is
-sum_j c_j gamma^j and the trace is GF(q)-linear.  The sweeps differ only in
-how they turn a count of marked positions into a zero count.
+marks the positions where ``row . M`` is nonzero.  Both matrices are read
+from ``FieldCtx.trace_coords``.  For the direct sweep M is the generator
+matrix; for the dual sweep row (h, j) of M holds Tr_{Q->q}(gamma^j * y),
+coordinate j of the trace coordinates of y, at slot h for each target y,
+since a slot's element is sum_j c_j gamma^j and the trace is GF(q)-linear.
+The sweeps differ only in how they turn a count of marked positions into a
+zero count.
 
 A pivot pattern's subspaces are the product of its rows' independent
 choices.  The kernel gives every choice of a row at once: it builds the
@@ -111,7 +113,8 @@ class _RowMasks:
 
     def __init__(self, field, matrix):
         scalars = field.subfield_q
-        index = {c: i for i, c in enumerate(scalars)}
+        # at q = Q the scalars are range(Q), where code c sits at position c
+        index = scalars if field.q == field.Q else {c: i for i, c in enumerate(scalars)}
         self.q = len(scalars)
         self.rows = [[index[c] for c in row] for row in matrix]
         self.add = _OpRows(field.add, scalars, index)
@@ -179,7 +182,8 @@ def _brute_scorer(code):
     from the subspaces' support sizes (each a popcount of OR-ed row masks).
 
     By GF(q)-linearity the subcode's support is the union of its rows'
-    supports.  ``TraceCode.codeword`` is the reference path.
+    supports.  The matrix is read from the trace tables, so the witness
+    recount through ``TraceCode.codeword`` in ``_sweep_units`` checks it.
     """
     return code.generator_matrix(), lambda pops: code.n - min(pops)
 
@@ -194,17 +198,16 @@ def _dual_scorer(code):
     subspace: the axis-supported dual vectors whose negation lies in class
     0.  Their count times N/(t*delta) is the zero count, checked integral.
     """
-    field, params, t, m = code.field, code.params, code.t, code.field.m
-    trace_q = field.trace_table(field.s)
+    field, params, t = code.field, code.params, code.t
     targets = [field.neg(x) for x in code.cyclotomy.class_elements(0)]
     size = len(targets)
     width, denom = t * size, t * params.delta
+    block = list(zip(*map(field.trace_coords, targets)))  # row j: Tr(gamma^j * y)
     matrix = []
     for h in range(t):
-        for j in range(m):
+        for coords in block:
             row = [0] * width
-            row[h * size:(h + 1) * size] = [trace_q[field.mul(field.exp[j], y)]
-                                            for y in targets]
+            row[h * size:(h + 1) * size] = coords
             matrix.append(row)
 
     def score(pops):

@@ -5,8 +5,9 @@ argument that certifies it.  This module holds that argument in executable
 form: the profile rewrites of the normalization lemma, the exhaustive
 profile search (the reference for ``optimize_profile``), the subspaces that
 attain the per-slot intersection maximum, the cyclic-code polynomials of a
-trace code with the minimal polynomials they multiply, and the
-per-subspace dual recount of the common zeros.
+trace code with the minimal polynomials they multiply, the coordinates of
+an element in the GF(q)-basis (1, gamma, ..., gamma^(m-1)) through the
+trace-dual basis, and the per-subspace dual recount of the common zeros.
 
 Profiles are kept sorted nonincreasing; the rewrite operations are defined
 on sorted profiles and re-sort their result (the objective is symmetric in
@@ -136,6 +137,40 @@ def split_half_pair(fp: FormulaParams, u):
     return tuple(sorted(new, reverse=True))
 
 
+# -- coordinates in the basis (1, gamma, ..., gamma^(m-1)) ---------------------
+
+def dual_basis(field) -> tuple:
+    """Trace-dual basis d of (1, gamma, ..., gamma^(m-1)): Tr(gamma^i d_j) = [i = j].
+
+    Row j of the inverse of the Gram matrix G[i][k] = Tr(gamma^(i+k))
+    holds the coordinates of d_j; G is symmetric, so
+    Tr(gamma^i d_j) = (G^-1 G)[j][i].
+    """
+    m, group = field.m, field.Q - 1
+    trace = field.trace_table(field.s)
+    gram = [[trace[field.exp[(i + k) % group]] for k in range(m)]
+            + [int(i == k) for k in range(m)] for i in range(m)]
+    rows, _ = linalg.rref(field, gram)
+    return tuple(field.element_from_coords(row[m:]) for row in rows)
+
+
+def coords_over_q(field, x) -> tuple:
+    """Coordinates of x in the GF(q)-basis (1, gamma, ..., gamma^(m-1)), the
+    inverse of ``FieldCtx.element_from_coords``.
+
+    Coordinate j is Tr_{Q->q}(x * d_j) for the trace-dual basis d.
+    Returns m elements of the subfield GF(q), as element codes.
+    """
+    trace = field.trace_table(field.s)
+    return tuple(trace[field.mul(x, d)] for d in dual_basis(field))
+
+
+def vector_coords(field, vec) -> tuple:
+    """Flatten a vector over F_Q into t*m GF(q)-coordinates, the inverse of
+    ``linalg.vector_from_coords``."""
+    return tuple(c for x in vec for c in coords_over_q(field, x))
+
+
 # -- subspaces attaining the per-slot maximum ----------------------------------
 
 def achieving_subspace(cyc, l: int, i: int):
@@ -159,14 +194,14 @@ def achieving_subspace(cyc, l: int, i: int):
     if l <= fp.half:
         basis = half_basis[:l]
     else:
-        coords = [field.coords_over_q(b) for b in half_basis]
+        coords = [coords_over_q(field, b) for b in half_basis]
         basis = list(half_basis)
         candidate = 1
         while len(basis) < l:
             if candidate >= field.Q:
                 raise RuntimeError("ran out of candidates extending the half subfield")
-            cand = field.coords_over_q(candidate)
-            if linalg.is_independent(field, coords + [cand]):
+            cand = coords_over_q(field, candidate)
+            if len(linalg.rref(field, coords + [cand])[0]) > len(coords):
                 coords.append(cand)
                 basis.append(candidate)
             candidate += 1
@@ -301,7 +336,7 @@ def count_via_dual(code, basis) -> int:
     union = 0
     for b in basis:
         word = [0] * len(matrix[0])
-        for c, row in zip(linalg.vector_coords(field, b), matrix):
+        for c, row in zip(vector_coords(field, b), matrix):
             if c:
                 word = [field.add(w, field.mul(c, x)) for w, x in zip(word, row)]
         union |= sum(1 << i for i, w in enumerate(word) if w)

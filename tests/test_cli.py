@@ -9,6 +9,7 @@ import pytest
 import ghwlab.cli as cli
 from ghwlab import fields, oracle
 from ghwlab.cli import _auto_jobs, main
+from ghwlab.codes import TraceCode
 from ghwlab.oracle import DEFAULT_BUDGET, GHWResult
 
 
@@ -396,6 +397,18 @@ def test_ghw_runtime_error_exit_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: hierarchy is not strictly increasing")
+
+
+def test_brute_recount_catches_a_wrong_codeword(capsys, monkeypatch):
+    # the generator matrix is read from the trace tables, so a codeword that
+    # disagrees with it fails the witness recount instead of scoring d_1 = 0
+    monkeypatch.setattr(TraceCode, "codeword", lambda self, xbar: (0,) * self.n)
+    code, out, err = run(capsys, "ghw", *EX1, "--method", "brute", "--r", "1",
+                         "--jobs", "1")
+    assert code == 3
+    assert out == ""
+    assert ("brute witness at r=1 recounts to 8 common zeros, "
+            "the sweep scored 6") in err
 
 
 def test_shape_check_covers_partial_r_lists(capsys, monkeypatch):

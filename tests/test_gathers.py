@@ -1,16 +1,18 @@
 """The tables behind the gathers of ``character_sum_count``.
 
-``FieldCtx.subfield`` at q = Q, ``FieldCtx.scalar_logs`` and
+``FieldCtx.subfield`` at q = Q, ``FieldCtx.trace_coords`` and
 ``CyclotomyCtx.periods_by_code`` each against its definition, on fields
-with p = 2 and odd p, with q < Q and q = Q; the character sum at q = 2,
-where an image has a single nonzero multiple; and the memory the gathers
-and their caches hold on [61,1] over GF(3^10).
+with p = 2 and odd p, with q < Q and q = Q; the independence test on trace
+coordinates against the rank of the coordinates in the basis
+(1, gamma, ..., gamma^(m-1)); the character sum at q = 2, where an image
+has a single nonzero multiple; and the memory the gathers and their caches
+hold on [61,1] over GF(3^10).
 """
 
 import copy
 import random
-import sys
 import tracemalloc
+from functools import reduce
 
 import pytest
 
@@ -18,8 +20,10 @@ from ghwlab.codes import TraceCode, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import FieldCtx
 from ghwlab.hierarchy import character_sum_count
+from ghwlab.linalg import rref, vectors_independent
 
 import helpers
+from paper_lemmas import vector_coords
 
 # (p, degree, s): q < Q and q = Q, for p = 2 and odd p; (2, 5, 1) has q = 2
 FIELDS = [(2, 4, 1), (2, 4, 2), (2, 4, 4), (2, 5, 1), (2, 5, 5),
@@ -41,14 +45,53 @@ def test_subfield_equals_set_and_sort_definition(p, degree, s):
 
 
 @pytest.mark.parametrize("p, degree, s", FIELDS)
-def test_scalar_logs_are_logs_in_gf_q(p, degree, s):
+def test_trace_coords_are_injective(p, degree, s):
     field = helpers.field(p, degree, s)
-    step = (field.Q - 1) // (field.q - 1)
-    scalars = field.subfield_q[1:]
-    assert tuple(field.scalar_logs) == tuple(field.log[c] // step for c in scalars)
-    assert tuple(field.exp[k * step] for k in field.scalar_logs) == tuple(scalars)
-    if field.q == field.Q:  # no int object per element: at most 8 bytes each
-        assert sys.getsizeof(field.scalar_logs) <= 8 * len(scalars) + 128
+    coords = [field.trace_coords(x) for x in range(field.Q)]
+    assert len(set(coords)) == field.Q
+    scalars = set(field.subfield_q)
+    assert all(len(c) == field.m and set(c) <= scalars for c in coords)
+
+
+@pytest.mark.parametrize("p, degree, s", FIELDS)
+def test_trace_coords_are_additive(p, degree, s):
+    field = helpers.field(p, degree, s)
+    coords = field.trace_coords
+    for x in range(field.Q):
+        for y in range(field.Q):
+            assert coords(field.add(x, y)) == tuple(map(field.add, coords(x), coords(y))), (x, y)
+
+
+@pytest.mark.parametrize("p, degree, s", FIELDS)
+def test_trace_coords_are_gf_q_homogeneous(p, degree, s):
+    field = helpers.field(p, degree, s)
+    coords = field.trace_coords
+    for c in field.subfield_q:
+        for x in range(field.Q):
+            assert coords(field.mul(c, x)) == tuple(field.mul(c, v) for v in coords(x)), (c, x)
+
+
+@pytest.mark.parametrize("p, degree, s", FIELDS)
+def test_vectors_independent_matches_primal_rank(p, degree, s):
+    # random sets of up to t*m + 1 vectors in F_Q^t, half of them with the
+    # first vector a GF(q)-combination of the others
+    field = helpers.field(p, degree, s)
+    rng = random.Random(f"{p}-{degree}-{s}")
+    seen = set()
+    for t in (1, 2):
+        for _ in range(40):
+            count = rng.randint(1, t * field.m + 1)
+            vecs = [tuple(rng.randrange(field.Q) for _ in range(t)) for _ in range(count)]
+            if count > 1 and rng.random() < 0.5:
+                coeffs = [rng.choice(field.subfield_q) for _ in vecs[1:]]
+                vecs[0] = tuple(
+                    reduce(field.add, (field.mul(c, v[h]) for c, v in zip(coeffs, vecs[1:])), 0)
+                    for h in range(t))
+            rank = len(rref(field, [vector_coords(field, v) for v in vecs])[0])
+            independent = vectors_independent(field, vecs)
+            assert independent == (rank == count), vecs
+            seen.add(independent)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("p, degree, s", FIELDS)
@@ -72,7 +115,7 @@ def test_periods_by_log_definition(p, degree, s):
 ])
 def test_character_sum_at_q2_is_bit_identical(params):
     code = TraceCode(derive_params(*params))
-    assert code.q == 2 and len(code.field.scalar_logs) == 1
+    assert code.q == 2 and len(code.field.subfield_q) == 2
     rng = random.Random(repr(params))
     for r in range(1, code.k + 1):
         basis = helpers.random_basis(code, r, rng)

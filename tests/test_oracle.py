@@ -11,12 +11,12 @@ import pytest
 from ghwlab import cli, oracle
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.errors import BudgetExceeded
-from ghwlab.linalg import rref, vector_coords, vectors_independent
+from ghwlab.linalg import rref, vectors_independent
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
 from ghwlab.subspaces import gaussian_binomial
 
 from helpers import DualContext, frobenius_trace, span_vectors
-from paper_lemmas import count_via_dual
+from paper_lemmas import count_via_dual, vector_coords
 
 
 def test_brute_example1(example1):

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams
-from ghwlab.linalg import rref, vector_coords, vectors_independent
+from ghwlab.linalg import rref, vectors_independent
 
 from helpers import DualContext, class_index
-from paper_lemmas import enumerate_profiles, shift_cross, unshift_cross
+from paper_lemmas import enumerate_profiles, shift_cross, unshift_cross, vector_coords
 
 F49 = build_field(7, 2)
 F64 = build_field(2, 6)

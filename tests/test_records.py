@@ -7,7 +7,8 @@ needs ``dataclasses`` (which loads ``inspect``), and a sweep at any job
 count forks its own children without ``multiprocessing``; a fresh
 interpreter checks that none of the three is loaded, since pytest itself
 loads all three.  ``verify`` runs no sweep, and a fresh interpreter checks
-that it loads neither sweep module.
+that it loads neither sweep module.  The arithmetic modules ``fields`` and
+``linalg`` import no other module of the package.
 """
 
 import ast
@@ -96,6 +97,20 @@ def test_heavy_imports_in_source():
                 continue
             found += [(path.stem, owner.get(node), name)
                       for name in names if name.split(".")[0] in HEAVY]
+    assert found == []
+
+
+@pytest.mark.parametrize("module", ["fields", "linalg"])
+def test_arithmetic_layer_imports_no_ghwlab_module(module):
+    # fields and linalg are the leaves every other module builds on
+    tree = ast.parse((SRC / "ghwlab" / f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "ghwlab"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "ghwlab":
+                found.append("." * node.level + (node.module or ""))
     assert found == []
 
 

@@ -81,3 +81,18 @@ def test_row_masks_hold_no_int_per_position():
         tracemalloc.stop()
     assert mask == sum(1 << i for i, x in enumerate(matrix[0]) if x)
     assert peak < 16_000_000
+
+
+def test_row_masks_at_q_eq_Q_build_no_index_dict():
+    # at q = Q the scalars are range(Q), which is its own index: a dict from
+    # each of the 59,049 codes of GF(3^10) to its position held 6.35 MB
+    # while _RowMasks was built on the [61,1] dual matrix
+    code = TraceCode(derive_params(3, 10, 1, 1, 1, 968))
+    matrix = _dual_scorer(code)[0]
+    tracemalloc.start()
+    try:
+        _RowMasks(code.field, matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

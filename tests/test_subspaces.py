@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from ghwlab.linalg import rank, rref
+from ghwlab.linalg import rref
 from ghwlab.subspaces import SubspaceIter, gaussian_binomial, pivot_patterns
 
 import helpers
@@ -64,7 +64,7 @@ def test_enumeration_no_duplicates(f4):
 
 def test_rows_are_independent_rref(f9):
     for rows in itertools.islice(helpers.all_subspaces(SubspaceIter(f9, 4, 2)), 50):
-        assert rank(f9, [list(r) for r in rows]) == 2
+        assert len(rref(f9, [list(r) for r in rows])[0]) == 2
         # pivots are 1 with zeros above/below
         reduced, _ = rref(f9, [list(r) for r in rows])
         assert reduced == [list(r) for r in rows]
