@@ -257,9 +257,11 @@ def _auto_jobs(tm, r_list, q):
     """Serial for small sweeps, else one worker per usable CPU and pattern."""
     from .subspaces import gaussian_binomial
 
-    # on 2 CPUs, --jobs 2 won at least 9 of 10 timed pairs from this size on
-    # ([93,10] over GF(2) at r=2) and at most 8 of 10 below it; with the
-    # trailing rows folded it still won 10 of 10 here and 4 of 10 at 43,435
+    # on 2 CPUs, in timed pairs (BENCH_19.json), --jobs 2 won 21 of 30 at this
+    # size ([93,10] over GF(2) at r=2; 10 of 10 in the last set of ten), 7 of
+    # 20 at 43,435, 13 of 20 at 376,805, 18 of 20 at 508,431 and 19 of 20 at
+    # 788,035.  --jobs 1 won no set of ten here 9 times, so the cutoff stayed
+    # where --jobs 2 had won 9 of 10 before the value-plane kernel
     if max(gaussian_binomial(tm, r, q) for r in r_list) < 174_251:
         return 1
     try:

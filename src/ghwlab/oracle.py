@@ -25,14 +25,15 @@ choices.  The kernel gives every choice of a row at once: it builds the
 row's prefix words depth first, then sorts the positions of each prefix
 word into one bucket per value of the last free entry (the value that zeroes
 the position), so a choice's mask is the complement of its bucket and of
-the positions that vanish for every value.  Trailing rows whose choices
-number at most ``_TAIL_CAP`` together are OR-folded into one list of masks,
-in product order; a subspace is then scored by OR-ing the masks of the
-remaining rows once per prefix and taking one popcount per folded mask.
-The witness is decoded from the best subspace's position by
-``SubspaceIter.pattern_basis``.  The dual count of a single basis,
-``count_via_dual``, is a test reference in ``tests/paper_lemmas.py`` that
-scores through this module's dual scorer.
+the positions that vanish for every value.  A word is a list of w scalar
+indices, or its value planes (``bitplanes``) where q is small next to w.
+Trailing rows whose choices number at most ``_TAIL_CAP`` together are
+OR-folded into one list of masks, in product order; a subspace is then
+scored by OR-ing the masks of the remaining rows once per prefix and taking
+one popcount per folded mask.  The witness is decoded from the best
+subspace's position by ``SubspaceIter.pattern_basis``.  The dual count of a
+single basis, ``count_via_dual``, is a test reference in
+``tests/paper_lemmas.py`` that scores through this module's dual scorer.
 
 Sweeps are split into work units, slices of a pattern's first-row choices;
 units are independent and combine by max reduction, so multi-process runs
@@ -109,20 +110,27 @@ class _RowMasks:
     M is held as scalar indices in ``subfield_q`` order (index 0 is zero).
     A pattern row is 1 at its pivot pc and any scalar at its free columns
     f_1 < ... < f_s, so its words are M[pc] + c_1 M[f_1] + ... + c_s M[f_s].
+    A word is a list of w indices, or its value planes with ``bitplanes``.
     """
 
     def __init__(self, field, matrix):
         scalars = field.subfield_q
-        # at q = Q the scalars are range(Q), where code c sits at position c
+        # at q = Q the scalars are range(Q), where code c sits at position c, so
+        # the entries are copied as they are, not as range(Q)'s fresh ints
         index = scalars if field.q == field.Q else {c: i for i, c in enumerate(scalars)}
-        self.q = len(scalars)
-        self.rows = [[index[c] for c in row] for row in matrix]
+        self.rows = [list(row) if index is scalars else [index[c] for c in row] for row in matrix]
+        self.q = q = len(scalars)
         self.add = _OpRows(field.add, scalars, index)
         self.mul = _OpRows(field.mul, scalars, index)
         # root[g][x] is the c with x + c*g = 0; a row per nonzero g in use
         self.root = _OpRows(lambda g, x: field.neg(field.mul(x, field.inv(g))),
                             scalars, index)
         self.full = (1 << len(self.rows[0])) - 1
+        # forced on the same matrices, planes took 0.37-0.92x the lists' time
+        # from 2*q*q <= w on, and 1.25-1.88x below it at q = 4..243 (15x on
+        # [242,3] over GF(243)), 1.14-1.17x at q = 3, w = 8
+        self.bitplanes = 2 * q * q <= len(self.rows[0])
+        self.planes = None  # every row's value planes, built on first use
 
     def row_masks(self, pivot, free):
         """The mask of every choice of the row, in ``row_choices`` order.
@@ -136,14 +144,18 @@ class _RowMasks:
         if not free:  # from a bitmap string, with no int per position
             return [int("".join("1" if x else "0" for x in reversed(rows[pivot])), 2)]
         *heads, last = free
+        if self.bitplanes:  # loaded by the first row on planes, not by every import
+            from . import bitplanes
+            return bitplanes.row_masks(self, pivot, heads, last)
         g = rows[last]
         live = [(i, 1 << i, self.root[x]) for i, x in enumerate(g) if x]
         dead = [(i, 1 << i) for i, x in enumerate(g) if not x]
-        # steps[h][c][i] is the add-table row of c * M[heads[h]][i]
+        # steps[h][c][i] is the add-table row of c * M[heads[h]][i]; None for c = 0
         add, mul = self.add, self.mul
-        steps = [[[add[mul[x][c]] for x in rows[f]] for c in range(self.q)] for f in heads]
+        steps = [[[add[mul[x][c]] for x in rows[f]] if c else None for c in range(self.q)]
+                 for f in heads]
         masks = []
-        for word in _prefixes(rows[pivot], steps):
+        for word in _prefixes(rows[pivot], steps, lambda w, step: [r[a] for a, r in zip(w, step)]):
             bucket = [0] * self.q
             for i, bit, root in live:
                 bucket[root[word[i]]] |= bit
@@ -155,17 +167,18 @@ class _RowMasks:
         return masks
 
 
-def _prefixes(word, steps):
+def _prefixes(word, steps, plus):
     """``word + c_1 M[f_1] + ...`` for every (c_1, ...) in product order,
-    one table add per word, depth first: one word per level is alive."""
+    one ``plus(word, step)`` per word, none for c = 0 (step None), depth
+    first: one word per level is alive."""
     if not steps:
         yield word
         return
     first, *rest = steps
     for step in first:
-        prefix = [row[a] for a, row in zip(word, step)]
+        prefix = plus(word, step) if step else word
         if rest:
-            yield from _prefixes(prefix, rest)
+            yield from _prefixes(prefix, rest, plus)
         else:
             yield prefix
 

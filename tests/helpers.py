@@ -482,15 +482,21 @@ REFERENCE_ROW_MASKS = {"brute": brute_row_mask, "dual": dual_row_mask}
 SCORERS = {"brute": _brute_scorer, "dual": _dual_scorer}
 
 
-def kernel(code, mode):
-    """The sweep kernel on the brute or dual matrix of ``code``."""
-    return _RowMasks(code.field, SCORERS[mode](code)[0])
+def kernel(code, mode, bitplanes=None):
+    """The sweep kernel on the brute or dual matrix of ``code``, with its
+    words held as value planes or as index lists when ``bitplanes`` is
+    given, else as the kernel chooses."""
+    masks = _RowMasks(code.field, SCORERS[mode](code)[0])
+    if bitplanes is not None:
+        masks.bitplanes = bitplanes
+    return masks
 
 
-def kernel_mismatches(code, mode, dims):
+def kernel_mismatches(code, mode, dims, bitplanes=None):
     """Every (r, pattern, row) whose kernel masks differ from the per-row
     reference masks of its ``row_choices``, over the dimensions ``dims``."""
-    row_masks, reference = kernel(code, mode).row_masks, REFERENCE_ROW_MASKS[mode](code)
+    row_masks = kernel(code, mode, bitplanes).row_masks
+    reference = REFERENCE_ROW_MASKS[mode](code)
     bad = []
     for r in dims:
         it = SubspaceIter(code.field, code.k, r)

@@ -33,6 +33,10 @@ CASES = {
                    "--a", "1", "--r", "1,7", "--method", "all", "--jobs", "1"],
     "dual_par_17_8": ["--p", "2", "--s", "1", "--m", "8", "--e", "1", "--t", "1",
                       "--a", "15", "--r", "3", "--method", "all", "--jobs", "2"],
+    # [364,12] over GF(3): 265,720 subspaces at r = 1 and at r = 11, on the
+    # kernel's value planes; pinned from the index-list kernel's output
+    "364_12_r1_11_12": ["--p", "3", "--m", "6", "--e", "2", "--t", "2", "--a", "2",
+                        "--r", "1,11,12", "--method", "all", "--jobs", "1"],
     # k = 1 over GF(3^10) and k = 2 over GF(3^5): q is large, so the kernel's
     # q x q tables must be built a row at a time
     "bigfield_61_1": ["--p", "3", "--s", "10", "--m", "1", "--e", "1", "--t", "1",

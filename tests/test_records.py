@@ -66,7 +66,7 @@ import json, sys
 import ghwlab.cli
 code = ghwlab.cli.main(["verify", "--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6",
                         "--count", "3"])
-sweep = ("ghwlab.oracle", "ghwlab.subspaces")
+sweep = ("ghwlab.oracle", "ghwlab.subspaces", "ghwlab.bitplanes")
 print(json.dumps({"exit": code, "loaded": [m for m in sweep if m in sys.modules]}))
 """
 

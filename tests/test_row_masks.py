@@ -1,13 +1,21 @@
 """The sweep kernel's row masks against the per-row references.
 
 ``oracle._RowMasks`` gives the masks of every choice of a pattern row at
-once, from depth-first prefix words and one bucket pass per prefix;
-``helpers.brute_row_mask`` and ``helpers.dual_row_mask`` build each
-choice's word on its own, the way the sweeps did before the kernel.
+once, from depth-first prefix words and one bucket pass per prefix.  It
+holds a word as its value planes (one bitmask per value that occurs,
+``ghwlab.bitplanes``) when 2*q*q <= w, else as a list of w scalar indices;
+the tests below force each form on the same matrices.  ``helpers.brute_row_mask`` and
+``helpers.dual_row_mask`` build each choice's word on its own, the way the
+sweeps did before the kernel.
 """
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,9 +45,11 @@ def _code(key):
 @pytest.mark.parametrize("mode", ["brute", "dual"])
 @pytest.mark.parametrize("key", sorted(CODES))
 def test_kernel_masks_match_reference(key, mode):
+    # q = 7, 7, 2, 4, 9 and 3; each word form, whichever the kernel would take
     code = _code(key)
     dims = CODES[key][1] or range(1, code.k + 1)
-    assert kernel_mismatches(code, mode, dims) == []
+    for bitplanes in (True, False):
+        assert kernel_mismatches(code, mode, dims, bitplanes) == []
 
 
 @given(small_sweeps())
@@ -48,14 +58,49 @@ def test_kernel_masks_match_reference(key, mode):
 def test_kernel_masks_match_reference_random(sweep):
     code, r = sweep
     for mode in ("brute", "dual"):
-        assert kernel_mismatches(code, mode, [r]) == []
+        for bitplanes in (True, False):
+            assert kernel_mismatches(code, mode, [r], bitplanes) == []
+
+
+def test_word_form_follows_q_against_width():
+    # value planes from 2*q*q <= w on: [80,8] over GF(3) (w = 80), irr21
+    # over GF(2) (w = 21) and the dual matrix of [15,6] over GF(4) (w = 45);
+    # ex1 over GF(7) (w = 8 and 24), the GF(4) generator matrix (w = 15) and
+    # GF(9) (w = 16) keep index lists
+    planes = {key: [kernel(_code(key), mode).bitplanes for mode in ("brute", "dual")]
+              for key in CODES}
+    assert planes == {"80_8": [True, True], "irr21": [True, True], "gf4": [False, True],
+                      "ex1": [False, False], "ex2": [False, False], "q9": [False, False]}
+
+
+PLANES_PROBE = """
+import json, sys
+from ghwlab.cli import main
+loaded = []
+for args in (["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"],  # lists
+             ["--p", "2", "--m", "6", "--e", "1", "--t", "1", "--a", "3"]):  # planes
+    assert main(["ghw", *args, "--method", "all", "--no-timing"]) == 0
+    loaded.append("ghwlab.bitplanes" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_plane_words_load_on_the_first_row_on_planes():
+    # ex1 over GF(7) keeps index lists, so its sweeps never load bitplanes;
+    # irr21 over GF(2) is swept on planes
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", PLANES_PROBE], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [False, True]
 
 
 def test_prefix_words_are_built_depth_first():
-    # pattern (0,) of [80,8] over GF(3): 3^7 masks from 3^6 prefix words of
-    # 80 entries each.  The masks take about 0.1 MB; all prefix words of
-    # one level at once would take another 0.5 MB.
+    # pattern (0,) of [80,8] over GF(3): 3^7 masks from 3^6 prefix words,
+    # each up to three value planes of 80 bits.  The masks take about
+    # 0.1 MB; all prefix words of one level at once would take another
+    # 0.25 MB as planes (0.5 MB as lists of 80 indices).
     masks = kernel(_code("80_8"), "brute")
+    assert masks.bitplanes
     masks.row_masks(0, list(range(1, 8)))  # fills the lazily built tables
     tracemalloc.start()
     try:
@@ -81,6 +126,23 @@ def test_row_masks_hold_no_int_per_position():
         tracemalloc.stop()
     assert mask == sum(1 << i for i, x in enumerate(matrix[0]) if x)
     assert peak < 16_000_000
+
+
+def test_row_masks_at_q_eq_Q_copy_the_matrix_entries():
+    # at q = Q the matrix entries already are the scalar indices, so the
+    # copy of the [61,1] dual matrix holds 0.49 MB of pointers; read through
+    # range(Q), which makes a fresh int for each code above 256, it held
+    # 2.40 MB
+    code = TraceCode(derive_params(3, 10, 1, 1, 1, 968))
+    matrix = _dual_scorer(code)[0]
+    tracemalloc.start()
+    try:
+        masks = _RowMasks(code.field, matrix)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.rows == matrix
+    assert peak < 1_000_000
 
 
 def test_row_masks_at_q_eq_Q_build_no_index_dict():
