@@ -4,9 +4,9 @@
 once, from depth-first prefix words and one bucket pass per prefix.  It
 holds a word as its value planes (one bitmask per value that occurs,
 ``ghwlab.bitplanes``) when 2*q*q <= w, else as a list of w scalar indices;
-the tests below force each form on the same matrices.  ``helpers.brute_row_mask`` and
-``helpers.dual_row_mask`` build each choice's word on its own, the way the
-sweeps did before the kernel.
+the tests below force each form on the same matrices.
+``helpers.brute_row_mask`` and ``helpers.dual_row_mask`` build each
+choice's word on its own, the way the sweeps did before the kernel.
 """
 
 import json
@@ -128,11 +128,13 @@ def test_row_masks_hold_no_int_per_position():
     assert peak < 16_000_000
 
 
-def test_row_masks_at_q_eq_Q_copy_the_matrix_entries():
-    # at q = Q the matrix entries already are the scalar indices, so the
-    # copy of the [61,1] dual matrix holds 0.49 MB of pointers; read through
-    # range(Q), which makes a fresh int for each code above 256, it held
-    # 2.40 MB
+def test_row_masks_at_q_eq_Q_build_no_index_dict():
+    # at q = Q the scalars are range(Q), which is its own index: a dict from
+    # each of the 59,049 codes of GF(3^10) to its position held 6.35 MB
+    # while _RowMasks was built on the [61,1] dual matrix.  The entries
+    # already are their indices, so the copy holds 0.49 MB of pointers;
+    # read through range(Q), which makes a fresh int for each code above
+    # 256, it held 2.40 MB
     code = TraceCode(derive_params(3, 10, 1, 1, 1, 968))
     matrix = _dual_scorer(code)[0]
     tracemalloc.start()
@@ -143,18 +145,3 @@ def test_row_masks_at_q_eq_Q_copy_the_matrix_entries():
         tracemalloc.stop()
     assert masks.rows == matrix
     assert peak < 1_000_000
-
-
-def test_row_masks_at_q_eq_Q_build_no_index_dict():
-    # at q = Q the scalars are range(Q), which is its own index: a dict from
-    # each of the 59,049 codes of GF(3^10) to its position held 6.35 MB
-    # while _RowMasks was built on the [61,1] dual matrix
-    code = TraceCode(derive_params(3, 10, 1, 1, 1, 968))
-    matrix = _dual_scorer(code)[0]
-    tracemalloc.start()
-    try:
-        _RowMasks(code.field, matrix)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4_000_000
