@@ -3,17 +3,21 @@
 An element is a plain integer in [0, Q): its base-p digits are the
 coefficients of the residue polynomial modulo a fixed primitive polynomial,
 constant term first.  Multiplication goes through exponent/logarithm
-tables built once at construction by stepping gamma^k to gamma^(k+1) on
-the packed code: a shift by one digit, then the top digit folded back in
-through two small tables per digit value, one for each half of the
-shifted digits, so no step loops over digits.  For odd p, addition goes through a table
-of Zech logarithms, zech[k] = log(1 + gamma^k), and negation adds (Q-1)/2 to
-the logarithm; for p = 2 addition is XOR.  Every operation is a few table
+tables filled together at construction by one walk from gamma^k to
+gamma^(k+1) on the packed code: two lookups per step, one keyed by the
+high half of the digits (the top digit included) and one by the low half,
+so no step loops over digits.  For odd p, addition goes through a table
+of Zech logarithms, zech[k] = log(1 + gamma^k), built on the first
+addition of two nonzero elements, and negation adds (Q-1)/2 to the
+logarithm; for p = 2 addition is XOR.  Every operation is a few table
 lookups.  ``exp`` is a list of the element codes, the only int objects a
 field holds per element (about 40 bytes each with its pointer); ``log``
 and ``zech`` are ``array("i")`` tables of 4 bytes per entry.  Each
 Q-sized table exists once: the trace onto the whole field and the whole
-field as a subfield are ``range(Q)``, not copies of it.  The intermediate
+field as a subfield are ``range(Q)``, not copies of it, and a trace table
+onto a subfield whose codes are all below 256 is ``bytes``, one byte per
+element.  The set-up of a trace table adds its few basis conjugates digit
+by digit, not through the Zech table.  The intermediate
 field GF(q), q = p^s, is kept as the subset of elements fixed by
 x -> x^q rather than as a separate field object, which keeps all
 arithmetic inside a single context.  The one map from an element to
@@ -32,9 +36,8 @@ from __future__ import annotations
 
 import functools
 from array import array
-from collections import deque
 from itertools import repeat
-from operator import getitem, setitem
+from operator import getitem
 
 MAX_FIELD_SIZE = 1 << 20
 
@@ -130,7 +133,8 @@ class FieldCtx:
 
     Not constructed directly; use :func:`build_field`.  All operations are
     pure and the context is immutable after construction (lazily built
-    caches excepted), so one context can be shared freely across workers.
+    caches excepted: the Zech table, subfields and trace tables), so one
+    context can be shared freely across workers.
     """
 
     def __init__(self, p, s, m, modulus, exp_table, log_table):
@@ -143,11 +147,17 @@ class FieldCtx:
         self.modulus = tuple(modulus)
         self.exp = exp_table
         self.log = log_table
-        self.zech = _zech_table(p, exp_table, log_table) if p != 2 else None
         self.gamma = exp_table[1 % (self.Q - 1)]
         self.one = 1
         self._subfields: dict[int, tuple] = {}
-        self._trace_tables: dict[int, list] = {}
+        self._trace_tables: dict[int, bytes | list] = {}
+
+    @functools.cached_property
+    def zech(self):
+        """zech[k] = log(1 + gamma^k) for odd p, None for p = 2; built by the
+        first ``add`` of two nonzero elements, so a run that adds none (an
+        r = 1 ``verify``) never holds it."""
+        return _zech_table(self.p, self.exp, self.log) if self.p != 2 else None
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, m={self.m}, Q={self.Q})"
@@ -261,7 +271,7 @@ class FieldCtx:
     def subfield_q(self) -> tuple | range:
         return self.subfield(self.s)
 
-    def trace_table(self, sub_degree) -> list | range:
+    def trace_table(self, sub_degree) -> bytes | list | range:
         """Relative trace onto GF(p^sub_degree) of every element; built once.
 
         The trace is GF(p)-linear, so it is fixed by its values on the basis
@@ -269,8 +279,12 @@ class FieldCtx:
         The table then grows one base-p digit at a time:
         tr[x + c*p^i] = tr[x + (c-1)*p^i] + tr[p^i], where adding tr[p^i]
         is a lookup in a shift table over the subfield, which holds every
-        trace value.  The trace onto the whole field is the identity,
-        returned as ``range(Q)``.
+        trace value.  The conjugate sums and shift tables are digit sums
+        (``_digit_add``), so the build reads no Zech table.  Where every
+        code of the subfield is below 256 the table is ``bytes``, each block
+        one ``bytes.translate`` of the last; otherwise it is a list, the one
+        form that holds larger codes.  The trace onto the whole field is the
+        identity, returned as ``range(Q)``.
         """
         table = self._trace_tables.get(sub_degree)
         if table is not None:
@@ -280,19 +294,29 @@ class FieldCtx:
                 f"trace target degree {sub_degree} does not divide {self.degree}")
         if sub_degree == self.degree:
             return range(self.Q)
-        add, values = self.add, self.subfield(sub_degree)
-        table = [0]
+        p, values = self.p, self.subfield(sub_degree)
+        small = values[-1] < 256
+        table = bytearray(1) if small else [0]
         for i in range(self.degree):
-            tr = cur = self.p**i
+            tr = cur = p**i
             for _ in range(self.degree // sub_degree - 1):
                 cur = self.frobenius(cur, sub_degree)
-                tr = add(tr, cur)
-            shift = {v: add(v, tr) for v in values}
+                tr = _digit_add(p, tr, cur)
             block = len(table)
-            for _ in range(self.p - 1):
-                # extend by a sized list: a bare map grows the table append by
-                # append, which raised the peak RSS of verify on GF(3^10) about 0.3 MB
-                table.extend(list(map(shift.__getitem__, table[-block:])))
+            if small:
+                shift = bytearray(256)
+                for v in values:
+                    shift[v] = _digit_add(p, v, tr)
+                for _ in range(p - 1):
+                    table += table[-block:].translate(shift)
+            else:
+                shift = {v: _digit_add(p, v, tr) for v in values}
+                for _ in range(p - 1):
+                    # extend by a sized list: a bare map grows the table append by
+                    # append, which raised the peak RSS of verify on GF(3^10) about 0.3 MB
+                    table.extend(list(map(shift.__getitem__, table[-block:])))
+        if small:
+            table = bytes(table)
         self._trace_tables[sub_degree] = table
         return table
 
@@ -402,7 +426,8 @@ def _has_root(poly, p):
 
 def _zech_table(p, exp_table, log_table):
     """zech[k] = log(1 + gamma^k), or -1 where 1 + gamma^k = 0, as an
-    ``array("i")`` like the log table.
+    ``array("i")`` like the log table; ``FieldCtx.zech`` builds it on first
+    use.
 
     Adding 1 changes only the constant digit of a code: x + 1, wrapping to
     x + 1 - p when that digit is p - 1.  ``log_succ[x]`` is log(x + 1).
@@ -410,6 +435,17 @@ def _zech_table(p, exp_table, log_table):
     log_succ = log_table[1:] + log_table[:1]
     log_succ[p - 1::p] = log_table[::p]
     return array("i", map(getitem, repeat(log_succ), exp_table))
+
+
+def _digit_add(p, a, b):
+    """a + b for two codes: their base-p digits added mod p, no carries."""
+    total, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        total += (x + y) % p * place
+        place *= p
+    return total
 
 
 def _digitwise_add_table(p, width, addend, scale, offset=0):
@@ -425,17 +461,18 @@ def _digitwise_add_table(p, width, addend, scale, offset=0):
 
 def _build_tables(p, d, modulus):
     """exp[k] = gamma^k, a list, and its inverse log, an ``array("i")``
-    with log[0] = -1, for gamma the residue of x.
+    with log[0] = -1, for gamma the residue of x; one walk fills both.
 
-    Multiplying a code c by x splits off its top digit c_top, shifts the
-    other d - 1 digits up by one place and folds c_top back in as
-    -c_top * (modulus without its leading 1), added digit by digit.  The
-    shifted code's constant digit is 0, so that digit of the addend is a
-    constant; the other d - 1 digits take the addend through two
-    precomputed tables per value of c_top, one for the low ceil((d-1)/2)
-    digits and one for the high floor((d-1)/2).  The tables hold
-    (p - 1) * (p^ceil((d-1)/2) + p^floor((d-1)/2)) entries in all, at most
-    about Q; for d = 1 each table is the single entry c_top * gamma or 0.
+    Multiplying a code c by x shifts its digits up by one place and folds
+    the top digit back in as -(top digit) * (modulus without its leading 1),
+    added digit by digit.  Split c = h * L + l with L = p^floor(d/2): h is
+    the high ceil(d/2) digits, the top one included, and l the low
+    floor(d/2).  Then x * c = high[h] + lows[h][l]: high[h] is h's other
+    digits shifted up, plus the fold's digits above the low half, and
+    lows[h], one table shared by every h with the same top digit, is l
+    shifted up plus the fold's low digits.  high holds p^ceil(d/2) entries
+    and the p tables of lows p^floor(d/2) each, at most (p + 1) sqrt(Q) in
+    all; for d = 1, l is empty and each table of lows the single fold digit.
 
     gamma is primitive exactly when its Q - 1 powers are the Q - 1 nonzero
     codes: the walk never meets 0 and comes back to 1, and every nonzero
@@ -443,28 +480,23 @@ def _build_tables(p, d, modulus):
     """
     Q = p**d
     group = Q - 1
-    top = p ** (d - 1)
     lo_width = d // 2
-    lo_size = p**lo_width
-    folds = [None]
+    L = p**lo_width
+    rest = p ** (d - 1 - lo_width)  # values of h below the top digit
+    high = list(range(0, rest * p * L, p * L))  # top digit 0: a plain shift
+    lows = [list(range(0, L * p, p))] * rest
     for c in range(1, p):
         addend = [(-c * m) % p for m in modulus[:d]]
-        folds.append((
-            _digitwise_add_table(p, lo_width, addend[1:lo_width + 1], p, addend[0]),
-            _digitwise_add_table(p, d - 1 - lo_width, addend[lo_width + 1:], p * lo_size)))
+        high += _digitwise_add_table(p, d - 1 - lo_width, addend[lo_width + 1:], p * L)
+        lows += [_digitwise_add_table(p, lo_width, addend[1:lo_width + 1], p, addend[0])] * rest
     exp_table = [0] * group
+    log_table = array("i", [-1]) * Q
     cur = 1
     for k in range(group):
         exp_table[k] = cur
-        c, rest = divmod(cur, top)
-        if c:
-            low, high = folds[c]
-            cur = low[rest % lo_size] + high[rest // lo_size]
-        else:
-            cur = rest * p
-    log_table = array("i", [-1]) * Q
-    # log[exp[k]] = k for every k, stored at C speed (the deque keeps nothing)
-    deque(map(setitem, repeat(log_table), exp_table, range(group)), maxlen=0)
+        log_table[cur] = k
+        h = cur // L
+        cur = high[h] + lows[h][cur % L]
     if cur != 1 or log_table.count(-1) != 1:
         raise RuntimeError("modulus is not primitive: the powers of x "
                            "are not the nonzero codes")

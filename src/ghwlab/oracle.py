@@ -90,18 +90,23 @@ def _require_e_equals_t(params):
 
 # -- the row-mask kernel ------------------------------------------------------
 
-class _OpRows(dict):
-    """q x q table of a GF(q) operation on scalar indices.  Rows are built
-    on first use, so a large q with few operands (k=1 over GF(3^10)) never
-    allocates q^2 entries."""
+class _LazyRows(dict):
+    """q x q table on scalar indices whose row a is ``build(a)``.  Rows are
+    built on first use, so a large q with few operands (k=1 over GF(3^10))
+    never allocates q^2 entries."""
 
-    def __init__(self, op, scalars, index):
-        self.op, self.scalars, self.index = op, scalars, index
+    def __init__(self, build):
+        self.build = build
 
     def __missing__(self, a):
-        x, op, index = self.scalars[a], self.op, self.index
-        row = self[a] = [index[op(x, b)] for b in self.scalars]
+        row = self[a] = self.build(a)
         return row
+
+
+def _op_rows(op, scalars, index):
+    """The table of a GF(q) operation: row a is ``op(scalars[a], b)`` for
+    every scalar b, as indices."""
+    return _LazyRows(lambda a: [index[op(scalars[a], b)] for b in scalars])
 
 
 class _RowMasks:
@@ -120,11 +125,11 @@ class _RowMasks:
         index = scalars if field.q == field.Q else {c: i for i, c in enumerate(scalars)}
         self.rows = [list(row) if index is scalars else [index[c] for c in row] for row in matrix]
         self.q = q = len(scalars)
-        self.add = _OpRows(field.add, scalars, index)
-        self.mul = _OpRows(field.mul, scalars, index)
-        # root[g][x] is the c with x + c*g = 0; a row per nonzero g in use
-        self.root = _OpRows(lambda g, x: field.neg(field.mul(x, field.inv(g))),
-                            scalars, index)
+        self.add = _op_rows(field.add, scalars, index)
+        self.mul = mul = _op_rows(field.mul, scalars, index)
+        # root[g][x] is the c with x + c*g = 0, c = x * (-1/g): the mul row of
+        # -1/g, one inv and one neg per nonzero g in use
+        self.root = _LazyRows(lambda g: mul[index[field.neg(field.inv(scalars[g]))]])
         self.full = (1 << len(self.rows[0])) - 1
         # forced on the same matrices, planes took 0.37-0.92x the lists' time
         # from 2*q*q <= w on, and 1.25-1.88x below it at q = 4..243 (15x on

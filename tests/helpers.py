@@ -12,7 +12,7 @@ from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams, closed_form_dr
 from ghwlab import linalg
-from ghwlab.oracle import _OpRows, _RowMasks, _brute_scorer, _dual_scorer, ghw_bruteforce
+from ghwlab.oracle import _RowMasks, _brute_scorer, _dual_scorer, _op_rows, ghw_bruteforce
 from ghwlab.subspaces import SubspaceIter, gaussian_binomial
 
 # (q, m, N) regimes satisfying every closed-form hypothesis, m <= 6.
@@ -438,8 +438,8 @@ def brute_row_mask(code):
     field = code.field
     scalars = field.subfield_q
     index = {c: i for i, c in enumerate(scalars)}
-    add = _OpRows(field.add, scalars, index)
-    mul = _OpRows(field.mul, scalars, index)
+    add = _op_rows(field.add, scalars, index)
+    mul = _op_rows(field.mul, scalars, index)
     gen = [[index[c] for c in word] for word in code.generator_matrix()]
     bits = [1 << i for i in range(code.n)]
 

@@ -9,6 +9,7 @@ from ghwlab.fields import (
     _digits,
     _primitive_modulus,
     _x_has_full_order,
+    _zech_table,
     build_field,
     is_prime,
     prime_factors,
@@ -163,18 +164,22 @@ def test_trace_rejects_bad_degree(f64):
         f64.trace_table(4)
 
 
-# (p, degree, s, target degrees): p in {2, 3, 5, 7}, target degree 1, a proper
-# divisor where one exists, and the whole field; four fields have s > 1.
+# (p, degree, s, {target degree: table form}): p in {2, 3, 5, 7}, target
+# degree 1, a proper divisor where one exists, and the whole field; four
+# fields have s > 1.  A table is bytes where every code of its subfield is
+# below 256 (GF(9) in GF(3^6) tops out at 233), a list where one is not
+# (GF(27) in GF(3^6) at 683, GF(49) in GF(7^4) at 2218), range(Q) for the
+# whole field.
 TRACE_CASES = [
-    (2, 2, 1, (1, 2)),
-    (2, 6, 1, (1, 2, 3, 6)),
-    (2, 4, 2, (1, 2, 4)),
-    (3, 4, 2, (1, 2, 4)),
-    (3, 6, 3, (1, 2, 3, 6)),
-    (5, 2, 1, (1, 2)),
-    (5, 4, 1, (1, 2, 4)),
-    (7, 2, 1, (1, 2)),
-    (7, 4, 2, (1, 2, 4)),
+    (2, 2, 1, {1: bytes, 2: range}),
+    (2, 6, 1, {1: bytes, 2: bytes, 3: bytes, 6: range}),
+    (2, 4, 2, {1: bytes, 2: bytes, 4: range}),
+    (3, 4, 2, {1: bytes, 2: bytes, 4: range}),
+    (3, 6, 3, {1: bytes, 2: bytes, 3: list, 6: range}),
+    (5, 2, 1, {1: bytes, 2: range}),
+    (5, 4, 1, {1: bytes, 2: list, 4: range}),
+    (7, 2, 1, {1: bytes, 2: range}),
+    (7, 4, 2, {1: bytes, 2: list, 4: range}),
 ]
 
 
@@ -184,8 +189,9 @@ def test_trace_table_matches_frobenius_sum(p, degree, s, subs):
     # with the definitional sum of x^(p^(sub*i)) at every element
     import helpers
     field = helpers.field(p, degree, s)
-    for sub in subs:
+    for sub, form in subs.items():
         table = field.trace_table(sub)
+        assert type(table) is form, sub
         assert len(table) == field.Q
         for x in range(field.Q):
             assert table[x] == helpers.frobenius_trace(field, x, sub), (sub, x)
@@ -354,6 +360,28 @@ def test_zech_table_marks_minus_one(f49):
     assert build_field(2, 4).zech is None
 
 
+@pytest.mark.parametrize("p,degree", [(3, 4), (7, 2), (3, 10)])
+def test_zech_table_is_built_by_the_first_add_of_two_nonzero_elements(p, degree, monkeypatch):
+    # building a field, adding 0 and negating read no Zech table; the first
+    # add of two nonzero elements builds it once, and later adds reuse it
+    import ghwlab.fields as fields
+    import helpers
+    modulus = list(build_field(p, degree).modulus)
+    field = FieldCtx(p, 1, degree, modulus, *_build_tables(p, degree, modulus))
+    built = []
+    monkeypatch.setattr(fields, "_zech_table",
+                        lambda *args: built.append(args) or _zech_table(*args))
+    g = field.gamma
+    assert (field.add(0, g), field.add(g, 0), field.neg(g)) == (g, g, field.exp[(field.Q - 1) // 2 + 1])
+    field.trace_table(1)
+    assert "zech" not in vars(field) and built == []
+    assert field.add(g, 1) == helpers.digit_add(field, g, 1)
+    assert len(built) == 1 and vars(field)["zech"] is field.zech
+    assert field.zech == _zech_table(p, field.exp, field.log)
+    assert field.add(1, field.neg(1)) == 0 and field.sub(g, g) == 0
+    assert len(built) == 1
+
+
 # -- exp/log tables against the digit loop -----------------------------------
 
 TABLE_FIELDS = ([(2, d) for d in range(1, 17)] + [(3, d) for d in range(1, 12)]
@@ -376,11 +404,13 @@ def test_tables_of_gf3_10_memory():
     # exp's list and its int objects take about 40 bytes per element; log
     # and zech are 4-byte arrays, and the peak adds one 4-byte temporary.
     # As lists of ints, log and zech took 88 bytes per element, 96 at peak.
+    # zech is built on first use, so it is read inside the traced block.
     p, d = 3, 10
     modulus = list(build_field(p, d).modulus)
     tracemalloc.start()
     try:
         field = FieldCtx(p, 1, d, modulus, *_build_tables(p, d, modulus))
+        field.zech
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

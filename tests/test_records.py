@@ -7,7 +7,8 @@ needs ``dataclasses`` (which loads ``inspect``), and a sweep at any job
 count forks its own children without ``multiprocessing``; a fresh
 interpreter checks that none of the three is loaded, since pytest itself
 loads all three.  ``verify`` runs no sweep, and a fresh interpreter checks
-that it loads neither sweep module.  The arithmetic modules ``fields`` and
+that it loads neither sweep module, and that an r = 1 ``verify`` never
+builds the field's Zech table.  The arithmetic modules ``fields`` and
 ``linalg`` import no other module of the package.
 """
 
@@ -77,6 +78,29 @@ def test_verify_loads_no_sweep_modules():
                           text=True, check=True)
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"exit": 0, "loaded": []}
+
+
+ZECH_PROBE = """
+import json
+import ghwlab.cli
+from ghwlab.fields import build_field
+code = ghwlab.cli.main(["verify", "--p", "3", "--s", "10", "--m", "1", "--e", "1", "--t", "1",
+                        "--a", "968", "--count", "4"])
+# the CLI's own call, keyword and all: build_field keeps the last field by its arguments
+field = build_field(3, 10, subfield_degree=10)
+print(json.dumps({"exit": code, "zech": "zech" in vars(field),
+                  "traces": {d: type(t).__name__ for d, t in field._trace_tables.items()}}))
+"""
+
+
+def test_r1_verify_builds_no_zech_table():
+    # an r = 1 character sum adds no two nonzero elements, and the trace table
+    # onto GF(3) is built by digit sums, one byte per element
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", ZECH_PROBE], env=env, capture_output=True,
+                          text=True, check=True)
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"exit": 0, "zech": False, "traces": {"1": "bytes"}}
 
 
 def test_heavy_imports_in_source():

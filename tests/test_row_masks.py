@@ -73,6 +73,25 @@ def test_word_form_follows_q_against_width():
                       "ex1": [False, False], "ex2": [False, False], "q9": [False, False]}
 
 
+# (p, degree, s) of a field whose GF(q) has q = 2, 3, 4, 9 and 243 (q = Q)
+ROOT_FIELDS = [(2, 3, 1), (3, 2, 1), (2, 4, 2), (3, 4, 2), (3, 5, 5)]
+
+
+@pytest.mark.parametrize("p,degree,s", ROOT_FIELDS)
+def test_root_rows_are_minus_x_over_g(p, degree, s):
+    # root[g][x] is the c with x + c*g = 0, entry by entry -x/g; at q >= 3 a
+    # row taken for g in place of -1/g differs
+    import helpers
+    field = helpers.field(p, degree, s)
+    scalars = field.subfield_q
+    kernel = _RowMasks(field, [list(scalars)])
+    for g in range(1, len(scalars)):
+        row = [scalars[c] for c in kernel.root[g]]
+        xs = [field.neg(field.mul(x, field.inv(scalars[g]))) for x in scalars]
+        assert row == xs, g
+        assert all(field.add(x, field.mul(c, scalars[g])) == 0 for x, c in zip(scalars, row))
+
+
 PLANES_PROBE = """
 import json, sys
 from ghwlab.cli import main
