@@ -147,17 +147,23 @@ class FieldCtx:
         self.modulus = tuple(modulus)
         self.exp = exp_table
         self.log = log_table
+        self._zech = None  # the Zech table, built on first use by ``zech``
         self.gamma = exp_table[1 % (self.Q - 1)]
         self.one = 1
         self._subfields: dict[int, tuple] = {}
         self._trace_tables: dict[int, bytes | list] = {}
 
-    @functools.cached_property
+    @property
     def zech(self):
-        """zech[k] = log(1 + gamma^k) for odd p, None for p = 2; built by the
-        first ``add`` of two nonzero elements, so a run that adds none (an
-        r = 1 ``verify``) never holds it."""
-        return _zech_table(self.p, self.exp, self.log) if self.p != 2 else None
+        """zech[k] = log(1 + gamma^k) for odd p, None for p = 2; built on
+        first use, by the first ``add`` of two nonzero elements, so a run
+        that adds none (an r = 1 ``verify``) never holds it.  ``add`` reads
+        the table from ``_zech``, an attribute set in ``__init__``: an
+        attribute that appears only later, as a ``cached_property`` puts it,
+        made every ``add`` about 1.6x slower (Python 3.11)."""
+        if self._zech is None and self.p != 2:
+            self._zech = _zech_table(self.p, self.exp, self.log)
+        return self._zech
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, m={self.m}, Q={self.Q})"
@@ -175,7 +181,7 @@ class FieldCtx:
             return a
         group = self.Q - 1
         la = self.log[a]
-        z = self.zech[(self.log[b] - la) % group]
+        z = (self._zech or self.zech)[(self.log[b] - la) % group]
         if z < 0:
             return 0
         return self.exp[(la + z) % group]

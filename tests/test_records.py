@@ -88,7 +88,7 @@ code = ghwlab.cli.main(["verify", "--p", "3", "--s", "10", "--m", "1", "--e", "1
                         "--a", "968", "--count", "4"])
 # the CLI's own call, keyword and all: build_field keeps the last field by its arguments
 field = build_field(3, 10, subfield_degree=10)
-print(json.dumps({"exit": code, "zech": "zech" in vars(field),
+print(json.dumps({"exit": code, "zech": field._zech is not None,
                   "traces": {d: type(t).__name__ for d, t in field._trace_tables.items()}}))
 """
 
