@@ -320,8 +320,12 @@ def cmd_ghw(args):
 
 
 def cmd_gauss(args):
+    import cmath  # the one command that prints complex values
     field = build_field(args.p, args.s * args.m, subfield_degree=args.s)
     cyc = CyclotomyCtx(field, args.N)
+    roots = [cmath.exp(2j * cmath.pi * k / field.p) for k in range(field.p)]
+    periods = [sum(c * roots[k] for k, c in row.items())
+               for row in cyc.period_table()[:args.N]]
     record = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "ghwlab", "version": __version__},
@@ -330,7 +334,7 @@ def cmd_gauss(args):
         "class_size": cyc.class_size,
         "periods": [
             {"i": i, "re": _sig12(v.real), "im": _sig12(v.imag)}
-            for i, v in enumerate(cyc.period_table())
+            for i, v in enumerate(periods)
         ],
     }
     _write(args, json.dumps(record, indent=2))

@@ -1,15 +1,19 @@
-"""Cyclotomy classes, additive characters, and numeric Gauss periods.
+"""Cyclotomy classes and Gauss periods held exactly as trace counts.
 
 The multiplicative group of F_Q splits into N classes: the i-th class is
-gamma^i times the subgroup generated by gamma^N.  Gauss periods are computed
-by direct summation of p-th roots of unity; no closed form is assumed, which
-lets the numeric values double as an oracle for the closed-form machinery.
+gamma^i times the subgroup generated by gamma^N.  The Gauss period at a in
+class i sums zeta_p^Tr(z), Tr the absolute trace, over z in class i; it is
+held as the counts c_k of the class's elements at trace k, found by direct
+enumeration so that they double as an oracle for the closed form.  When
+GF(p)^* lies in class 0, c_1 = ... = c_(p-1) and the period is c_0 - c_1.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import Counter
+from itertools import repeat
+from operator import getitem
 
 from .fields import FieldCtx
 
@@ -51,56 +55,32 @@ class CyclotomyCtx:
     def __repr__(self):
         return f"CyclotomyCtx(Q={self.field.Q}, N={self.N})"
 
-    def class_elements(self, i: int):
-        """All elements of the i-th class, in exponent order."""
-        exp = self.field.exp
-        group = self.field.Q - 1
-        return [exp[(i + k * self.N) % group] for k in range(self.class_size)]
-
-    def gauss_period(self, arg) -> complex:
-        """Sum of the canonical additive character over arg times class 0.
-
-        Direct summation of p-th roots of unity, in the exponent order of
-        ``class_elements(0)``: class 0 is gamma^(k*N), so arg times its k-th
-        element is exp[(log arg + k*N) mod (Q-1)].  The zero argument is
-        allowed and gives the class size (every summand is 1), the reading
-        that keeps the character-sum expressions consistent with integer
-        counts.
-        """
-        field = self.field
-        if arg == 0:
-            return complex(self.class_size)
-        p, exp, group = field.p, field.exp, field.Q - 1
-        zetas = [cmath.exp(2j * cmath.pi * v / p) for v in range(p)]
-        traces = field.trace_table(1)
-        start = field.log[arg]
-        total = 0j
-        for e in range(start, start + group, self.N):
-            total += zetas[traces[exp[e % group]]]
-        return total
+    def class_elements(self, i: int) -> list:
+        """All elements of the i-th class, 0 <= i < N, in exponent order."""
+        return self.field.exp[i::self.N]
 
     def period_table(self) -> tuple:
-        """Periods at gamma^0 .. gamma^(N-1); cached after the first call.
+        """The Gauss periods as trace counts; cached after the first call.
 
-        Since the period at a depends only on the class of a, this table
-        evaluates the period at every nonzero argument.
+        Row i < N is a ``Counter`` of the absolute traces of class i, counted
+        from the class's own slice of ``exp``, and holds only the traces that
+        occur.  Row N is the argument 0: class_size elements at trace 0.
         """
         if self._table is None:
-            exp = self.field.exp
-            self._table = tuple(self.gauss_period(exp[i % (self.field.Q - 1)])
-                                for i in range(self.N))
+            trace = self.field.trace_table(1)
+            rows = [Counter(map(getitem, repeat(trace), self.class_elements(i)))
+                    for i in range(self.N)]
+            rows.append(Counter({0: self.class_size}))
+            self._table = tuple(rows)
         return self._table
 
-    def periods_by_code(self) -> list:
-        """The period at every element, indexed by the element's code: entry
-        x != 0 is ``period_table()[log[x] % N]`` and entry 0 is the class
-        size, the period at 0.  Built on first use, one pointer per field
-        element, pointing at the same period objects; the lookup by log it
-        is read from (the N periods repeated class-size times, then the
-        class size at index -1 = log[0]) is a temporary.
+    def class_by_code(self) -> list:
+        """The ``period_table`` row of every element, indexed by code:
+        log[x] mod N, or N at 0.  Built on first use from a temporary lookup
+        by log (0..N-1 repeated class-size times, then N at log[0] = -1).
         """
         if self._by_code is None:
-            by_log = list(self.period_table()) * self.class_size
-            by_log.append(complex(self.class_size))
+            by_log = list(range(self.N)) * self.class_size
+            by_log.append(self.N)
             self._by_code = list(map(by_log.__getitem__, self.field.log))
         return self._by_code

@@ -369,7 +369,6 @@ class FieldCtx:
         }
 
 
-@functools.lru_cache(maxsize=1)
 def build_field(p: int, ext_degree: int, subfield_degree: int = 1) -> FieldCtx:
     """Build GF(p^ext_degree) over a deterministically chosen primitive polynomial.
 
@@ -378,9 +377,15 @@ def build_field(p: int, ext_degree: int, subfield_degree: int = 1) -> FieldCtx:
     as least-significant digit), so repeated runs agree element-for-element.
     ``subfield_degree`` fixes s in q = p^s; it must divide ext_degree.
     The most recently built field is kept and returned again for the same
-    arguments (a context is immutable), so a sweep over many codes of one
+    triple (p, ext_degree, subfield_degree), however the arguments are
+    passed (a context is immutable), so a sweep over many codes of one
     field builds it, and its trace tables, once.
     """
+    return _build_field(p, ext_degree, subfield_degree)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_field(p, ext_degree, subfield_degree):
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if ext_degree < 1:
@@ -480,9 +485,9 @@ def _build_tables(p, d, modulus):
     and the p tables of lows p^floor(d/2) each, at most (p + 1) sqrt(Q) in
     all; for d = 1, l is empty and each table of lows the single fold digit.
 
-    gamma is primitive exactly when its Q - 1 powers are the Q - 1 nonzero
-    codes: the walk never meets 0 and comes back to 1, and every nonzero
-    code gets a log, so -1 is left only at log[0].
+    gamma is primitive exactly when the walk is back at 1 after Q - 1 steps
+    and not before: a walk that never gets back to 1 ends at cur != 1, and
+    log[1] = 0 from step 0 is overwritten exactly when 1 comes back early.
     """
     Q = p**d
     group = Q - 1
@@ -503,7 +508,7 @@ def _build_tables(p, d, modulus):
         log_table[cur] = k
         h = cur // L
         cur = high[h] + lows[h][cur % L]
-    if cur != 1 or log_table.count(-1) != 1:
+    if cur != 1 or log_table[1] != 0:
         raise RuntimeError("modulus is not primitive: the powers of x "
                            "are not the nonzero codes")
     return exp_table, log_table

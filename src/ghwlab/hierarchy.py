@@ -7,15 +7,13 @@ possible intersection of a u_i-dimensional GF(q)-subspace of F_Q with a
 fixed cyclotomy class.  Under the semiprimitive hypotheses that per-slot
 maximum has a two-branch closed form, the optimal profile concentrates mass
 as (m,...,m, r_2, 0,...,0), and the hierarchy follows in exact integer
-arithmetic.  Every division required to be exact is checked at runtime.
+arithmetic, as does the character-sum count of a subspace, whose Gauss
+periods are trace counts.  Every division meant to be exact is checked.
 """
 
 from __future__ import annotations
 
-import operator
-from collections import namedtuple
-from functools import reduce
-from itertools import chain, repeat
+from collections import Counter, namedtuple
 
 from .codes import CodeParams, TraceCode, check_closed_form_hypotheses
 from .cyclotomy import semiprimitive_j
@@ -166,72 +164,50 @@ def branch_label(fp: FormulaParams, r2: int) -> str:
     return "low" if r2 < fp.half else "high"
 
 
-def character_sum_count(code: TraceCode, basis) -> complex:
-    """Common-zero count of a message subspace as a numeric character sum.
+def character_sum_count(code: TraceCode, basis) -> int:
+    """Common-zero count of a message subspace as an exact character sum.
 
     Each member b contributes, for h = 1..t, the Gauss period at slot h of
-    ``code.relabel(b)`` (the derivation is there).  The image is GF(q)-linear
-    in b, so it is computed once per basis vector, and the members' images
-    are the GF(q)-span of those, enumerated slot by slot.  At r = 1 a slot's
-    members are 0 and the q - 1 nonzero multiples c*y of one image y.  They
-    all share one period: N divides (Q-1)/(q-1) (``derive_params`` takes N
-    as a divisor of it), so GF(q)^* lies in class 0 and c*y is in the class
-    of y.  The slot is the class size, then ``period_table()[log y mod N]``
-    (the class size again when y = 0) repeated q - 1 times, with nothing
-    read per member.  At r >= 2, each basis vector adds each multiple c*x
-    of its image coordinate x, c over the nonzero scalars of ``subfield_q``
-    in order, to every member with ``FieldCtx.translate``: an XOR at p = 2,
-    else two table reads or one ``add`` per member.  A slot's periods are
-    one tuple, gathered from ``periods_by_code()`` at its members (at least
-    q >= 2 of them, so the gather is a tuple); the slots' tuples are
-    interleaved into one list before the fold, which folds faster than
-    interleaving them lazily.  A single slot (t = 1) is folded as it is.
-    Summation is a strict left fold over members outer, in coefficient
-    order with the last basis vector slowest, and slots inner, as a
-    member-by-member evaluation adds them, so the float does not depend on
-    how the arguments were enumerated.  The result must agree with the
-    exact integer count within 1e-6 (at most Q * q^r * t unit-magnitude
-    summands at desk scale).  Requires e == t.
+    ``code.relabel(b)`` (the derivation is there): the ``period_table()``
+    row of that argument.  The image is GF(q)-linear in b, so it is computed
+    once per basis vector.  N divides (Q-1)/(q-1) (``derive_params`` takes N
+    as a divisor of it), so GF(q)^* lies in class 0 and the q - 1 nonzero
+    members of a line of the span share a row.  A line is read once, at its
+    member whose last nonzero coefficient is 1; those with the j-th last are
+    the slot's j-th image coordinate plus the span of the earlier ones,
+    built with ``FieldCtx.translate``.  At r = 1 that is one argument per
+    slot, whose row is read from its log.
+    The rows, weighted by their uses, sum to totals T_k; the character sum
+    is sum_k T_k zeta_p^k.  GF(p)^* lies in class 0 too, so the totals at
+    the nonzero traces must agree, and the count N*(T_0 - T_1)/(t*delta*q^r)
+    must divide exactly; otherwise RuntimeError.  Requires e == t.
     """
     params = code.params
     if params.e != params.t:
         raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
-    field = code.field
-    cyclotomy = code.cyclotomy
-    class_size = complex(cyclotomy.class_size)
-    q, t, N = params.q, params.t, params.N
-
-    def span(xs):
-        # codes of sum_j c_j xs[j] over the coefficients, the last slowest
-        members = [0]
-        for x in xs:  # block i holds the members plus the i-th multiple of x
-            size = len(members)
-            shifted = members * q
-            for i, c in enumerate(field.subfield_q[1:], 1):
-                shifted[i * size:(i + 1) * size] = field.translate(members, field.mul(c, x))
-            members = shifted
-        return members
-
-    r = len(basis)
-    table = cyclotomy.period_table()
-    by_code = cyclotomy.periods_by_code() if r > 1 else None
+    field, cyclotomy = code.field, code.cyclotomy
+    q, N, r = params.q, params.N, len(basis)
+    row = cyclotomy.class_by_code().__getitem__ if r > 1 else (
+        lambda x: field.log[x] % N if x else N)
     images = [code.relabel(b) for b in basis]
-    slots = []
-    for h in range(t):
-        xs = [image[h] for image in images]
-        if r == 1:
-            period = table[field.log[xs[0]] % N] if xs[0] else class_size
-            slots.append(chain((class_size,), repeat(period, q - 1)))
-        else:  # a tuple of periods: a slot's members are freed before the next
-            slots.append(operator.itemgetter(*span(xs))(by_code))
-    # member-major: slot h of member i is the (i*t + h)-th summand
-    if t == 1:
-        summands = slots[0]
-    elif r == 1:  # interleave the lazy streams, with no list of the field's size
-        summands = chain.from_iterable(zip(*slots))
-    else:
-        summands = [0j] * (t * len(slots[0]))
-        for h, slot in enumerate(slots):
-            summands[h::t] = slot
-    total = reduce(operator.add, summands, 0j)  # not sum(): it compensates floats from 3.12
-    return total * params.N / (params.t * params.delta * params.q**r)
+    lines = Counter()  # row -> lines of the slots' spans whose members use it
+    for h in range(params.t):
+        members = [0]  # the span of the slot-h coordinates of the images so far
+        for j, image in enumerate(images):
+            block = field.translate(members, image[h])
+            lines.update(map(row, block))
+            if j + 1 < r:
+                members += block + [y for c in field.subfield_q[2:]
+                                    for y in field.translate(members, field.mul(c, image[h]))]
+    table = cyclotomy.period_table()
+    totals = Counter({k: params.t * c for k, c in table[N].items()})  # each slot's zero member
+    for i, n in lines.items():
+        for k, c in table[i].items():
+            totals[k] += (q - 1) * n * c
+    if len({totals[k] for k in range(1, field.p)}) > 1:
+        raise RuntimeError("character sum is not rational: its nonzero trace totals differ")
+    scale = params.t * params.delta * q**r
+    count, rem = divmod(N * (totals[0] - totals[1]), scale)
+    if rem:
+        raise RuntimeError(f"character-sum count {count * scale + rem}/{scale} is not an integer")
+    return count

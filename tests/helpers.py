@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from hypothesis import assume, strategies as st
@@ -359,10 +360,13 @@ def random_basis(code, r, rng):
 def member_character_sum_count(code, basis):
     """Character-sum count with every argument computed from its member.
 
-    Enumerates the q^r member vectors b of the subspace and sums, for each
-    b and h = 1..t, the Gauss period at gamma^(a*h) * sum_j b_j
-    beta^(delta_j*h).  The reference for ``character_sum_count``, which
-    must return the same float: same summands, same order.
+    Enumerates the q^r member vectors b of the subspace and adds, for each
+    b and h = 1..t, the trace counts of the Gauss period at gamma^(a*h) *
+    sum_j b_j beta^(delta_j*h): the ``period_table`` row at the argument's
+    log, or class_size counts at trace 0 for the argument 0.  The totals at
+    the nonzero traces must agree, and N*(T_0 - T_1)/(t*delta*q^r) must be
+    an integer, which is returned.  The reference for
+    ``character_sum_count``, which counts rows, not members.
     """
     params = code.params
     field = code.field
@@ -377,8 +381,8 @@ def member_character_sum_count(code, basis):
         [exp[(step * params.deltas[j] * h) % group] for j in range(t)]
         for h in range(1, t + 1)
     ]
-    class_size = complex(code.cyclotomy.class_size)
-    total = 0j
+    at_zero = {0: code.cyclotomy.class_size}
+    totals = Counter()
     for b in span_vectors(field, list(basis)):
         for h in range(t):
             acc = 0
@@ -386,23 +390,29 @@ def member_character_sum_count(code, basis):
                 if b[j]:
                     acc = add(acc, mul(b[j], beta_pows[h][j]))
             arg = mul(g_pows[h], acc)
-            total += table[log[arg] % params.N] if arg else class_size
-    return total * params.N / (params.t * params.delta * params.q ** len(basis))
+            totals.update(table[log[arg] % params.N] if arg else at_zero)
+    assert len({totals[k] for k in range(1, field.p)}) == 1, totals
+    count, rem = divmod(params.N * (totals[0] - totals[1]),
+                        params.t * params.delta * params.q ** len(basis))
+    assert rem == 0, (totals, basis)
+    return count
 
 
-def mul_gauss_period(cyc, arg) -> complex:
-    """Gauss period at ``arg`` with one field product per class-0 element,
-    in the order of ``class_elements(0)``: the reference for the
-    log-domain ``CyclotomyCtx.gauss_period``."""
+def mul_gauss_period(cyc, arg) -> Counter:
+    """Trace counts of the Gauss period at ``arg``, with one field product
+    per class-0 element: the absolute traces of arg*z, z in
+    ``class_elements(0)``, and class_size at trace 0 for arg = 0.  The
+    reference for the rows of ``CyclotomyCtx.period_table``."""
     field = cyc.field
     if arg == 0:
-        return complex(cyc.class_size)
-    zetas = [cmath.exp(2j * cmath.pi * v / field.p) for v in range(field.p)]
+        return Counter({0: cyc.class_size})
     traces = field.trace_table(1)
-    total = 0j
-    for x in cyc.class_elements(0):
-        total += zetas[traces[field.mul(arg, x)]]
-    return total
+    return Counter(traces[field.mul(arg, z)] for z in cyc.class_elements(0))
+
+
+def period_value(row, p) -> complex:
+    """The Gauss period sum_k row[k] * zeta_p^k of a row of trace counts."""
+    return sum(c * cmath.exp(2j * cmath.pi * k / p) for k, c in row.items())
 
 
 def nullspace_dual_count(code, basis):

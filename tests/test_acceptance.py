@@ -1,13 +1,14 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
-are produced.  Tolerances are pinned here: hierarchy and counting criteria
-are exact integer comparisons; character identities use 1e-9, and the
-character-sum count comparison uses 1e-6.
+are produced.  Every criterion is an exact comparison: hierarchies and
+counts are integers, and the character identities compare the trace counts
+that hold each Gauss period.
 """
 
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -26,9 +27,6 @@ import helpers
 from helpers import closed_form_hierarchy, span_elements
 from paper_lemmas import achieving_subspace, exhaustive_profile
 from test_hierarchy import _assert_monotonicity
-
-PERIOD_TOL = 1e-9
-CHARSUM_TOL = 1e-6
 
 
 @contextmanager
@@ -144,21 +142,23 @@ def _divisors(n):
 
 def test_criterion_8_character_identities():
     with criterion(8, "period sums, semiprimitive integrality, character-sum counts"):
-        # periods over every divisor sum to -1
+        # the periods over every divisor sum to -1: their trace counts
+        # together are F_Q^*'s, every value Q/p times and 0 once fewer
         for pp, deg in helpers.FIELD_CORPUS:
             ctx = helpers.field(pp, deg)
             assert ctx.Q <= 2**12
+            full = Counter({k: ctx.Q // pp for k in range(pp)})
+            full[0] -= 1
             for N in _divisors(ctx.Q - 1):
-                cyc = CyclotomyCtx(ctx, N)
-                total = sum(cyc.period_table())
-                assert abs(total - (-1)) <= PERIOD_TOL, (pp, deg, N, total)
-        # periods are integers in the semiprimitive regimes
+                table = CyclotomyCtx(ctx, N).period_table()
+                assert sum(table[:N], Counter()) == full, (pp, deg, N)
+        # periods are integers in the semiprimitive regimes: each row's
+        # nonzero traces have equal counts
         for (pp, deg), N in helpers.SEMIPRIMITIVE_PAIRS:
             ctx = helpers.field(pp, deg)
-            for val in CyclotomyCtx(ctx, N).period_table():
-                assert abs(val.imag) <= PERIOD_TOL, (pp, deg, N, val)
-                assert abs(val.real - round(val.real)) <= PERIOD_TOL, (pp, deg, N, val)
-        # numeric character-sum counts match exact integer counts
+            for row in CyclotomyCtx(ctx, N).period_table():
+                assert len({row[k] for k in range(1, pp)}) == 1, (pp, deg, N, row)
+        # character-sum counts are the exact integer counts
         rng = random.Random(2024)
         checked = 0
         for key in ("example1", "example2"):
@@ -168,7 +168,7 @@ def test_criterion_8_character_identities():
                 basis = helpers.random_basis(code, rng.randint(1, tm), rng)
                 numeric = character_sum_count(code, basis)
                 exact = count_common_zeros(code, basis)
-                assert abs(numeric - exact) <= CHARSUM_TOL, (key, basis, numeric, exact)
+                assert type(numeric) is int and numeric == exact, (key, basis, numeric, exact)
                 checked += 1
         assert checked >= 100
 

@@ -1,19 +1,20 @@
 """The character sum over the span of the basis images against the
-member-by-member reference.
+member-by-member reference and the exact count.
 
 ``character_sum_count`` computes each basis vector's argument vector once
-and enumerates their GF(q)-span slot by slot in the log domain;
-``helpers.member_character_sum_count`` recomputes the arguments of every
-member.  The summands and their order
-are the same, so the floats must be equal, not merely close.
-"""
+and counts how often each class occurs among the slot arguments over their
+GF(q)-span; ``helpers.member_character_sum_count`` recomputes the argument
+of every member and adds its period's trace counts.  Both return exact
+integers, so they must be equal, and equal to ``count_common_zeros``."""
 
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ghwlab.codes import TraceCode, derive_params
+from ghwlab import cli
+from ghwlab.codes import TraceCode, count_common_zeros, derive_params
+from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.hierarchy import character_sum_count
 from ghwlab.linalg import vectors_independent
 
@@ -24,8 +25,8 @@ CODES = {
     "ex2": (7, 1, 2, 2, 2, 2),
     # q = 9: GF(9) inside GF(81), scalar codes not 0..8
     "q9": (3, 2, 2, 1, 1, 5),
-    # q = Q = 9, t = 2, N = 1: each r = 1 slot is one period repeated q - 1
-    # times, and the two slots' streams are interleaved
+    # q = Q = 9, t = 2, N = 1: each r = 1 slot uses one class q - 1 times
+    # and the zero argument once, in each of two slots
     "q9_t2": (3, 2, 1, 2, 2, 1),
 }
 
@@ -81,3 +82,55 @@ def test_image_span_equals_member_sum_random(sweep, rng):
     code, r = sweep
     basis = helpers.random_basis(code, r, rng)
     assert character_sum_count(code, basis) == helpers.member_character_sum_count(code, basis)
+
+
+@given(helpers.small_sweeps(), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_character_sum_equals_exact_count(sweep, rng):
+    code, r = sweep
+    basis = helpers.random_basis(code, r, rng)
+    value = character_sum_count(code, basis)
+    assert type(value) is int
+    assert value == count_common_zeros(code, basis)
+
+
+# verify golden cases on which each mutation below is caught
+MUTATION_CASES = {
+    "80_8": ["--p", "3", "--m", "4", "--e", "2", "--t", "2", "--a", "1", "--count", "10"],
+    "ex1": ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6",
+            "--count", "25", "--seed", "1"],
+}
+
+
+def _rows_from_class_1(table, N):
+    return table[1:N] + table[:1] + table[N:]
+
+
+def _zero_row_of_class_1(table, N):
+    return table[:N] + (table[1],)
+
+
+@pytest.mark.parametrize("mutate", [_rows_from_class_1, _zero_row_of_class_1])
+@pytest.mark.parametrize("name", sorted(MUTATION_CASES))
+def test_verify_exits_3_on_mutated_period_table(name, mutate, capsys, monkeypatch):
+    table = CyclotomyCtx.period_table
+    monkeypatch.setattr(CyclotomyCtx, "period_table", lambda self: mutate(table(self), self.N))
+    assert cli.main(["verify", *MUTATION_CASES[name]]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", sorted(MUTATION_CASES))
+def test_verify_exits_3_on_doubled_delta_in_scaling(name, capsys, monkeypatch):
+    # delta enters character_sum_count only through the scaling
+    # N*(T_0 - T_1)/(t*delta*q^r)
+    def doubled(code, basis):
+        code.params.delta *= 2
+        try:
+            return character_sum_count(code, basis)
+        finally:
+            code.params.delta //= 2
+
+    monkeypatch.setattr(cli, "character_sum_count", doubled)
+    assert cli.main(["verify", *MUTATION_CASES[name]]) == 3
+    capsys.readouterr()

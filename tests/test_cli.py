@@ -380,7 +380,7 @@ def test_sweep_builds_the_field_once(capsys, monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(fields.FieldCtx, "__init__", counting_init)
-    fields.build_field.cache_clear()
+    fields._build_field.cache_clear()
     code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
                        "--t", "2", "--a-range", "1:12")
     assert code == 0

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ghwlab.cyclotomy import CyclotomyCtx, semiprimitive_j
@@ -45,66 +47,94 @@ def test_class_invariant_under_class0_multiplication(f64):
             assert helpers.class_index(cyc, f64.mul(x, c)) == i
 
 
+def _all_nonzero_traces(field):
+    # Tr onto GF(p) takes each value Q/p times on F_Q, 0 included at 0
+    counts = {k: field.Q // field.p for k in range(field.p)}
+    counts[0] -= 1
+    return Counter(counts)
+
+
+def _rational(row, p):
+    # 1, zeta, ..., zeta^(p-2) are independent, so sum_k row[k] zeta^k is
+    # rational exactly when the nonzero traces have equal counts
+    return len({row[k] for k in range(1, p)}) == 1
+
+
 def test_full_character_sum_is_minus_one(f49):
+    # N = 1: the one class is F_Q^*, whose traces are every value Q/p times
+    # except 0, once fewer; the period c_0 - c_1 is -1
     cyc = CyclotomyCtx(f49, 1)
+    full = _all_nonzero_traces(f49)
+    assert cyc.period_table()[0] == full
+    assert full[0] - full[1] == -1
     for arg in (1, f49.gamma, 13):
-        assert abs(cyc.gauss_period(arg) - (-1)) < 1e-9
+        assert helpers.mul_gauss_period(cyc, arg) == full
 
 
 def test_period_sum_partitions_full_sum(f49):
     cyc = CyclotomyCtx(f49, 4)
-    total = sum(cyc.period_table())
-    assert abs(total - (-1)) < 1e-9
+    assert sum(cyc.period_table()[:4], Counter()) == _all_nonzero_traces(f49)
 
 
 def test_period_integrality_semiprimitive_f64(f64):
     cyc = CyclotomyCtx(f64, 3)
-    val = cyc.gauss_period(1)
-    assert abs(val.imag) < 1e-9
-    assert abs(val.real - round(val.real)) < 1e-9
+    assert [row[0] - row[1] for row in cyc.period_table()[:3]] == [5, -3, -3]
+    # odd p: N divides (Q-1)/(p-1), so GF(p)^* lies in class 0 and every
+    # period is the integer c_0 - c_1
+    field = helpers.field(3, 4)
+    for N in (1, 2, 4, 5, 10, 20, 40):
+        assert all(_rational(row, 3) for row in CyclotomyCtx(field, N).period_table()), N
+    assert not _rational(CyclotomyCtx(field, 16).period_table()[0], 3)  # 4 zeta^2 + zeta
 
 
 def test_period_zero_argument_gives_class_size(f64):
     cyc = CyclotomyCtx(f64, 3)
-    assert cyc.gauss_period(0) == complex(21)
+    assert cyc.period_table()[3] == Counter({0: 21})
+    assert helpers.mul_gauss_period(cyc, 0) == Counter({0: 21})
 
 
 def test_period_magnitude_bound(f64):
+    # |sum_k c_k zeta^k| <= sum_k c_k, the class size
     cyc = CyclotomyCtx(f64, 9)
-    for arg in (1, 2, 17, 63):
-        assert abs(cyc.gauss_period(arg)) <= cyc.class_size + 1e-9
+    for row in cyc.period_table():
+        assert min(row.values()) > 0
+        assert sum(row.values()) == cyc.class_size
+        assert abs(helpers.period_value(row, 2)) <= cyc.class_size
 
 
 def test_period_table_matches_direct_summation(f49):
     cyc = CyclotomyCtx(f49, 4)
     table = cyc.period_table()
+    assert len(table) == 5
     for i in range(4):
-        direct = cyc.gauss_period(f49.exp[i])
-        assert abs(table[i] - direct) < 1e-12
-        assert abs(table[(i + 4) % cyc.N] - direct) < 1e-12
+        assert table[i] == helpers.mul_gauss_period(cyc, f49.exp[i])
+        assert table[i] == helpers.mul_gauss_period(cyc, f49.exp[i + 4])
+        assert sum(table[i].values()) == cyc.class_size
 
 
 @pytest.mark.parametrize("p, degree, N", [(7, 2, 4), (3, 4, 5), (2, 6, 3), (3, 6, 7), (2, 10, 11)])
 def test_gauss_period_is_log_domain(p, degree, N, monkeypatch):
-    # the same summands in the same order as one field product per class-0
-    # element, so every float is equal, and no product is taken
+    # each row counts the traces of its class's slice of exp, the log
+    # domain, so the table takes no field product and equals the counts of
+    # one product per class-0 element
     field = helpers.field(p, degree)
     cyc = CyclotomyCtx(field, N)
     args = [0, 1, field.exp[1], field.exp[N + 2], field.exp[field.Q - 2]]
     expected = [helpers.mul_gauss_period(cyc, x) for x in args]
 
     def no_mul(self, a, b):
-        raise AssertionError("gauss_period called FieldCtx.mul")
+        raise AssertionError("period_table called FieldCtx.mul")
 
     monkeypatch.setattr(FieldCtx, "mul", no_mul)
-    assert [cyc.gauss_period(x) for x in args] == expected
+    table = cyc.period_table()
+    assert [table[field.log[x] % N if x else N] for x in args] == expected
 
 
 def test_period_depends_only_on_class(f49):
     cyc = CyclotomyCtx(f49, 4)
     a1 = f49.exp[3]
     a2 = f49.exp[3 + 4 * 5]
-    assert abs(cyc.gauss_period(a1) - cyc.gauss_period(a2)) < 1e-9
+    assert helpers.mul_gauss_period(cyc, a1) == helpers.mul_gauss_period(cyc, a2)
 
 
 def test_semiprimitive_j_values():

@@ -50,6 +50,16 @@ def test_build_field_deterministic():
     assert a.exp == b.exp
 
 
+def test_build_field_keeps_one_field_per_triple():
+    # the cache is keyed on (p, ext_degree, subfield_degree) whatever form
+    # the call takes, so the three calls share one field and its tables
+    field = build_field(3, 4)
+    assert build_field(3, 4, 1) is field
+    assert build_field(3, 4, subfield_degree=1) is field
+    assert build_field(p=3, ext_degree=4) is field
+    assert build_field(3, 4, 2) is not field
+
+
 def _first_primitive_unfiltered(p, d):
     """The reference search: every candidate with a nonzero constant term
     goes to the order test, in packed order."""

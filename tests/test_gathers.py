@@ -1,13 +1,12 @@
 """The tables behind the gathers of ``character_sum_count``.
 
 ``FieldCtx.subfield`` at q = Q, ``FieldCtx.trace_coords`` and
-``CyclotomyCtx.periods_by_code`` each against its definition, on fields
+``CyclotomyCtx.class_by_code`` each against its definition, on fields
 with p = 2 and odd p, with q < Q and q = Q; the independence test on trace
 coordinates against the rank of the coordinates in the basis
 (1, gamma, ..., gamma^(m-1)); the character sum at q = 2, where an image
 has a single nonzero multiple; and the memory the gathers and their caches
-hold on [61,1] over GF(3^10).
-"""
+hold on [61,1] over GF(3^10)."""
 
 import copy
 import random
@@ -101,11 +100,11 @@ def test_periods_by_log_definition(p, degree, s):
     for N in (n for n in range(1, group + 1) if group % n == 0):
         cyc = CyclotomyCtx(field, N)
         table = cyc.period_table()
-        by_code = cyc.periods_by_code()
-        assert len(by_code) == field.Q
-        assert all(by_code[x] is table[field.log[x] % N] for x in range(1, field.Q)), N
-        assert by_code[0] == complex(cyc.class_size)
-        assert isinstance(by_code[0], complex)
+        by_code = cyc.class_by_code()
+        assert len(by_code) == field.Q and len(table) == N + 1
+        assert all(by_code[x] == field.log[x] % N for x in range(1, field.Q)), N
+        assert by_code[0] == N
+        assert table[by_code[0]] == {0: cyc.class_size}
 
 
 @pytest.mark.parametrize("params", [
@@ -125,9 +124,9 @@ def test_character_sum_at_q2_is_bit_identical(params):
 
 def test_gathers_memory_on_gf3_10():
     # [61,1] over GF(3^10), r = 1: per-member lists of codes and periods
-    # took 2.92 MB.  The slot's one period is read from the N-entry table,
-    # so the first call caches nothing of the field's size; the lookup by
-    # log it read from took one 8-byte pointer per field element.
+    # took 2.92 MB.  The slot's one class is read from the log table, so
+    # the first call caches nothing of the field's size; the lookup by log
+    # it once read periods from took one 8-byte pointer per field element.
     params = derive_params(3, 10, 1, 1, 1, 968)
     f = params.field
     # a private field context, so the caches are built here whatever ran before
@@ -179,8 +178,8 @@ def test_trace_code_at_q_eq_Q_holds_no_field_sized_list():
 
 
 def test_character_sum_at_r1_builds_nothing_field_sized():
-    # [61,1] over GF(3^10), r = 1: the slot's periods are read at the
-    # multiples' logs one at a time and folded as they come; rotations,
+    # [61,1] over GF(3^10), r = 1: the slot uses the image's class q - 1
+    # times and the zero row once, with no member enumerated; rotations,
     # gathered tuples and the summands list took 1.42 MB
     code = TraceCode(_private_61_1())
     basis = helpers.random_basis(code, 1, random.Random(61))

@@ -4,8 +4,8 @@ Each ``tests/golden/<name>.json`` is the stdout of ``ghwlab ghw <args>
 --no-timing`` for the arguments below.  Witnesses and subspace counts are
 part of the bytes, so a scoring change that alters which subspace wins, or
 an enumeration change, fails here.  Each ``tests/golden/verify_<name>.json``
-is the stdout of ``ghwlab verify <args>``, which prints no timing; its
-``max_abs_err`` moves if the character sum adds its terms in another order.
+is the stdout of ``ghwlab verify <args>``, which prints no timing; the
+character sum is an exact integer count, so its ``max_abs_err`` is 0.0.
 Each ``tests/golden/params_<name>.json`` is the stdout of ``ghwlab params
 <args>``; these pin the assumption-iii verdicts and detail strings (one
 pass, one repeated minimal polynomial, two kinds of degree failure).
@@ -16,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from ghwlab import cli
 from ghwlab.cli import main
+from ghwlab.hierarchy import character_sum_count
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -95,6 +97,20 @@ def test_verify_output_is_byte_identical(name, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / f"verify_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_character_sums_are_ints(name, capsys, monkeypatch):
+    values = []
+
+    def recorded(code, basis):
+        values.append(character_sum_count(code, basis))
+        return values[-1]
+
+    monkeypatch.setattr(cli, "character_sum_count", recorded)
+    assert main(["verify", *VERIFY_CASES[name]]) == 0
+    capsys.readouterr()
+    assert values and all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize("name", sorted(PARAMS_CASES))

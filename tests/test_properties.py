@@ -7,7 +7,7 @@ from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams
 from ghwlab.linalg import rref, vectors_independent
 
-from helpers import DualContext, class_index
+from helpers import DualContext, class_index, mul_gauss_period, period_value
 from paper_lemmas import enumerate_profiles, shift_cross, unshift_cross, vector_coords
 
 F49 = build_field(7, 2)
@@ -65,7 +65,12 @@ def test_class_membership_stable_under_class0(x, k):
 @given(nonzero64)
 @settings(max_examples=30, deadline=None)
 def test_period_bounded_by_class_size(arg):
-    assert abs(CYC64.gauss_period(arg)) <= CYC64.class_size + 1e-9
+    # the period's trace counts are its class's row and sum to the class
+    # size, which bounds |sum_k c_k zeta^k|
+    row = mul_gauss_period(CYC64, arg)
+    assert row == CYC64.period_table()[class_index(CYC64, arg)]
+    assert sum(row.values()) == CYC64.class_size
+    assert abs(period_value(row, 2)) <= CYC64.class_size
 
 
 @given(st.lists(st.tuples(elems49, elems49), min_size=1, max_size=3))

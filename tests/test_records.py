@@ -86,7 +86,7 @@ import ghwlab.cli
 from ghwlab.fields import build_field
 code = ghwlab.cli.main(["verify", "--p", "3", "--s", "10", "--m", "1", "--e", "1", "--t", "1",
                         "--a", "968", "--count", "4"])
-# the CLI's own call, keyword and all: build_field keeps the last field by its arguments
+# the field the CLI built: build_field keeps the last one by (p, degree, s)
 field = build_field(3, 10, subfield_degree=10)
 print(json.dumps({"exit": code, "zech": field._zech is not None,
                   "traces": {d: type(t).__name__ for d, t in field._trace_tables.items()}}))

@@ -8,6 +8,9 @@ implicitly.  A reached function or method adds the identifiers of its body, a
 reached class those of its class-level statements but not of its methods.
 Matching is by bare name, so a method sharing a name with any reached
 identifier counts as reached.  Test-only code belongs under ``tests/``.
+
+Also: the modules that hold Gauss periods and sum them exactly import no
+complex arithmetic.
 """
 
 import ast
@@ -56,3 +59,16 @@ def unreached():
 
 def test_every_src_definition_is_reached_from_cli_or_perfbench():
     assert unreached() == []
+
+
+def test_exact_modules_import_no_cmath():
+    # the periods are trace counts and the character sum is an int sum, so
+    # neither module needs a complex value, not even inside a function
+    for name in ("cyclotomy.py", "hierarchy.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((SRC / name).read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert "cmath" not in imported, name
