@@ -19,7 +19,8 @@ from .oracle import _prefixes
 def row_masks(kernel, pivot, heads, last):
     """``kernel.row_masks(pivot, heads + [last])`` on value planes: the same
     masks in the same order.  Every row's planes are built on first use."""
-    q, add, mul, root, full = kernel.q, kernel.add, kernel.mul, kernel.root, kernel.full
+    table, full = kernel.table, kernel.full
+    q, add, mul, root = table.q, table.add, table.mul, table.root
     if kernel.planes is None:
         kernel.planes = [_value_planes(row) for row in kernel.rows]
     planes = kernel.planes

@@ -69,18 +69,12 @@ class HypothesisReport(namedtuple(
                 and self.sm_over_2j_odd and self.m_even)
 
     def failures(self) -> list:
-        out = []
-        if not self.e_equals_t:
-            out.append("e_equals_t")
-        if not self.N_in_range:
-            out.append("N_in_range (need 2 < N <= sqrt(Q))")
-        if not self.semiprimitive:
-            out.append("semiprimitive (no j with p^j = -1 mod N)")
-        if not self.sm_over_2j_odd:
-            out.append("sm_over_2j_odd")
-        if not self.m_even:
-            out.append("m_even")
-        return out
+        return [name for name, ok in (
+            ("e_equals_t", self.e_equals_t),
+            ("N_in_range (need 2 < N <= sqrt(Q))", self.N_in_range),
+            ("semiprimitive (no j with p^j = -1 mod N)", self.semiprimitive),
+            ("sm_over_2j_odd", self.sm_over_2j_odd),
+            ("m_even", self.m_even)) if not ok]
 
     def to_dict(self):
         return {
@@ -234,9 +228,10 @@ def check_closed_form_hypotheses(params: CodeParams) -> HypothesisReport:
 class TraceCode:
     """The code materialized via its trace representation.
 
-    Evaluation points gamma^(a_j * i) are precomputed; the message space is
-    F_Q^t and the word for a message is read off coordinatewise.  Immutable
-    after construction and safe to share across workers.
+    The message space is F_Q^t.  A word is read off coordinatewise from the
+    exponents a_j * i and the trace table onto GF(q); nothing per position
+    is stored.  Immutable after construction and safe to share across
+    workers.
     """
 
     def __init__(self, params: CodeParams):
@@ -255,10 +250,6 @@ class TraceCode:
         self.cyclotomy = CyclotomyCtx(self.field, params.N)
         group = params.Q - 1
         exp = self.field.exp
-        self.eval_points = tuple(
-            tuple(exp[(aj * i) % group] for i in range(1, params.n + 1))
-            for aj in params.a_list
-        )
         self._relabel_rows = tuple(
             tuple(exp[(aj * h) % group] for aj in params.a_list)
             for h in range(1, params.t + 1)
@@ -270,22 +261,19 @@ class TraceCode:
         return f"TraceCode([{self.n},{self.k}] over GF({p.q}), N={p.N})"
 
     def codeword(self, xbar) -> tuple:
-        """Word for a message in F_Q^t; GF(q)-linear in the message."""
+        """Word for a message in F_Q^t; GF(q)-linear in the message.
+
+        Coordinate i sums Tr_{Q->q}(x_j gamma^(a_j*i)) over the nonzero x_j,
+        each one read ``trace[exp[(log x_j + a_j*i) mod (Q-1)]]``, in GF(q):
+        t - 1 adds per position, none at t = 1, and no F_Q product."""
         if len(xbar) != self.t:
             raise ValueError(f"message must have {self.t} components, got {len(xbar)}")
-        field = self.field
-        add, mul = field.add, field.mul
-        trace = self._trace_q
-        pts = self.eval_points
-        word = []
-        for i in range(self.n):
-            acc = 0
-            for j in range(self.t):
-                xj = xbar[j]
-                if xj:
-                    acc = add(acc, mul(xj, pts[j][i]))
-            word.append(trace[acc])
-        return tuple(word)
+        field, trace, n, group = self.field, self._trace_q, self.n, self.params.Q - 1
+        exp, log = field.exp, field.log
+        # exponents by a range of step a_j; a_j = 0 (m = 1) steps by Q - 1 instead
+        words = [[trace[exp[k % group]] for k in range(log[x] + aj, log[x] + aj * (n + 1), aj)]
+                 for x, aj in zip(xbar, (aj or group for aj in self.params.a_list)) if x]
+        return tuple(reduce(lambda u, v: list(map(field.add, u, v)), words)) if words else (0,) * n
 
     def relabel(self, vec) -> tuple:
         """Slot h of the image, h = 1..t, is
@@ -335,13 +323,15 @@ class TraceCode:
 
         Row j*m + i is the word of gamma^i at slot j, the message that
         ``vector_from_coords`` makes of unit vector j*m + i: coordinate i of
-        ``FieldCtx.trace_coords`` at each evaluation point.  An RREF row's
-        word is its GF(q)-combination of these rows.  Read without
-        ``codeword``, so the brute witness recount checks the two against
-        each other.  Built on every call and never stored on the instance.
+        ``FieldCtx.trace_coords`` at each evaluation point gamma^(a_j*i),
+        read as ``exp[a_j*i mod (Q-1)]``.  An RREF row's word is its
+        GF(q)-combination of these rows.  Read without ``codeword``, so the
+        brute witness recount checks the two against each other.  Built on
+        every call and never stored on the instance.
         """
-        coords = self.field.trace_coords
-        return tuple(row for pts in self.eval_points for row in zip(*map(coords, pts)))
+        coords, exp, group = self.field.trace_coords, self.field.exp, self.params.Q - 1
+        return tuple(row for aj in self.params.a_list
+                     for row in zip(*(coords(exp[aj * i % group]) for i in range(1, self.n + 1))))
 
 
 def count_common_zeros(code: TraceCode, basis) -> int:

@@ -50,6 +50,7 @@ class CyclotomyCtx:
         self.N = N
         self.class_size = (field.Q - 1) // N
         self._table = None
+        self._periods = None
         self._by_code = None
 
     def __repr__(self):
@@ -73,6 +74,22 @@ class CyclotomyCtx:
             rows.append(Counter({0: self.class_size}))
             self._table = tuple(rows)
         return self._table
+
+    def periods(self) -> tuple:
+        """Each ``period_table`` row as the int c_0 - c_1, cached, once the
+        row is checked to have c_1 = ... = c_(p-1), else RuntimeError.  That
+        holds when GF(p)^* lies in class 0: scaling by c in GF(p)^* maps
+        each class onto itself and trace k to c*k."""
+        if self._periods is None:
+            p, periods = self.field.p, []
+            for i, row in enumerate(self.period_table()):
+                counts = [c for k, c in row.items() if k and c]  # the nonzero traces that occur
+                if counts and (len(counts) < p - 1 or min(counts) != max(counts)):
+                    raise RuntimeError(f"Gauss period {i} is not rational: "
+                                       "its nonzero trace counts differ")
+                periods.append(row[0] - (counts[0] if counts else 0))
+            self._periods = tuple(periods)
+        return self._periods
 
     def class_by_code(self) -> list:
         """The ``period_table`` row of every element, indexed by code:

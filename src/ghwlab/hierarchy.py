@@ -13,7 +13,8 @@ periods are trace counts.  Every division meant to be exact is checked.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+import itertools
+from collections import namedtuple
 
 from .codes import CodeParams, TraceCode, check_closed_form_hypotheses
 from .cyclotomy import semiprimitive_j
@@ -37,14 +38,8 @@ class FormulaParams(namedtuple("FormulaParams", "q m N p s j")):
         factors = prime_factors(q)
         if len(factors) != 1:
             raise ValueError(f"q={q} is not a prime power")
-        p = factors[0]
-        s = 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            s += 1
-        if p**s != q:
-            raise ValueError(f"q={q} is not a prime power")
+        p, = factors
+        s = next(s for s in itertools.count(1) if p**s == q)
         if m < 2 or m % 2:
             raise ValueError(f"m must be even and positive, got {m}")
         if not (2 < N and N * N <= q**m):
@@ -178,9 +173,11 @@ def character_sum_count(code: TraceCode, basis) -> int:
     built with ``FieldCtx.translate``.  At r = 1 that is one argument per
     slot, whose row is read from its log.
     The rows, weighted by their uses, sum to totals T_k; the character sum
-    is sum_k T_k zeta_p^k.  GF(p)^* lies in class 0 too, so the totals at
-    the nonzero traces must agree, and the count N*(T_0 - T_1)/(t*delta*q^r)
-    must divide exactly; otherwise RuntimeError.  Requires e == t.
+    is sum_k T_k zeta_p^k.  GF(p)^* lies in class 0 too, so each row has
+    equal counts at the nonzero traces, and ``CyclotomyCtx.periods``, which
+    checks that, gives each row as the int c_0 - c_1: T_0 - T_1 is their
+    sum over the uses.  The count N*(T_0 - T_1)/(t*delta*q^r) must divide
+    exactly; otherwise RuntimeError.  Requires e == t.
     """
     params = code.params
     if params.e != params.t:
@@ -190,24 +187,19 @@ def character_sum_count(code: TraceCode, basis) -> int:
     row = cyclotomy.class_by_code().__getitem__ if r > 1 else (
         lambda x: field.log[x] % N if x else N)
     images = [code.relabel(b) for b in basis]
-    lines = Counter()  # row -> lines of the slots' spans whose members use it
+    periods = cyclotomy.periods()
+    lines = 0  # the periods of the lines of the slots' spans, one member each
     for h in range(params.t):
         members = [0]  # the span of the slot-h coordinates of the images so far
         for j, image in enumerate(images):
             block = field.translate(members, image[h])
-            lines.update(map(row, block))
+            lines += sum(map(periods.__getitem__, map(row, block)))
             if j + 1 < r:
                 members += block + [y for c in field.subfield_q[2:]
                                     for y in field.translate(members, field.mul(c, image[h]))]
-    table = cyclotomy.period_table()
-    totals = Counter({k: params.t * c for k, c in table[N].items()})  # each slot's zero member
-    for i, n in lines.items():
-        for k, c in table[i].items():
-            totals[k] += (q - 1) * n * c
-    if len({totals[k] for k in range(1, field.p)}) > 1:
-        raise RuntimeError("character sum is not rational: its nonzero trace totals differ")
+    total = params.t * periods[N] + (q - 1) * lines  # each slot's zero member, then the lines
     scale = params.t * params.delta * q**r
-    count, rem = divmod(N * (totals[0] - totals[1]), scale)
+    count, rem = divmod(N * total, scale)
     if rem:
         raise RuntimeError(f"character-sum count {count * scale + rem}/{scale} is not an integer")
     return count

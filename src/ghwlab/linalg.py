@@ -1,13 +1,59 @@
-"""GF(q)-linear algebra on vectors of subfield element codes.
+"""GF(q) as small scalar tables, and GF(q)-linear algebra on vectors of
+subfield element codes.
 
-Vectors are sequences of element codes that all lie in the GF(q) subfield of
-one FieldCtx; the field context supplies the arithmetic, so nothing here
-depends on q being prime.  A vector over F_Q is viewed in GF(q)^(t*m) through
-``FieldCtx.trace_coords`` of each entry, and read back from coordinates in the
-basis (1, gamma, ..., gamma^(m-1)) by ``FieldCtx.element_from_coords``.
+``rref`` and ``vectors_independent`` take element codes and the field
+context, which supplies the arithmetic, so nothing here depends on q being
+prime.  A vector over F_Q is viewed in GF(q)^(t*m) through
+``FieldCtx.trace_coords`` of each entry, and read back from coordinates in
+the basis (1, gamma, ..., gamma^(m-1)) by ``FieldCtx.element_from_coords``.
 """
 
 from __future__ import annotations
+
+import functools
+
+
+class _Rows(dict):
+    """q x q table whose row a is ``build(a)``, built on first use, so a
+    large q with few operands (k=1 over GF(3^10)) never allocates q^2
+    entries."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, a):
+        row = self[a] = self.build(a)
+        return row
+
+
+class ScalarTable:
+    """GF(q) on scalar indices: index i stands for ``subfield_q[i]`` (0 is
+    zero, 1 is one), and ``index`` maps a code to its index, at q = Q the
+    identity ``range(Q)``.  ``add[a][b]`` and ``mul[a][b]`` index the sum and
+    product, ``root[g][x]`` the c with x + c*g = 0: the ``mul`` row of -1/g,
+    one ``inv`` and ``neg`` per g.  Rows are built from ``FieldCtx`` on first use."""
+
+    def __init__(self, field):
+        self.field = field
+        self.scalars = scalars = field.subfield_q
+        self.q = len(scalars)
+        self.index = scalars if self.q == field.Q else {c: i for i, c in enumerate(scalars)}
+        self.add = _Rows(functools.partial(self._op_row, field.add))
+        self.mul = _Rows(functools.partial(self._op_row, field.mul))
+        self.root = _Rows(self._root_row)
+
+    def _op_row(self, op, a):
+        x, index = self.scalars[a], self.index
+        return [index[op(x, b)] for b in self.scalars]
+
+    def _root_row(self, g):
+        return self.mul[self.index[self.field.neg(self.field.inv(self.scalars[g]))]]
+
+    def indices(self, codes) -> list:
+        """GF(q) codes as indices; at q = Q a copy of the codes, not of
+        ``range(Q)``'s fresh int for each code above 256."""
+        index = self.index
+        return list(codes) if index is self.scalars else [index[c] for c in codes]
 
 
 def rref(ctx, rows):

@@ -26,7 +26,8 @@ row's prefix words depth first, then sorts the positions of each prefix
 word into one bucket per value of the last free entry (the value that zeroes
 the position), so a choice's mask is the complement of its bucket and of
 the positions that vanish for every value.  A word is a list of w scalar
-indices, or its value planes (``bitplanes``) where q is small next to w.
+indices, or its value planes (``bitplanes``) where q is small next to w;
+its GF(q) arithmetic reads the rows of one ``linalg.ScalarTable``.
 Trailing rows whose choices number at most ``_TAIL_CAP`` together are
 OR-folded into one list of masks, in product order; a subspace is then
 scored by OR-ing the masks of the remaining rows once per prefix and taking
@@ -90,51 +91,24 @@ def _require_e_equals_t(params):
 
 # -- the row-mask kernel ------------------------------------------------------
 
-class _LazyRows(dict):
-    """q x q table on scalar indices whose row a is ``build(a)``.  Rows are
-    built on first use, so a large q with few operands (k=1 over GF(3^10))
-    never allocates q^2 entries."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, a):
-        row = self[a] = self.build(a)
-        return row
-
-
-def _op_rows(op, scalars, index):
-    """The table of a GF(q) operation: row a is ``op(scalars[a], b)`` for
-    every scalar b, as indices."""
-    return _LazyRows(lambda a: [index[op(scalars[a], b)] for b in scalars])
-
-
 class _RowMasks:
     """Support bitmasks of ``row . M`` for a k x w matrix M over GF(q).
 
-    M is held as scalar indices in ``subfield_q`` order (index 0 is zero).
+    M is held as the scalar indices of a ``linalg.ScalarTable``, whose rows
+    do the kernel's GF(q) arithmetic (index 0 is zero).
     A pattern row is 1 at its pivot pc and any scalar at its free columns
     f_1 < ... < f_s, so its words are M[pc] + c_1 M[f_1] + ... + c_s M[f_s].
     A word is a list of w indices, or its value planes with ``bitplanes``.
     """
 
     def __init__(self, field, matrix):
-        scalars = field.subfield_q
-        # at q = Q the scalars are range(Q), where code c sits at position c, so
-        # the entries are copied as they are, not as range(Q)'s fresh ints
-        index = scalars if field.q == field.Q else {c: i for i, c in enumerate(scalars)}
-        self.rows = [list(row) if index is scalars else [index[c] for c in row] for row in matrix]
-        self.q = q = len(scalars)
-        self.add = _op_rows(field.add, scalars, index)
-        self.mul = mul = _op_rows(field.mul, scalars, index)
-        # root[g][x] is the c with x + c*g = 0, c = x * (-1/g): the mul row of
-        # -1/g, one inv and one neg per nonzero g in use
-        self.root = _LazyRows(lambda g: mul[index[field.neg(field.inv(scalars[g]))]])
+        self.table = table = linalg.ScalarTable(field)
+        self.rows = [table.indices(row) for row in matrix]
         self.full = (1 << len(self.rows[0])) - 1
         # forced on the same matrices, planes took 0.37-0.92x the lists' time
         # from 2*q*q <= w on, and 1.25-1.88x below it at q = 4..243 (15x on
         # [242,3] over GF(243)), 1.14-1.17x at q = 3, w = 8
-        self.bitplanes = 2 * q * q <= len(self.rows[0])
+        self.bitplanes = 2 * table.q ** 2 <= len(self.rows[0])
         self.planes = None  # every row's value planes, built on first use
 
     def row_masks(self, pivot, free):
@@ -153,15 +127,15 @@ class _RowMasks:
             from . import bitplanes
             return bitplanes.row_masks(self, pivot, heads, last)
         g = rows[last]
-        live = [(i, 1 << i, self.root[x]) for i, x in enumerate(g) if x]
+        q, add, mul = self.table.q, self.table.add, self.table.mul
+        live = [(i, 1 << i, self.table.root[x]) for i, x in enumerate(g) if x]
         dead = [(i, 1 << i) for i, x in enumerate(g) if not x]
         # steps[h][c][i] is the add-table row of c * M[heads[h]][i]; None for c = 0
-        add, mul = self.add, self.mul
-        steps = [[[add[mul[x][c]] for x in rows[f]] if c else None for c in range(self.q)]
+        steps = [[[add[mul[x][c]] for x in rows[f]] if c else None for c in range(q)]
                  for f in heads]
         masks = []
         for word in _prefixes(rows[pivot], steps, lambda w, step: [r[a] for a, r in zip(w, step)]):
-            bucket = [0] * self.q
+            bucket = [0] * q
             for i, bit, root in live:
                 bucket[root[word[i]]] |= bit
             zz = 0

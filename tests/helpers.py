@@ -13,7 +13,7 @@ from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams, closed_form_dr
 from ghwlab import linalg
-from ghwlab.oracle import _RowMasks, _brute_scorer, _dual_scorer, _op_rows, ghw_bruteforce
+from ghwlab.oracle import _RowMasks, _brute_scorer, _dual_scorer, ghw_bruteforce
 from ghwlab.subspaces import SubspaceIter, gaussian_binomial
 
 # (q, m, N) regimes satisfying every closed-form hypothesis, m <= 6.
@@ -439,18 +439,32 @@ def nullspace_dual_count(code, basis):
     return scaled // denom
 
 
+def fq_codeword(code, xbar) -> tuple:
+    """Word of a message with one F_Q product and one F_Q sum per position
+    and slot, the trace taken once per position: coordinate i is
+    Tr_{Q->q}(sum_j x_j gamma^(a_j*i)) as written.  The reference for
+    ``TraceCode.codeword``, which adds the slots' traces in GF(q)."""
+    field = code.field
+    trace, exp, group = field.trace_table(field.s), field.exp, field.Q - 1
+    word = []
+    for i in range(1, code.n + 1):
+        acc = 0
+        for xj, aj in zip(xbar, code.params.a_list):
+            if xj:
+                acc = field.add(acc, field.mul(xj, exp[aj * i % group]))
+        word.append(trace[acc])
+    return tuple(word)
+
+
 # -- per-row mask references for the sweep kernel ----------------------------
 
 def brute_row_mask(code):
     """Support bitmask of one message row's codeword, the word built as a
     combination of generator rows one coefficient at a time: the per-row
     reference for the brute sweep's kernel."""
-    field = code.field
-    scalars = field.subfield_q
-    index = {c: i for i, c in enumerate(scalars)}
-    add = _op_rows(field.add, scalars, index)
-    mul = _op_rows(field.mul, scalars, index)
-    gen = [[index[c] for c in word] for word in code.generator_matrix()]
+    table = linalg.ScalarTable(code.field)
+    index, add, mul = table.index, table.add, table.mul
+    gen = [table.indices(word) for word in code.generator_matrix()]
     bits = [1 << i for i in range(code.n)]
 
     def row_mask(row):

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ghwlab.codes import (
     AssumptionCheck,
@@ -7,7 +10,7 @@ from ghwlab.codes import (
     check_closed_form_hypotheses,
     derive_params,
 )
-from ghwlab.fields import build_field
+from ghwlab.fields import FieldCtx, build_field
 
 from paper_lemmas import generator_poly, is_monic, minimal_poly, parity_check_poly, poly_mul
 
@@ -191,6 +194,59 @@ def test_codeword_coordinates_in_subfield(example2):
     sub = set(example2.field.subfield_q)
     for x in ((1, 0), (13, 40), (48, 5)):
         assert set(example2.codeword(x)) <= sub
+
+
+# (p, s, m, e, t, a, deltas) of codes whose words are checked against the
+# F_Q reference: [61,1] over GF(3^10) (q = Q, t = 1), q9_t2 (m = 1, t = 2),
+# [80,8] over GF(3), the e != t code e3t1, and an m = 1 code with a_2 = 0
+CODEWORD_CASES = {
+    "bigfield_61_1": (3, 10, 1, 1, 1, 968, (0,)),
+    "q9_t2": (3, 2, 1, 2, 2, 1, (0, 1)),
+    "80_8": (3, 1, 4, 2, 2, 1, (0, 1)),
+    "e3t1": (2, 1, 4, 3, 1, 1, (0,)),
+    "a2_zero": (3, 2, 1, 2, 2, 4, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODEWORD_CASES))
+def test_codeword_equals_fq_reference(name):
+    import helpers
+    code = TraceCode(derive_params(*CODEWORD_CASES[name]))
+    rng = random.Random(name)
+    Q = code.params.Q
+    messages = [(0,) * code.t, (1,) * code.t]
+    messages += [tuple(rng.randrange(Q) for _ in range(code.t)) for _ in range(6)]
+    messages += [tuple(rng.randrange(Q) if j == h else 0 for j in range(code.t))
+                 for h in range(code.t)]
+    for x in messages:
+        assert code.codeword(x) == helpers.fq_codeword(code, x), x
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_codeword_equals_fq_reference_random(data):
+    import helpers
+    code, _ = data.draw(helpers.small_sweeps())
+    x = data.draw(st.tuples(*[st.integers(0, code.params.Q - 1)] * code.t))
+    assert code.codeword(x) == helpers.fq_codeword(code, x)
+
+
+@pytest.mark.parametrize("name", ["bigfield_61_1", "q9_t2", "80_8"])
+def test_codeword_forms_no_fq_product(name, monkeypatch):
+    # coordinates are trace reads at exponents, added in GF(q): no mul at
+    # all, and at t = 1 no add either
+    code = TraceCode(derive_params(*CODEWORD_CASES[name]))
+    x = tuple(range(2, 2 + code.t))
+    expected = code.codeword(x)
+    calls = []
+    for op in ("mul", "add"):
+        original = getattr(FieldCtx, op)
+        monkeypatch.setattr(FieldCtx, op, lambda self, a, b, op=op, original=original:
+                            calls.append(op) or original(self, a, b))
+    assert code.codeword(x) == expected
+    assert "mul" not in calls
+    assert calls.count("add") == (code.t - 1) * code.n
 
 
 @pytest.mark.parametrize("key,expected_min", [("example1", 2), ("example2", 6)])

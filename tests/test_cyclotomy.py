@@ -87,6 +87,34 @@ def test_period_integrality_semiprimitive_f64(f64):
     assert not _rational(CyclotomyCtx(field, 16).period_table()[0], 3)  # 4 zeta^2 + zeta
 
 
+@pytest.mark.parametrize("p,degree,N", [(2, 6, 3), (3, 4, 1), (3, 4, 5), (3, 4, 40),
+                                         (7, 2, 4), (5, 4, 13)])
+def test_periods_reduce_each_row_to_c0_minus_c1(p, degree, N):
+    # every row of a divisor N of (Q-1)/(p-1) is rational, and the reduction
+    # is c_0 - c_1 of each row, the zero row included
+    cyc = CyclotomyCtx(helpers.field(p, degree), N)
+    table = cyc.period_table()
+    assert cyc.periods() == tuple(row[0] - row[1] for row in table)
+    assert cyc.periods()[N] == cyc.class_size
+    assert sum(cyc.periods()[:N]) == -1
+
+
+@pytest.mark.parametrize("row", [Counter({0: 3, 1: 4, 2: 5}), Counter({0: 3, 2: 4}),
+                                 Counter({0: 3, 1: 4, 2: 0})])
+def test_periods_reject_an_irrational_row(row, monkeypatch):
+    # unequal nonzero counts, or a nonzero trace that never occurs while
+    # another does, make the period irrational; the row is checked itself
+    cyc = CyclotomyCtx(helpers.field(3, 4), 5)
+    table = cyc.period_table()
+    monkeypatch.setattr(cyc, "_table", table[:2] + (row,) + table[3:])
+    with pytest.raises(RuntimeError, match="Gauss period 2 is not rational"):
+        cyc.periods()
+    # GF(81) at N = 16 is not a divisor of (Q-1)/(p-1) = 40: class 0 is not
+    # closed under GF(3)^*, and its row fails on its own
+    with pytest.raises(RuntimeError, match="Gauss period 0 is not rational"):
+        CyclotomyCtx(helpers.field(3, 4), 16).periods()
+
+
 def test_period_zero_argument_gives_class_size(f64):
     cyc = CyclotomyCtx(f64, 3)
     assert cyc.period_table()[3] == Counter({0: 21})

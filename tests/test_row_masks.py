@@ -21,8 +21,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from ghwlab.codes import TraceCode, derive_params
+from ghwlab.linalg import ScalarTable
 from ghwlab.oracle import _RowMasks, _dual_scorer
 
+import helpers
 from helpers import kernel, kernel_mismatches, small_sweeps
 
 # (p, s, m, e, t, a) and the dimensions whose patterns are checked (None:
@@ -74,22 +76,37 @@ def test_word_form_follows_q_against_width():
 
 
 # (p, degree, s) of a field whose GF(q) has q = 2, 3, 4, 9 and 243 (q = Q)
-ROOT_FIELDS = [(2, 3, 1), (3, 2, 1), (2, 4, 2), (3, 4, 2), (3, 5, 5)]
+TABLE_FIELDS = [(2, 3, 1), (3, 2, 1), (2, 4, 2), (3, 4, 2), (3, 5, 5)]
 
 
-@pytest.mark.parametrize("p,degree,s", ROOT_FIELDS)
+@pytest.mark.parametrize("p,degree,s", TABLE_FIELDS)
 def test_root_rows_are_minus_x_over_g(p, degree, s):
     # root[g][x] is the c with x + c*g = 0, entry by entry -x/g; at q >= 3 a
     # row taken for g in place of -1/g differs
-    import helpers
     field = helpers.field(p, degree, s)
     scalars = field.subfield_q
-    kernel = _RowMasks(field, [list(scalars)])
+    table = ScalarTable(field)
     for g in range(1, len(scalars)):
-        row = [scalars[c] for c in kernel.root[g]]
+        row = [scalars[c] for c in table.root[g]]
         xs = [field.neg(field.mul(x, field.inv(scalars[g]))) for x in scalars]
         assert row == xs, g
         assert all(field.add(x, field.mul(c, scalars[g])) == 0 for x, c in zip(scalars, row))
+
+
+@pytest.mark.parametrize("p,degree,s", TABLE_FIELDS)
+def test_add_and_mul_rows_match_the_field(p, degree, s):
+    # every entry of the kernel's add and mul tables, read back to codes,
+    # is FieldCtx's sum or product; scalars are in subfield_q order, so
+    # index 0 is zero and index 1 is one, and at q = Q the index is range(Q)
+    field = helpers.field(p, degree, s)
+    scalars = field.subfield_q
+    table = _RowMasks(field, [list(scalars)]).table
+    assert isinstance(table, ScalarTable) and table.q == len(scalars)
+    assert (table.index == range(field.Q)) == (field.q == field.Q)
+    assert [table.index[c] for c in scalars] == list(range(len(scalars)))
+    for a, x in enumerate(scalars):
+        assert [scalars[c] for c in table.add[a]] == [field.add(x, y) for y in scalars], a
+        assert [scalars[c] for c in table.mul[a]] == [field.mul(x, y) for y in scalars], a
 
 
 PLANES_PROBE = """
