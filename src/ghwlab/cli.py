@@ -1,10 +1,10 @@
 """Command-line front end: params, check, ghw, gauss, flv, sweep, verify.
 
 Exit codes: 0 ok, 2 usage, 3 cross-check mismatch or failed internal check,
-4 hypotheses unmet, 5 enumeration budget exceeded.  JSON output is
-deterministic byte-for-byte under --no-timing; witnesses are reproducible
-because the field modulus and 0-based index convention travel with every
-record.
+4 closed form refused (assumptions or hypotheses unmet), 5 enumeration
+budget exceeded.  JSON output is deterministic byte-for-byte under
+--no-timing; witnesses are reproducible because the field modulus and
+0-based index convention travel with every record.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def build_parser():
     _add_param_flags(sp)
     _add_output_flags(sp)
 
-    sc = subs.add_parser("check", help="like params; exit 4 when the closed-form hypotheses fail")
+    sc = subs.add_parser("check", help="like params; exit 4 when the closed form does not apply")
     _add_param_flags(sc)
     _add_output_flags(sc)
 
@@ -174,11 +174,12 @@ def _base_record(params, report):
 
 def cmd_params(args):
     """``params`` and ``check``: one record; ``check`` exits 4 when the
-    closed-form hypotheses fail."""
+    code's assumptions or the closed-form hypotheses fail."""
     params = _derive(args)
     report = check_closed_form_hypotheses(params)
     _write(args, json.dumps(_base_record(params, report), indent=2))
-    return EXIT_HYPOTHESES if args.cmd == "check" and not report.all_hold else EXIT_OK
+    formula_ok = report.all_hold and params.assumptions.all_ok
+    return EXIT_HYPOTHESES if args.cmd == "check" and not formula_ok else EXIT_OK
 
 
 def _formula_rows(params, r_list, timing):
@@ -278,13 +279,13 @@ def cmd_ghw(args):
             raise ValueError(f"r must lie in 1..{tm}, got {r}")
     jobs = args.jobs or _auto_jobs(tm, r_list, params.q)
 
-    methods = [args.method] if args.method != "all" else ["formula", "brute", "dual"]
-    if "formula" in methods and not report.all_hold:
-        if args.method == "formula":
-            raise HypothesesNotMet(report.failures())
-        methods.remove("formula")
-    if args.method == "all" and params.e != params.t:
-        methods.remove("dual")  # dual counting is only defined for e == t
+    methods = [args.method]
+    if args.method == "all":
+        methods = ["formula", "brute", "dual"]
+        if not (report.all_hold and params.assumptions.all_ok):
+            methods.remove("formula")  # --method formula refuses with exit 4
+        if params.e != params.t:
+            methods.remove("dual")  # dual counting is only defined for e == t
 
     record = _base_record(params, report)
     record["budget"] = args.budget
@@ -333,13 +334,10 @@ def cmd_gauss(args):
 
 def cmd_flv(args):
     params = _derive(args)
-    report = check_closed_form_hypotheses(params)
-    if not report.all_hold:
-        raise HypothesesNotMet(report.failures())
     fp = FormulaParams.from_code_params(params)
     table = [{"l": l, "value": max_class_intersection(fp, l)} for l in range(params.m + 1)]
     if args.format == "json":
-        record = _base_record(params, report)
+        record = _base_record(params, check_closed_form_hypotheses(params))
         record["v"] = fp.v
         record["max_intersection"] = table
         _write(args, json.dumps(record, indent=2))

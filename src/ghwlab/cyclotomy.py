@@ -64,13 +64,14 @@ class CyclotomyCtx:
         """The Gauss periods as trace counts; cached after the first call.
 
         Row i < N is a ``Counter`` of the absolute traces of class i, counted
-        from the class's own slice of ``exp``, and holds only the traces that
-        occur.  Row N is the argument 0: class_size elements at trace 0.
+        from the class's own slice of ``exp`` (at N = 1 from ``exp`` itself,
+        not a copy), and holds only the traces that occur.  Row N is the
+        argument 0: class_size elements at trace 0.
         """
         if self._table is None:
-            trace = self.field.trace_table(1)
-            rows = [Counter(map(getitem, repeat(trace), self.class_elements(i)))
-                    for i in range(self.N)]
+            trace, exp = self.field.trace_table(1), self.field.exp
+            classes = [exp] if self.N == 1 else map(self.class_elements, range(self.N))
+            rows = [Counter(map(getitem, repeat(trace), c)) for c in classes]
             rows.append(Counter({0: self.class_size}))
             self._table = tuple(rows)
         return self._table

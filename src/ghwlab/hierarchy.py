@@ -60,9 +60,12 @@ class FormulaParams(namedtuple("FormulaParams", "q m N p s j")):
 
     @classmethod
     def from_code_params(cls, params: CodeParams) -> "FormulaParams":
-        report = check_closed_form_hypotheses(params)
-        if not report.all_hold:
-            raise HypothesesNotMet(report.failures())
+        """Refuses (HypothesesNotMet) a failed assumption or hypothesis."""
+        failures = [f"assumption {name}: {check.detail}"
+                    for name, check in params.assumptions._asdict().items() if not check.ok]
+        failures += check_closed_form_hypotheses(params).failures()
+        if failures:
+            raise HypothesesNotMet(failures)
         return cls(params.q, params.m, params.N)
 
     @property

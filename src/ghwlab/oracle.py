@@ -31,24 +31,23 @@ its GF(q) arithmetic reads the rows of one ``linalg.ScalarTable``.
 Trailing rows whose choices number at most ``_TAIL_CAP`` together are
 OR-folded into one list of masks, in product order; a subspace is then
 scored by OR-ing the masks of the remaining rows once per prefix and taking
-one popcount per folded mask.  The witness is decoded from the best
-subspace's position by ``SubspaceIter.pattern_basis``.  The dual count of a
+one popcount per folded mask.  A witness is decoded from its subspace's
+position by ``SubspaceIter.pattern_basis``.  The dual count of a
 single basis, ``count_via_dual``, is a test reference in
 ``tests/paper_lemmas.py`` that scores through this module's dual scorer.
 
 Sweeps are split into work units, slices of a pattern's first-row choices;
 units are independent and combine by max reduction, so multi-process runs
 return identical results to serial ones, including the reported witness.
-Units are dealt largest first to the least-loaded worker.  With N jobs the
-parent forks N-1 children and sweeps the last share itself; the children
-inherit the code, so only their results cross a pipe, never the code's
-tables.
+Units are dealt largest first to the least-loaded worker.  The parent
+builds the kernel once, then with N jobs forks N-1 children and sweeps the
+last share itself.  Children inherit the kernel and see no code or mode;
+only the ints of each share's best cross a pipe.  The parent decodes every
+share's best and, for the brute sweep, recounts each one.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import marshal
 import math
 import operator
@@ -174,8 +173,8 @@ def _brute_scorer(code):
     from the subspaces' support sizes (each a popcount of OR-ed row masks).
 
     By GF(q)-linearity the subcode's support is the union of its rows'
-    supports.  The matrix is read from the trace tables, so the witness
-    recount through ``TraceCode.codeword`` in ``_sweep_units`` checks it.
+    supports.  The matrix is read from the trace tables, so the recount of
+    each share's best through ``TraceCode.codeword`` in ``_sweep`` checks it.
     """
     return code.generator_matrix(), lambda pops: code.n - min(pops)
 
@@ -218,9 +217,7 @@ def _dual_scorer(code):
 def _fold_tail(rows):
     """``rows`` with its trailing rows OR-folded into the last while that
     holds at most ``_TAIL_CAP`` masks: one OR per combination, in product
-    order, so a subspace keeps its position.  Folding the rows after the
-    first once per pattern and then the unit's slice of the first row
-    gives what folding the unit's rows at once gives."""
+    order, so a subspace keeps its position."""
     if not rows:
         return rows
     *heads, last = rows
@@ -229,27 +226,21 @@ def _fold_tail(rows):
     return [*heads, last]
 
 
-def _sweep_units(code, r, units, mode):
+def _sweep_units(kernel, score, it, units):
     """Best subspace of the units ``(pat_idx, pattern, lo, hi)``, each the
-    slice [lo, hi) of its pattern's first-row choices, given in sweep order."""
-    field = code.field
-    matrix, score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
-    kernel = _RowMasks(field, matrix)
-    it = SubspaceIter(field, code.k, r)
-    best = -1
-    best_pos = None
-    best_pattern = None
-    examined = 0
-    masks_of = None
+    slice [lo, hi) of its pattern's first-row choices, given in sweep order:
+    ``(zeros, (pat_idx, index), pattern, examined)``, plain ints."""
+    best, best_pos, best_pattern = -1, None, None
+    examined, masks_of = 0, None
     for pat_idx, pattern, lo, hi in units:
         if masks_of != pat_idx:  # a worker's consecutive units share a pattern
             masks_of = pat_idx
             first, *rest = [kernel.row_masks(pc, free) for pc, free in it.row_columns(pattern)]
             rest = _fold_tail(rest)
-        *heads, last = _fold_tail([first[lo:hi], *rest])
+        *heads, last = [first[lo:hi], *rest]
         offset = lo * math.prod(map(len, rest))
-        for pos, prefix in enumerate(itertools.product(*heads)):
-            union = functools.reduce(operator.or_, prefix, 0)
+        # depth first over the prefix unions; a zero mask adds nothing
+        for pos, union in enumerate(_prefixes(0, heads, operator.or_)):
             pops = [(union | mask).bit_count() for mask in last]
             zeros = score(pops)
             examined += len(pops)
@@ -258,17 +249,10 @@ def _sweep_units(code, r, units, mode):
                 best = zeros
                 best_pos = (pat_idx, offset + pos * len(last) + pops.index(min(pops)))
                 best_pattern = pattern
-    witness = tuple(linalg.vector_from_coords(field, code.t, row)
-                    for row in it.pattern_basis(best_pattern, best_pos[1]))
-    if mode == "brute":
-        recount = count_common_zeros(code, witness)
-        if recount != best:
-            raise RuntimeError(f"brute witness at r={r} recounts to {recount} "
-                               f"common zeros, the sweep scored {best}")
-    return best, best_pos, witness, examined
+    return best, best_pos, best_pattern, examined
 
 
-def _work_units(code, r, jobs, total):
+def _work_units(it, q, jobs, total):
     """The sweep as ``(size, (pat_idx, pattern, lo, hi))`` units, in sweep order.
 
     Each pattern's first-row choices are sliced so that a unit holds about
@@ -276,11 +260,10 @@ def _work_units(code, r, jobs, total):
     that is more.  A worker's consecutive units of one pattern share its
     masks, so slicing a serial sweep costs no extra mask builds.
     """
-    it = SubspaceIter(code.field, code.k, r)
     cap = -(-total // (jobs * _UNITS_PER_JOB))
     units = []
     for pat_idx, pattern in enumerate(it.patterns()):
-        first, *rest = [code.q ** len(free) for _, free in it.row_columns(pattern)]
+        first, *rest = [q ** len(free) for _, free in it.row_columns(pattern)]
         other = math.prod(rest)
         step = max(1, cap // other)
         for lo in range(0, first, step):
@@ -301,13 +284,13 @@ def _deal(units, jobs):
     return [sorted(c) for c in chunks if c]
 
 
-def _fan_out(code, r, chunks, mode):
-    """``_sweep_units`` of every chunk: a forked child per chunk but the
-    last, which the parent sweeps itself.  Children inherit the code, so
-    only their parts cross a pipe, or the exception a child raised.  A child
-    leaves by ``os._exit``: no atexit handlers, no flush of the parent's
-    buffers.  The parent reaps every child, first killing them all if its
-    own share or a read fails."""
+def _fan_out(sweep, chunks):
+    """``sweep`` of every chunk: a forked child per chunk but the last, which
+    the parent sweeps itself.  Children inherit ``sweep`` and all it holds,
+    so only their parts, plain ints, cross a pipe, or the exception a child
+    raised.  A child leaves by ``os._exit``: no atexit handlers, no flush of
+    the parent's buffers.  The parent reaps every child, first killing them
+    all if its own share or a read fails."""
     pids, pipes, parts = [], [], []
     try:
         for chunk in chunks[:-1]:
@@ -316,7 +299,7 @@ def _fan_out(code, r, chunks, mode):
                 status = 1
                 try:
                     try:
-                        data = marshal.dumps((True, _sweep_units(code, r, chunk, mode)))
+                        data = marshal.dumps((True, sweep(chunk)))
                     except Exception as exc:
                         import pickle  # only a failed child pays for its import
                         data = marshal.dumps((False, pickle.dumps(exc)))
@@ -328,7 +311,7 @@ def _fan_out(code, r, chunks, mode):
             os.close(wfd)
             pids.append(pid)
             pipes.append(open(rfd, "rb"))
-        last = _sweep_units(code, r, chunks[-1], mode)
+        last = sweep(chunks[-1])
         for pid, pipe in zip(pids, pipes):
             if not (data := pipe.read()):
                 raise RuntimeError(f"sweep child {pid} ended without a result")
@@ -350,7 +333,8 @@ def _fan_out(code, r, chunks, mode):
 
 
 def _sweep(code, r, mode, budget, jobs) -> GHWResult:
-    tm = code.k
+    """Every r-dim subspace, on a kernel built once before the fork."""
+    tm, field = code.k, code.field
     if not 1 <= r <= tm:
         raise ValueError(f"need 1 <= r <= {tm}, got r={r}")
     total = gaussian_binomial(tm, r, code.q)
@@ -358,15 +342,22 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     if total > budget:
         raise BudgetExceeded(total, budget, f"[{tm} choose {r}]_{code.q} = {total}")
     jobs = jobs or 1
-    parts = _fan_out(code, r, _deal(_work_units(code, r, jobs, total), jobs), mode)
+    matrix, score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
+    kernel = _RowMasks(field, matrix)
+    it = SubspaceIter(field, tm, r)
+    chunks = _deal(_work_units(it, code.q, jobs, total), jobs)
+    parts = _fan_out(lambda chunk: _sweep_units(kernel, score, it, chunk), chunks)
+    if (examined := sum(part[3] for part in parts)) != total:
+        raise RuntimeError(f"sweep visited {examined} subspaces, expected {total}")
     best, best_pos, best_witness = -1, None, ()
-    examined = 0
-    for zeros, pos, witness, count in parts:
-        examined += count
+    for zeros, pos, pattern, _ in parts:
+        witness = tuple(linalg.vector_from_coords(field, code.t, row)
+                        for row in it.pattern_basis(pattern, pos[1]))
+        if mode == "brute" and (recount := count_common_zeros(code, witness)) != zeros:
+            raise RuntimeError(f"brute witness at r={r} recounts to {recount} "
+                               f"common zeros, the sweep scored {zeros}")
         if zeros > best or (zeros == best and pos < best_pos):
             best, best_pos, best_witness = zeros, pos, witness
-    if examined != total:
-        raise RuntimeError(f"sweep visited {examined} subspaces, expected {total}")
     return GHWResult(r=r, d_r=code.n - best, common_zeros=best,
                      witness=best_witness, examined=examined)
 
@@ -374,7 +365,8 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
 def ghw_bruteforce(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWResult:
     """r-th GHW by direct support minimization over every r-dim subcode.
 
-    Each sweep worker recounts its best subspace through ``codeword``.
+    The parent recounts every sweep share's best subspace through
+    ``codeword``.
     """
     return _sweep(code, r, "brute", budget, jobs)
 

@@ -85,6 +85,32 @@ def test_ghw_formula_refusal(capsys):
     assert "N_in_range" in err
 
 
+# the hypotheses hold, but a_i = [2, 2]: assumptions ii and iii fail and the
+# code has dimension 6, not the t*m = 12 the closed form would assume
+DUPLICATE_EXPONENTS = ["--p", "3", "--m", "6", "--e", "2", "--t", "2", "--a", "2",
+                       "--deltas", "0,2"]
+ASSUMPTIONS_FAILED = ("closed form unavailable: assumption ii: deltas collide mod e at "
+                      "residues [0]; assumption iii: repeated minimal polynomial")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["ghw", "--method", "formula"], 4),
+    (["flv"], 4),
+    (["check"], 4),
+    (["ghw", "--method", "all"], 2),  # no formula, and no code to sweep
+])
+def test_failed_assumptions_refuse_the_closed_form(capsys, argv, exit_code):
+    code, out, err = run(capsys, *argv, *DUPLICATE_EXPONENTS)
+    assert code == exit_code
+    if argv == ["check"]:
+        record = json.loads(out)
+        assert record["hypotheses"]["all_hold"] and not record["assumptions"]["all_ok"]
+    elif exit_code == 4:
+        assert err.startswith("error: " + ASSUMPTIONS_FAILED) and out == ""
+    else:
+        assert "cannot materialize code" in err and out == ""
+
+
 def test_ghw_all_without_hypotheses_still_cross_checks(capsys):
     code, out, _ = run(capsys, "ghw", *SIMPLEX, "--no-timing")
     assert code == 0

@@ -1,9 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from ghwlab.cyclotomy import CyclotomyCtx, semiprimitive_j
-from ghwlab.fields import FieldCtx
+from ghwlab.fields import FieldCtx, build_field
 
 import helpers
 
@@ -26,6 +27,23 @@ def test_class_index_matches_exponent(f49):
 def test_single_class_when_N_is_1(f49):
     cyc = CyclotomyCtx(f49, 1)
     assert all(helpers.class_index(cyc, x) == 0 for x in range(1, 49))
+
+
+def test_single_class_period_table_copies_no_group():
+    # at N = 1 class 0 is the whole group, counted from exp itself: a copy of
+    # exp over GF(3^8) would hold 6,560 pointers, 52 KB
+    field = build_field(3, 8, subfield_degree=8)
+    field.trace_table(1)
+    cyc = CyclotomyCtx(field, 1)
+    tracemalloc.start()
+    try:
+        table = cyc.period_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024
+    trace = field.trace_table(1)
+    assert table[0] == Counter(trace[x] for x in cyc.class_elements(0))
 
 
 def test_class_index_rejects_zero(f49):

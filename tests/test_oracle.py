@@ -13,7 +13,7 @@ from ghwlab.codes import TraceCode, derive_params
 from ghwlab.errors import BudgetExceeded
 from ghwlab.linalg import rref, vectors_independent
 from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
-from ghwlab.subspaces import gaussian_binomial
+from ghwlab.subspaces import SubspaceIter, gaussian_binomial
 
 from helpers import DualContext, frobenius_trace, span_vectors
 from paper_lemmas import count_via_dual, vector_coords
@@ -62,9 +62,27 @@ def test_brute_witness_recount_catches_a_wrong_score(example1, monkeypatch):
     monkeypatch.setattr(oracle, "_brute_scorer", off_by_one)
     with pytest.raises(RuntimeError, match="recounts to 6 common zeros, the sweep scored 7"):
         ghw_bruteforce(example1, 1)
-    # forked workers recount their own partition's best subspace
+    # the parent recounts the best subspace of every forked share
     with pytest.raises(RuntimeError, match=r"r=1 recounts to \d+ common zeros"):
         ghw_bruteforce(example1, 1, jobs=2)
+
+
+def test_brute_recount_checks_every_share(monkeypatch):
+    # [24,4] over GF(5) at r=2 on two jobs: the forked child's share peaks
+    # at 8 common zeros and the parent's at 12, so a child that scores one
+    # too high still loses the reduction, and only a recount of every
+    # share's best, not of the winner alone, catches it
+    code = TraceCode(derive_params(5, 1, 2, 2, 2, 1))
+    assert ghw_bruteforce(code, 2, jobs=2).common_zeros == 12
+
+    def one_too_high(real, *args):
+        zeros, *rest = real(*args)
+        return (zeros + 1, *rest)
+
+    _in_children(monkeypatch, one_too_high)
+    with pytest.raises(RuntimeError, match="r=2 recounts to 8 common zeros, the sweep scored 9"):
+        ghw_bruteforce(code, 2, jobs=2)
+    _no_children_left()
 
 
 def test_examined_check_catches_a_skipped_subspace(example1, monkeypatch):
@@ -87,14 +105,17 @@ def test_pool_units_balance_the_workers():
     # 376,805 subspaces, so dealing whole patterns cannot balance two workers
     code = TraceCode(derive_params(2, 2, 2, 3, 3, 1))
     total = gaussian_binomial(6, 3, 4)
-    units = oracle._work_units(code, 3, 2, total)
+    it = SubspaceIter(code.field, code.k, 3)
+    units = oracle._work_units(it, code.q, 2, total)
     sizes = {unit: size for size, unit in units}
     chunks = oracle._deal(units, 2)
     loads = [sum(sizes[unit] for unit in chunk) for chunk in chunks]
     assert len(chunks) == 2 and sum(loads) == total
     assert max(loads) - min(loads) <= max(sizes.values())
+    matrix, score = oracle._brute_scorer(code)
+    kernel = oracle._RowMasks(code.field, matrix)
     for chunk, load in zip(chunks, loads):
-        assert oracle._sweep_units(code, 3, chunk, "brute")[3] == load
+        assert oracle._sweep_units(kernel, score, it, chunk)[3] == load
     for sweep in (ghw_bruteforce, ghw_dual_sweep):
         assert sweep(code, 3, jobs=2) == sweep(code, 3, jobs=1)
 
@@ -133,24 +154,36 @@ def _in_children(monkeypatch, child, parent=None):
     monkeypatch.setattr(oracle, "_sweep_units", patched)
 
 
-@pytest.mark.parametrize("error", [RuntimeError, ValueError])
-def test_fan_out_passes_a_child_error_through(example1, monkeypatch, error):
-    def fail(real, code, r, units, mode):
-        raise error(f"unit sweep failed at r={r}")
+def test_fan_out_maps_in_chunk_order():
+    me = os.getpid()
 
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_sweep_units", lambda *args: fail(None, *args))
-        with pytest.raises(error) as serial:
-            ghw_bruteforce(example1, 1, jobs=1)
-    _in_children(monkeypatch, fail)
+    def sweep(chunk):
+        return os.getpid() == me, sum(chunk)
+    assert oracle._fan_out(sweep, [[1, 2], [3], [4, 5]]) == [(False, 3), (False, 3), (True, 9)]
+    assert oracle._fan_out(sweep, [[4, 5]]) == [(True, 9)]  # one share forks nothing
+    _no_children_left()
+
+
+@pytest.mark.parametrize("error", [RuntimeError, ValueError])
+def test_fan_out_passes_a_child_error_through(error):
+    def fail(chunk):
+        raise error(f"unit sweep failed on {chunk}")
+
+    with pytest.raises(error) as serial:
+        oracle._fan_out(fail, [[1]])
+    me = os.getpid()
     with pytest.raises(error) as fanned:
-        ghw_bruteforce(example1, 1, jobs=2)
+        oracle._fan_out(lambda chunk: chunk if os.getpid() == me else fail(chunk), [[1], [2]])
     assert type(fanned.value) is type(serial.value) is error
-    assert str(fanned.value) == str(serial.value) == "unit sweep failed at r=1"
+    assert str(fanned.value) == str(serial.value) == "unit sweep failed on [1]"
     _no_children_left()
 
 
 def test_fan_out_reports_a_child_that_dies(example1, monkeypatch, capsys):
+    me = os.getpid()
+    with pytest.raises(RuntimeError, match=r"sweep child \d+ ended without a result"):
+        oracle._fan_out(lambda chunk: chunk if os.getpid() == me else os._exit(1), [[1], [2]])
+    _no_children_left()
     _in_children(monkeypatch, lambda *args: os._exit(1))
     with pytest.raises(RuntimeError, match=r"sweep child \d+ ended without a result"):
         ghw_dual_sweep(example1, 1, jobs=2)

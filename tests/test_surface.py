@@ -9,8 +9,9 @@ reached class those of its class-level statements but not of its methods.
 Matching is by bare name, so a method sharing a name with any reached
 identifier counts as reached.  Test-only code belongs under ``tests/``.
 
-Also: the modules that hold Gauss periods and sum them exactly import no
-complex arithmetic.
+Also: every name a module-level import in ``src/ghwlab`` binds is read in
+its module, and the modules that hold Gauss periods and sum them exactly
+import no complex arithmetic.
 """
 
 import ast
@@ -72,3 +73,20 @@ def test_exact_modules_import_no_cmath():
             elif isinstance(node, ast.ImportFrom):
                 imported.add(node.module)
         assert "cmath" not in imported, name
+
+
+def unused_imports(path):
+    """The names that ``path``'s module-level imports bind and it never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+    return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
+
+
+def test_src_modules_read_every_module_level_import():
+    for path in SRC.glob("*.py"):
+        assert unused_imports(path) == [], path.name
