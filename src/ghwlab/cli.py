@@ -1,10 +1,11 @@
 """Command-line front end: params, check, ghw, gauss, flv, sweep, verify.
 
 Exit codes: 0 ok, 2 usage, 3 cross-check mismatch or failed internal check,
-4 closed form refused (assumptions or hypotheses unmet), 5 enumeration
-budget exceeded.  JSON output is deterministic byte-for-byte under
---no-timing; witnesses are reproducible because the field modulus and
-0-based index convention travel with every record.
+4 closed form refused (assumptions or hypotheses unmet; for sweep, no a
+passes the assumptions), 5 enumeration budget exceeded.  JSON output is
+deterministic byte-for-byte under --no-timing; witnesses are reproducible
+because the field modulus and 0-based index convention travel with every
+record.
 """
 
 from __future__ import annotations
@@ -20,20 +21,11 @@ import sys
 import time
 
 from . import __version__
-from .codes import check_closed_form_hypotheses, count_common_zeros, derive_params
-from .codes import TraceCode
+from .codes import TraceCode, count_common_zeros, derive_params
 from .cyclotomy import CyclotomyCtx
 from .errors import DEFAULT_BUDGET, BudgetExceeded, HypothesesNotMet
 from .fields import build_field
-from .hierarchy import (
-    FormulaParams,
-    branch_label,
-    character_sum_count,
-    closed_form_dr,
-    max_class_intersection,
-    optimize_profile,
-    rank_decomposition,
-)
+from .hierarchy import ClosedFormGate, character_sum_count, closed_form_dr, max_class_intersection
 from .linalg import vectors_independent
 
 EXIT_OK = 0
@@ -174,26 +166,24 @@ def _base_record(params, report):
 
 def cmd_params(args):
     """``params`` and ``check``: one record; ``check`` exits 4 when the
-    code's assumptions or the closed-form hypotheses fail."""
+    closed-form gate refuses the code."""
     params = _derive(args)
-    report = check_closed_form_hypotheses(params)
-    _write(args, json.dumps(_base_record(params, report), indent=2))
-    formula_ok = report.all_hold and params.assumptions.all_ok
-    return EXIT_HYPOTHESES if args.cmd == "check" and not formula_ok else EXIT_OK
+    gate = ClosedFormGate.of(params)
+    _write(args, json.dumps(_base_record(params, gate.report), indent=2))
+    return EXIT_HYPOTHESES if args.cmd == "check" and gate.failures else EXIT_OK
 
 
-def _formula_rows(params, r_list, timing):
-    fp = FormulaParams.from_code_params(params)
+def _formula_rows(params, fp, r_list, timing):
+    """One row per r in the regime ``fp``, which the caller read from the
+    code's ``ClosedFormGate``; no row evaluates the regime again."""
     rows = []
     for r in r_list:
         start = time.perf_counter()
-        d = closed_form_dr(params, r)
-        r1, r2 = rank_decomposition(params.t, params.m, r)
-        u_star, _ = optimize_profile(fp, params.t, r)
+        d, r1, r2, branch, u_star = closed_form_dr(params, fp, r)
         row = {
             "r": r, "method": "formula", "d_r": d,
             "witness_basis": None,
-            "r1": r1, "r2": r2, "branch": branch_label(fp, r2),
+            "r1": r1, "r2": r2, "branch": branch,
             "u_star": list(u_star),
             "subspaces_examined": 0,
         }
@@ -219,15 +209,17 @@ def _oracle_rows(code, r_list, method, budget, jobs, timing):
     return rows
 
 
-def _run_methods(params, methods, r_list, budget, jobs, timing, hierarchies):
-    """Every row of each method in turn.  Each method's d_r list goes into
-    ``hierarchies`` as it finishes, so the caller keeps the finished lists
-    when a later method raises; all lists are shape-checked at the end."""
+def _run_methods(params, gate, methods, r_list, budget, jobs, timing, hierarchies):
+    """Every row of each method in turn; the formula reads ``gate``, which
+    refuses it when the closed form does not apply.  Each method's d_r list
+    goes into ``hierarchies`` as it finishes, so the caller keeps the
+    finished lists when a later method raises; all lists are shape-checked
+    at the end."""
     code = None  # built for the first sweep
     rows = []
     for method in methods:
         if method == "formula":
-            method_rows = _formula_rows(params, r_list, timing)
+            method_rows = _formula_rows(params, gate.require(), r_list, timing)
         else:
             code = code or TraceCode(params)
             method_rows = _oracle_rows(code, r_list, method, budget, jobs, timing)
@@ -271,7 +263,7 @@ def _auto_jobs(tm, r_list, q):
 
 def cmd_ghw(args):
     params = _derive(args)
-    report = check_closed_form_hypotheses(params)
+    gate = ClosedFormGate.of(params)
     tm = params.k
     r_list = args.r or list(range(1, tm + 1))
     for r in r_list:
@@ -282,15 +274,15 @@ def cmd_ghw(args):
     methods = [args.method]
     if args.method == "all":
         methods = ["formula", "brute", "dual"]
-        if not (report.all_hold and params.assumptions.all_ok):
+        if gate.failures:
             methods.remove("formula")  # --method formula refuses with exit 4
         if params.e != params.t:
             methods.remove("dual")  # dual counting is only defined for e == t
 
-    record = _base_record(params, report)
+    record = _base_record(params, gate.report)
     record["budget"] = args.budget
     hierarchies = {}
-    record["results"] = _run_methods(params, methods, r_list, args.budget, jobs,
+    record["results"] = _run_methods(params, gate, methods, r_list, args.budget, jobs,
                                      not args.no_timing, hierarchies)
     record["hierarchy"] = hierarchies
     record["match"] = match = len({tuple(h) for h in hierarchies.values()}) <= 1
@@ -334,10 +326,11 @@ def cmd_gauss(args):
 
 def cmd_flv(args):
     params = _derive(args)
-    fp = FormulaParams.from_code_params(params)
+    gate = ClosedFormGate.of(params)
+    fp = gate.require()
     table = [{"l": l, "value": max_class_intersection(fp, l)} for l in range(params.m + 1)]
     if args.format == "json":
-        record = _base_record(params, check_closed_form_hypotheses(params))
+        record = _base_record(params, gate.report)
         record["v"] = fp.v
         record["max_intersection"] = table
         _write(args, json.dumps(record, indent=2))
@@ -371,12 +364,15 @@ def cmd_sweep(args):
         raise ValueError(f"--a-range START exceeds STOP, got {args.a_range!r}")
     rows = [SWEEP_COLUMNS]
     failed = False
+    skipped = 0
     for a in range(a_start, a_stop + 1):
         # with a >= 1 every error derive_params raises holds for every a
         params = derive_params(args.p, args.s, args.m, args.e, args.t, a, args.deltas)
         if not params.assumptions.all_ok:
+            skipped += 1
             continue
-        report = check_closed_form_hypotheses(params)
+        gate = ClosedFormGate.of(params)  # the assumptions hold, so only hypotheses can fail
+        report, formula = gate.report, not gate.failures
         row = [params.p, params.s, params.m, params.e, params.t, params.a,
                ";".join(str(d) for d in params.deltas),
                params.q, params.Q, params.N, params.delta, params.n, params.k,
@@ -388,17 +384,22 @@ def cmd_sweep(args):
         hierarchies = {}
         error = ""
         try:
-            _run_methods(params, ["formula"] * report.all_hold + ["brute"] * within,
+            _run_methods(params, gate, ["formula"] * formula + ["brute"] * within,
                          r_all, args.budget, 1, False, hierarchies)
         except Exception as exc:  # per-row error column, sweep keeps going
             error = f"{type(exc).__name__}: {exc}"
         cells = {method: ";".join(map(str, d_list)) for method, d_list in hierarchies.items()}
-        formula_cell = cells.get("formula", "") if report.all_hold else "n/a (hypotheses)"
+        formula_cell = cells.get("formula", "") if formula else "n/a (hypotheses)"
         oracle_cell = cells.get("brute", "") if within else "n/a (budget)"
         match_cell = str(cells["formula"] == cells["brute"]) if len(cells) == 2 else ""
         failed = failed or match_cell == "False" or bool(error)
         rows.append(row + [formula_cell, oracle_cell, match_cell, error])
     _write(args, _csv(rows))
+    if skipped:
+        print(f"sweep: skipped {skipped} of {a_stop - a_start + 1} a values whose assumptions fail",
+              file=sys.stderr)
+    if len(rows) == 1:  # a sweep that checked nothing refuses, as check does
+        return EXIT_HYPOTHESES
     return EXIT_MISMATCH if failed else EXIT_OK
 
 

@@ -59,6 +59,17 @@ class HypothesisReport(namedtuple(
 
     __slots__ = ()
 
+    @classmethod
+    def of(cls, p, s, m, N, e, t) -> "HypothesisReport":
+        """The one evaluation of the closed-form regime, for Q = p^(sm) and
+        N classes; ``check_closed_form_hypotheses`` and ``FormulaParams``
+        both read it."""
+        j = semiprimitive_j(p, N) if N > 2 else None
+        sm = s * m
+        return cls(e_equals_t=e == t, N_in_range=2 < N and N * N <= p**sm, j=j,
+                   sm_over_2j_odd=j is not None and sm % (2 * j) == 0 and (sm // (2 * j)) % 2 == 1,
+                   m_even=m % 2 == 0, irreducible=t == 1)
+
     @property
     def semiprimitive(self) -> bool:
         return self.j is not None
@@ -96,7 +107,7 @@ class CodeParams:
     """
 
     __slots__ = ("p", "s", "m", "e", "t", "a", "deltas", "q", "Q", "a_list",
-                 "delta", "n", "N", "field", "assumptions")
+                 "delta", "n", "N", "k", "field", "assumptions")
 
     def __init__(self, **fields):
         if fields.keys() != set(self.__slots__):
@@ -107,11 +118,6 @@ class CodeParams:
     def __repr__(self):
         return "CodeParams(" + ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
-
-    @property
-    def k(self) -> int:
-        """Code dimension t*m (holds when assumption iii passes)."""
-        return self.t * self.m
 
     def to_dict(self):
         return {
@@ -161,13 +167,10 @@ def derive_params(p, s, m, e, t, a, deltas=None) -> CodeParams:
     n = (Q - 1) // delta
     N = math.gcd((Q - 1) // (q - 1), a * e)
 
-    report = AssumptionReport(
-        i=_check_i(Q, e, a, t),
-        ii=_check_ii(e, t, deltas),
-        iii=_check_iii(field, a_list, m),
-    )
+    iii, k = _check_iii(field, a_list, m)
+    report = AssumptionReport(i=_check_i(Q, e, a, t), ii=_check_ii(e, t, deltas), iii=iii)
     return CodeParams(p=p, s=s, m=m, e=e, t=t, a=a, deltas=deltas,
-                      q=q, Q=Q, a_list=a_list, delta=delta, n=n, N=N,
+                      q=q, Q=Q, a_list=a_list, delta=delta, n=n, N=N, k=k,
                       field=field, assumptions=report)
 
 
@@ -192,37 +195,27 @@ def _check_ii(e, t, deltas):
 
 
 def _check_iii(field, a_list, m):
-    """The minimal polynomial of a root over GF(q) is the product over its
-    q-conjugacy orbit: its degree is the orbit size, and two are equal
+    """The check, and the code dimension k: the size of the union of the
+    roots' q-conjugacy orbits, the code's nonzeros, which is t*m when the
+    check passes.  The minimal polynomial of a root over GF(q) is the
+    product over its orbit: its degree is the orbit size, and two are equal
     exactly when the orbits are."""
     orbits = []
     for ai in a_list:
         root = field.pow(field.gamma, -ai) if ai else field.one
         orbits.append(frozenset(field.conjugacy_orbit(root)))
+    k = len(frozenset().union(*orbits))
     degs = [len(orbit) for orbit in orbits]
     if any(d != m for d in degs):
-        return AssumptionCheck(False, f"minimal polynomial degrees {degs}, expected all {m}")
+        return AssumptionCheck(False, f"minimal polynomial degrees {degs}, expected all {m}"), k
     if len(set(orbits)) != len(orbits):
-        return AssumptionCheck(False, "repeated minimal polynomial among the exponents")
-    return AssumptionCheck(True, f"all degrees equal {m} and polynomials pairwise distinct")
+        return AssumptionCheck(False, "repeated minimal polynomial among the exponents"), k
+    return AssumptionCheck(True, f"all degrees equal {m} and polynomials pairwise distinct"), k
 
 
 def check_closed_form_hypotheses(params: CodeParams) -> HypothesisReport:
     """Report whether the closed-form hierarchy applies; never raises."""
-    N = params.N
-    j = None
-    if N > 2:
-        j = semiprimitive_j(params.p, N)
-    sm = params.s * params.m
-    odd = j is not None and sm % (2 * j) == 0 and (sm // (2 * j)) % 2 == 1
-    return HypothesisReport(
-        e_equals_t=params.e == params.t,
-        N_in_range=2 < N and N * N <= params.Q,
-        j=j,
-        sm_over_2j_odd=odd,
-        m_even=params.m % 2 == 0,
-        irreducible=params.t == 1,
-    )
+    return HypothesisReport.of(params.p, params.s, params.m, params.N, params.e, params.t)
 
 
 class TraceCode:

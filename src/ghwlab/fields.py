@@ -97,35 +97,30 @@ def _poly_mulmod(a, b, modulus, p):
     return prod[:d]
 
 
-def _poly_powmod(a, e, modulus, p):
-    d = len(modulus) - 1
-    result = [0] * d
-    result[0] = 1
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
-
-
 def _x_has_full_order(p, degree, modulus):
-    """Check that the residue of x modulo `modulus` has order exactly p^degree - 1."""
+    """Check that the residue of x modulo `modulus` has order exactly p^degree - 1.
+
+    Each power of x comes from a left-to-right ladder: square, and for a set
+    bit multiply by x, which is one digit shift and one fold of the top
+    digit through the modulus (x^d = -modulus[:d]).  At degree 1 the shift
+    leaves only the fold, x = -modulus[0].
+    """
     group = p**degree - 1
-    x = [0] * degree
-    if degree == 1:
-        x[0] = (-modulus[0]) % p
-    else:
-        x[1] = 1
-    one = [0] * degree
-    one[0] = 1
-    if _poly_powmod(x, group, modulus, p) != one:
-        return False
-    for ell in prime_factors(group):
-        if _poly_powmod(x, group // ell, modulus, p) == one:
-            return False
-    return True
+    one = [1] + [0] * (degree - 1)
+
+    def times_x(a):
+        top = a[-1]
+        return [(c - top * f) % p for c, f in zip([0] + a[:-1], modulus)]
+
+    def power(e):  # e >= 1: its leading bit is the first times_x
+        acc = times_x(one)
+        for bit in bin(e)[3:]:
+            acc = _poly_mulmod(acc, acc, modulus, p)
+            if bit == "1":
+                acc = times_x(acc)
+        return acc
+
+    return power(group) == one and all(power(group // ell) != one for ell in prime_factors(group))
 
 
 class FieldCtx:

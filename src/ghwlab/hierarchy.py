@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .codes import CodeParams, TraceCode, check_closed_form_hypotheses
-from .cyclotomy import semiprimitive_j
+from .codes import CodeParams, HypothesisReport, TraceCode, check_closed_form_hypotheses
 from .errors import HypothesesNotMet
 from .fields import prime_factors
 
@@ -25,11 +24,12 @@ from .fields import prime_factors
 class FormulaParams(namedtuple("FormulaParams", "q m N p s j")):
     """The (q, m, N) regime in which the closed form is valid.
 
-    Construction enforces the full set of hypotheses: m even, 2 < N with
-    N^2 <= q^m, a smallest j with p^j = -1 (mod N), and sm/(2j) odd (p, s
-    recovered from the prime power q).  These are exactly the conditions
-    under which the per-slot intersection bound below is attained.  Built
-    from (q, m, N) alone; p, s and j are derived, and repr shows q, m, N.
+    Construction refuses (ValueError) a q that is not a prime power and any
+    regime that ``HypothesisReport.of`` finds outside the hypotheses: m
+    even, 2 < N with N^2 <= q^m, a smallest j with p^j = -1 (mod N), and
+    sm/(2j) odd.  These are exactly the conditions under which the per-slot
+    intersection bound below is attained.  Built from (q, m, N) alone; p, s
+    and j are derived, and repr shows q, m, N.
     """
 
     __slots__ = ()
@@ -40,33 +40,17 @@ class FormulaParams(namedtuple("FormulaParams", "q m N p s j")):
             raise ValueError(f"q={q} is not a prime power")
         p, = factors
         s = next(s for s in itertools.count(1) if p**s == q)
-        if m < 2 or m % 2:
-            raise ValueError(f"m must be even and positive, got {m}")
-        if not (2 < N and N * N <= q**m):
-            raise ValueError(f"need 2 < N <= sqrt(Q), got N={N}, Q={q**m}")
-        j = semiprimitive_j(p, N)
-        if j is None:
-            raise ValueError(f"no j with {p}^j = -1 (mod {N})")
-        sm = s * m
-        if sm % (2 * j) or (sm // (2 * j)) % 2 == 0:
-            raise ValueError(f"sm/(2j) must be an odd integer, got sm={sm}, j={j}")
-        return super().__new__(cls, q, m, N, p, s, j)
+        report = HypothesisReport.of(p, s, m, N, 1, 1)  # e = t: the regime alone
+        if not report.all_hold:
+            raise ValueError(f"q={q}, m={m}, N={N} is outside the closed-form regime: "
+                             + "; ".join(report.failures()))
+        return super().__new__(cls, q, m, N, p, s, report.j)
 
     def __getnewargs__(self):  # copy and pickle rebuild through the checks
         return self[:3]
 
     def __repr__(self):
         return f"FormulaParams(q={self.q}, m={self.m}, N={self.N})"
-
-    @classmethod
-    def from_code_params(cls, params: CodeParams) -> "FormulaParams":
-        """Refuses (HypothesesNotMet) a failed assumption or hypothesis."""
-        failures = [f"assumption {name}: {check.detail}"
-                    for name, check in params.assumptions._asdict().items() if not check.ok]
-        failures += check_closed_form_hypotheses(params).failures()
-        if failures:
-            raise HypothesesNotMet(failures)
-        return cls(params.q, params.m, params.N)
 
     @property
     def half(self) -> int:
@@ -82,6 +66,31 @@ class FormulaParams(namedtuple("FormulaParams", "q m N p s j")):
         if not (0 <= v <= self.half - 1):
             raise RuntimeError(f"threshold v={v} escaped [0, m/2-1]")
         return v
+
+
+class ClosedFormGate(namedtuple("ClosedFormGate", "report failures fp")):
+    """Whether the closed form applies to one code, decided once: its
+    hypothesis report, every failed assumption and hypothesis, and the
+    regime when none failed (else None).  Every command reads this gate."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, params: CodeParams) -> "ClosedFormGate":
+        report = check_closed_form_hypotheses(params)
+        failures = [f"assumption {name}: {check.detail}"
+                    for name, check in params.assumptions._asdict().items() if not check.ok]
+        failures += report.failures()
+        # the report has evaluated the regime; _make builds it without a second evaluation
+        fp = None if failures else FormulaParams._make(
+            (params.q, params.m, params.N, params.p, params.s, report.j))
+        return cls(report, failures, fp)
+
+    def require(self) -> FormulaParams:
+        """The regime, or HypothesesNotMet listing every failure."""
+        if self.failures:
+            raise HypothesesNotMet(self.failures)
+        return self.fp
 
 
 def max_class_intersection(fp: FormulaParams, l: int) -> int:
@@ -130,36 +139,31 @@ def optimize_profile(fp: FormulaParams, t: int, r: int):
 
 # -- the hierarchy itself -----------------------------------------------------
 
-def closed_form_dr(params: CodeParams, r: int) -> int:
-    """r-th GHW from the closed form, in exact integer arithmetic.
+def closed_form_dr(params: CodeParams, fp: FormulaParams, r: int) -> tuple:
+    """r-th GHW from the closed form, in exact integer arithmetic, with what
+    it comes from: (d_r, r1, r2, branch, u_star).
 
-    Refuses (HypothesesNotMet) when the parameter regime is outside the
-    construction hypotheses.  The branch value is cross-checked against
-    n minus the scaled optimal profile objective.
+    ``fp`` is the regime of ``params`` that the caller read from its
+    ``ClosedFormGate``; nothing here checks the regime again.  The branch
+    value is cross-checked against n minus the scaled optimal profile
+    objective.
     """
-    fp = FormulaParams.from_code_params(params)
-    t, delta, N, q = params.t, params.delta, params.N, params.q
+    t, delta, N, q, half = params.t, params.delta, fp.N, fp.q, fp.half
     r1, r2 = rank_decomposition(t, fp.m, r)
-    qm1 = q**fp.m - 1
-    if r2 < fp.half:
-        branch_sub = N * (q**r2 - 1)
+    if r2 < half:
+        branch, branch_sub = "low", N * (q**r2 - 1)
     else:
-        branch_sub = q**r2 - 1 + (N - 1) * (q**fp.half - q ** (r2 - fp.half))
-    num = (t - r1) * qm1 - branch_sub
-    d, rem = divmod(num, t * delta)
+        branch, branch_sub = "high", q**r2 - 1 + (N - 1) * (q**half - q ** (r2 - half))
+    d, rem = divmod((t - r1) * (q**fp.m - 1) - branch_sub, t * delta)
     if rem:
         raise RuntimeError(f"branch value for r={r} is not an integer")
-    _, t_star = optimize_profile(fp, t, r)
+    u_star, t_star = optimize_profile(fp, t, r)
     scaled, rem = divmod(N * t_star, t * delta)
     if rem:
         raise RuntimeError(f"scaled objective for r={r} is not an integer")
     if d != params.n - scaled:
         raise RuntimeError(f"branch/objective mismatch at r={r}: {d} vs {params.n - scaled}")
-    return d
-
-
-def branch_label(fp: FormulaParams, r2: int) -> str:
-    return "low" if r2 < fp.half else "high"
+    return d, r1, r2, branch, u_star
 
 
 def character_sum_count(code: TraceCode, basis) -> int:

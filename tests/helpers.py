@@ -10,8 +10,8 @@ from hypothesis import assume, strategies as st
 
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
-from ghwlab.fields import build_field
-from ghwlab.hierarchy import FormulaParams, closed_form_dr
+from ghwlab.fields import _poly_mulmod, build_field, prime_factors
+from ghwlab.hierarchy import ClosedFormGate, FormulaParams, closed_form_dr
 from ghwlab import linalg
 from ghwlab.oracle import _RowMasks, _brute_scorer, _dual_scorer, ghw_bruteforce
 from ghwlab.subspaces import SubspaceIter, gaussian_binomial
@@ -217,6 +217,33 @@ def order(ctx, a):
     return group // math.gcd(group, ctx.log[a])
 
 
+def x_has_full_order_by_powers(p, degree, modulus):
+    """Whether x has order p^degree - 1 modulo ``modulus``, each power of x
+    by right-to-left square-and-multiply with general products: the
+    reference for the ladder in ``fields._x_has_full_order``."""
+
+    one = [1] + [0] * (degree - 1)
+
+    def power(a, e):
+        result, base = one, list(a)
+        while e:
+            if e & 1:
+                result = _poly_mulmod(result, base, modulus, p)
+            base = _poly_mulmod(base, base, modulus, p)
+            e >>= 1
+        return result
+
+    group = p**degree - 1
+    x = [0] * degree
+    if degree == 1:
+        x[0] = (-modulus[0]) % p
+    else:
+        x[1] = 1
+    if power(x, group) != one:
+        return False
+    return all(power(x, group // ell) != one for ell in prime_factors(group))
+
+
 def class_index(cyc, x) -> int:
     """Index i with x in the i-th class; zero is not in any class."""
     if x == 0:
@@ -235,8 +262,9 @@ def formula_params(q, m, N):
 
 
 def closed_form_hierarchy(params):
-    """d_1, ..., d_k by the closed form."""
-    return [closed_form_dr(params, r) for r in range(1, params.k + 1)]
+    """d_1, ..., d_k by the closed form, in the regime the code's gate reads."""
+    fp = ClosedFormGate.of(params).require()
+    return [closed_form_dr(params, fp, r)[0] for r in range(1, params.k + 1)]
 
 
 @lru_cache(maxsize=None)

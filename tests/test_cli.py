@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ghwlab.cli as cli
-from ghwlab import fields, oracle
+from ghwlab import codes, fields, hierarchy, oracle
 from ghwlab.cli import _auto_jobs, main
 from ghwlab.codes import TraceCode
 from ghwlab.oracle import DEFAULT_BUDGET, GHWResult
@@ -109,6 +109,34 @@ def test_failed_assumptions_refuse_the_closed_form(capsys, argv, exit_code):
         assert err.startswith("error: " + ASSUMPTIONS_FAILED) and out == ""
     else:
         assert "cannot materialize code" in err and out == ""
+
+
+def test_params_prints_the_real_dimension(capsys):
+    # a_i = [2, 2] span one 6-dimensional space, not t*m = 12 dimensions
+    code, out, _ = run(capsys, "params", *DUPLICATE_EXPONENTS)
+    assert code == 0
+    assert json.loads(out)["params"]["k"] == 6
+
+
+CODE_364_12 = ["--p", "3", "--m", "6", "--e", "2", "--t", "2", "--a", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ghw", *CODE_364_12, "--method", "formula", "--no-timing"],
+    ["ghw", *CODE_364_12, "--method", "all", "--r", "1,11,12", "--no-timing"],
+    ["flv", *CODE_364_12],
+])
+def test_each_run_evaluates_the_regime_once(capsys, monkeypatch, argv):
+    # every module that binds semiprimitive_j counts its calls
+    calls = []
+    for module in (codes, hierarchy):
+        if hasattr(module, "semiprimitive_j"):
+            real = module.semiprimitive_j
+            monkeypatch.setattr(module, "semiprimitive_j",
+                                lambda p, N, real=real: calls.append((p, N)) or real(p, N))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert calls == [(3, 4)]
 
 
 def test_ghw_all_without_hypotheses_still_cross_checks(capsys):
@@ -244,11 +272,30 @@ def test_sweep_contains_worked_examples(capsys):
 
 
 def test_sweep_empty_admissible_set(capsys):
-    # a = 48 = Q-1 is 0 mod Q-1, so no admissible row
-    code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
-                       "--t", "2", "--a-range", "48:48")
-    assert code == 0
+    # a = 48 = Q-1 is 0 mod Q-1, so no admissible row: a sweep that checked
+    # nothing refuses with exit 4, as check does
+    code, out, err = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                         "--t", "2", "--a-range", "48:48")
+    assert code == 4
     assert len(out.strip().splitlines()) == 1
+    assert err == "sweep: skipped 1 of 1 a values whose assumptions fail\n"
+
+
+def test_sweep_reports_skipped_a_values(capsys):
+    # a = 4 fails assumption iii: no row, a count on stderr, and the rest passes
+    code, out, err = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                         "--t", "2", "--a-range", "2:6")
+    assert code == 0
+    assert [line.split(",")[5] for line in out.strip().splitlines()[1:]] == ["2", "3", "5", "6"]
+    assert err == "sweep: skipped 1 of 5 a values whose assumptions fail\n"
+    code, out, err = run(capsys, "sweep", *DUPLICATE_EXPONENTS[:-4], "--a-range", "2:2",
+                         *DUPLICATE_EXPONENTS[-2:])
+    assert code == 4
+    assert out == ",".join(cli.SWEEP_COLUMNS) + "\r\n"
+    assert err == "sweep: skipped 1 of 1 a values whose assumptions fail\n"
+    code, _, err = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
+                       "--t", "2", "--a-range", "6:6")
+    assert code == 0 and err == ""
 
 
 def test_sweep_budget_column(capsys):
@@ -347,7 +394,7 @@ def test_sweep_exit_3_on_error_row(capsys, monkeypatch):
 def test_sweep_exit_3_on_hierarchy_shape(capsys, monkeypatch):
     # ex1 is [8,4]: 8;8;8;8 from both methods matches, but is not strictly
     # increasing and breaks the Singleton bound d_1 <= 5
-    monkeypatch.setattr(cli, "closed_form_dr", lambda params, r: 8)
+    monkeypatch.setattr(cli, "closed_form_dr", lambda params, fp, r: (8, 0, 0, "low", ()))
     monkeypatch.setattr(oracle, "ghw_bruteforce", lambda code, r, budget=None, jobs=1:
                         GHWResult(r=r, d_r=8, common_zeros=0, witness=(), examined=1))
     code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
@@ -360,7 +407,7 @@ def test_sweep_exit_3_on_hierarchy_shape(capsys, monkeypatch):
 
 def test_sweep_formula_cell_empty_on_closed_form_error(capsys, monkeypatch):
     # the hypotheses hold for ex1, so the cell used to read "n/a (hypotheses)"
-    def broken(params, r):
+    def broken(params, fp, r):
         raise RuntimeError(f"scaled objective for r={r} is not an integer")
 
     monkeypatch.setattr(cli, "closed_form_dr", broken)

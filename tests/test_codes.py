@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -11,7 +12,9 @@ from ghwlab.codes import (
     derive_params,
 )
 from ghwlab.fields import FieldCtx, build_field
+from ghwlab.linalg import rref, vector_from_coords
 
+import helpers
 from paper_lemmas import generator_poly, is_monic, minimal_poly, parity_check_poly, poly_mul
 
 
@@ -108,15 +111,17 @@ def test_assumption_iii_failure_collision():
 
 
 def _check_iii_by_minimal_polys(field, a_list, m):
-    """Assumption iii read off the multiplied-out minimal polynomials."""
+    """Assumption iii read off the multiplied-out minimal polynomials, and
+    the code dimension as the sum of the distinct ones' degrees."""
     polys = [minimal_poly(field, field.pow(field.gamma, -ai) if ai else field.one)
              for ai in a_list]
+    k = sum({poly.coeffs: poly.degree for poly in polys}.values())
     degs = [poly.degree for poly in polys]
     if any(d != m for d in degs):
-        return AssumptionCheck(False, f"minimal polynomial degrees {degs}, expected all {m}")
+        return AssumptionCheck(False, f"minimal polynomial degrees {degs}, expected all {m}"), k
     if len({poly.coeffs for poly in polys}) != len(polys):
-        return AssumptionCheck(False, "repeated minimal polynomial among the exponents")
-    return AssumptionCheck(True, f"all degrees equal {m} and polynomials pairwise distinct")
+        return AssumptionCheck(False, "repeated minimal polynomial among the exponents"), k
+    return AssumptionCheck(True, f"all degrees equal {m} and polynomials pairwise distinct"), k
 
 
 def test_assumption_iii_orbits_match_minimal_polynomials():
@@ -127,12 +132,49 @@ def test_assumption_iii_orbits_match_minimal_polynomials():
         group = field.Q - 1
         for a in range(1, 60):
             a_list = tuple((a + group // e * d) % group for d in range(t))
-            got = _check_iii(field, a_list, m)
-            assert got == _check_iii_by_minimal_polys(field, a_list, m), (p, s, m, e, t, a)
+            got, k = _check_iii(field, a_list, m)
+            assert (got, k) == _check_iii_by_minimal_polys(field, a_list, m), (p, s, m, e, t, a)
             kinds["pass" if got.ok else "repeated" if "repeated" in got.detail
                   else "degrees"] += 1
     # the corpus exercises both failure kinds, not only the passing branch
     assert all(kinds.values()), kinds
+
+
+def _unit_word_rank(params):
+    """GF(q) rank of the words of the t*m unit messages, each read by
+    ``helpers.fq_codeword``: the code's dimension, found without orbits.
+    The stand-in carries what the reference reads, since ``TraceCode``
+    refuses a code whose assumption iii fails."""
+    field, tm = params.field, params.t * params.m
+    code = SimpleNamespace(field=field, n=params.n, params=params)
+    words = [helpers.fq_codeword(code, vector_from_coords(
+        field, params.t, [field.one if i == u else 0 for i in range(tm)])) for u in range(tm)]
+    return len(rref(field, words)[0])
+
+
+@pytest.mark.parametrize("args, k", [
+    ((3, 1, 6, 2, 2, 2, (0, 2)), 6),      # a_i = [2, 2]: one orbit twice
+    ((7, 1, 2, 2, 2, 4, (0, 1)), 2),      # conjugate exponents
+    ((7, 1, 2, 2, 2, 8, (0, 1)), 2),      # both roots in GF(7)
+    ((2, 1, 6, 3, 3, 3, (0, 1, 2)), 9),   # degrees 6, 6, 3; the two sextic orbits agree
+    ((2, 1, 4, 1, 1, 5, (0,)), 2),        # one root of degree 2 < m
+    ((7, 1, 2, 2, 2, 6, (0, 1)), 4),      # assumption iii holds: k = t*m
+])
+def test_dimension_is_the_rank_of_the_unit_words(args, k):
+    params = derive_params(*args)
+    assert params.assumptions.iii.ok == (k == params.t * params.m)
+    assert params.k == _unit_word_rank(params) == k
+
+
+def test_dimension_matches_the_rank_wherever_assumption_iii_fails():
+    failing = 0
+    for p, s, m, e, t in ((2, 1, 4, 3, 2), (2, 1, 6, 3, 3), (2, 2, 2, 3, 3), (7, 1, 2, 2, 2)):
+        for a in range(1, 30):
+            params = derive_params(p, s, m, e, t, a, range(t))
+            if not params.assumptions.iii.ok:
+                failing += 1
+                assert params.k == _unit_word_rank(params) < t * m, (p, s, m, e, t, a)
+    assert failing >= 20
 
 
 def test_assumption_t1_has_no_delta_condition(irreducible21_params):
@@ -210,7 +252,6 @@ CODEWORD_CASES = {
 
 @pytest.mark.parametrize("name", sorted(CODEWORD_CASES))
 def test_codeword_equals_fq_reference(name):
-    import helpers
     code = TraceCode(derive_params(*CODEWORD_CASES[name]))
     rng = random.Random(name)
     Q = code.params.Q
@@ -226,7 +267,6 @@ def test_codeword_equals_fq_reference(name):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 def test_codeword_equals_fq_reference_random(data):
-    import helpers
     code, _ = data.draw(helpers.small_sweeps())
     x = data.draw(st.tuples(*[st.integers(0, code.params.Q - 1)] * code.t))
     assert code.codeword(x) == helpers.fq_codeword(code, x)
@@ -251,7 +291,6 @@ def test_codeword_forms_no_fq_product(name, monkeypatch):
 
 @pytest.mark.parametrize("key,expected_min", [("example1", 2), ("example2", 6)])
 def test_minimum_weight_full_enumeration(key, expected_min):
-    import helpers
     code = helpers.code(key)
     Q = code.params.Q
     words = set()

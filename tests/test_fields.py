@@ -15,6 +15,7 @@ from ghwlab.fields import (
     prime_factors,
 )
 
+import helpers
 from helpers import digit_loop_tables, order
 from paper_lemmas import coords_over_q, evaluate, is_monic, minimal_poly, poly_divmod, poly_mul
 
@@ -81,6 +82,22 @@ def test_primitive_modulus_matches_unfiltered_search():
     for p, d in pairs:
         assert _primitive_modulus(p, d) == _first_primitive_unfiltered(p, d), (p, d)
     assert build_field(3, 10).modulus == tuple(_first_primitive_unfiltered(3, 10))
+
+
+def test_ladder_picks_the_modulus_of_the_power_reference():
+    # the ladder and square-and-multiply pick the same first modulus on
+    # every field of at most 2^16 elements, and agree on every candidate
+    # of the fields of at most 2^8 elements
+    pairs = [(p, d) for p in range(2, 257) if is_prime(p)
+             for d in range(1, 17) if p**d <= 1 << 16]
+    for p, d in pairs:
+        candidates = (_digits(packed, p, d) + [1] for packed in range(p**d) if packed % p)
+        first = next(mod for mod in candidates if helpers.x_has_full_order_by_powers(p, d, mod))
+        assert _primitive_modulus(p, d) == first, (p, d)
+        if p**d <= 1 << 8:
+            for mod in (_digits(packed, p, d) + [1] for packed in range(p**d)):
+                assert (_x_has_full_order(p, d, mod)
+                        == helpers.x_has_full_order_by_powers(p, d, mod)), (p, d, mod)
 
 
 def test_build_field_rejections():

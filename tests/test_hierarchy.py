@@ -3,6 +3,7 @@ import pytest
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.errors import HypothesesNotMet
 from ghwlab.hierarchy import (
+    ClosedFormGate,
     FormulaParams,
     character_sum_count,
     closed_form_dr,
@@ -296,8 +297,10 @@ def test_closed_form_irreducible_matches_brute(irreducible21_params, irreducible
 
 
 def test_closed_form_refuses_simplex(simplex_params):
+    gate = ClosedFormGate.of(simplex_params)
+    assert gate.fp is None
     with pytest.raises(HypothesesNotMet) as exc:
-        closed_form_dr(simplex_params, 1)
+        gate.require()
     assert any("N_in_range" in f for f in exc.value.failures)
 
 
@@ -355,7 +358,8 @@ def test_character_sum_consistency_sweep(example1):
 def test_closed_form_full_pipeline_consistency(example2_params, example2):
     # formula == brute == dual on a complete desk-scale instance
     from ghwlab.oracle import ghw_dual_sweep
+    fp = ClosedFormGate.of(example2_params).require()
     for r in range(1, 5):
-        d = closed_form_dr(example2_params, r)
+        d = closed_form_dr(example2_params, fp, r)[0]
         assert d == ghw_bruteforce(example2, r).d_r
         assert d == ghw_dual_sweep(example2, r).d_r

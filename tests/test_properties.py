@@ -1,7 +1,8 @@
 """Property-based checks of the algebraic invariants."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from ghwlab.codes import check_closed_form_hypotheses, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams
@@ -106,3 +107,29 @@ def test_cross_shift_round_trips(hi, lo):
     assert sum(shifted) == sum(u)
     restored = unshift_cross(FP26, shifted, 0, 1)
     assert restored == u
+
+
+# (p, s, m) with Q = p^(sm) <= 2^10: both parities of m, prime and non-prime q
+REGIME_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 6), (2, 1, 10), (2, 2, 2), (2, 2, 3),
+                 (2, 3, 2), (3, 1, 2), (3, 1, 4), (3, 1, 5), (3, 1, 6), (3, 2, 2), (5, 1, 2),
+                 (5, 1, 4), (7, 1, 2), (7, 1, 3), (11, 1, 2), (13, 1, 2), (31, 1, 2)]
+
+
+@given(st.sampled_from(REGIME_FIELDS), st.integers(1, 3), st.integers(0, 10**6))
+@example((7, 1, 2), 2, 5)   # ex1, a = 6: every hypothesis holds
+@example((7, 1, 2), 2, 2)   # a = 3: N = 2
+@settings(max_examples=150, deadline=None)
+def test_hypotheses_hold_exactly_when_formula_params_builds(fsm, t, draw):
+    # e = t, so the report and FormulaParams read the same regime
+    p, s, m = fsm
+    Q = p ** (s * m)
+    if (Q - 1) % t:
+        t = 1
+    params = derive_params(p, s, m, t, t, 1 + draw % (Q - 2))
+    try:
+        FormulaParams(params.q, m, params.N)
+    except ValueError:
+        builds = False
+    else:
+        builds = True
+    assert check_closed_form_hypotheses(params).all_hold == builds

@@ -90,3 +90,29 @@ def unused_imports(path):
 def test_src_modules_read_every_module_level_import():
     for path in SRC.glob("*.py"):
         assert unused_imports(path) == [], path.name
+
+
+def callers(name):
+    """Qualified names of the functions in ``src/ghwlab`` whose own bodies,
+    nested definitions excluded, call ``name``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if name in (getattr(func, "id", None), getattr(func, "attr", None)):
+                    found.add(scope)
+            visit(child, inner)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    return sorted(found)
+
+
+def test_one_function_evaluates_the_closed_form_regime():
+    # the report and FormulaParams both read this one evaluation
+    assert callers("semiprimitive_j") == ["codes.HypothesisReport.of"]
