@@ -69,6 +69,8 @@ def _add_param_flags(sub, need_a=True):
 def _add_output_flags(sub, formats=()):
     if formats:
         sub.add_argument("--format", choices=formats, default=formats[0])
+    else:
+        sub.set_defaults(format="json")  # the one output of a command without --format
     sub.add_argument("--output", default="-", help="output path, - for stdout")
 
 
@@ -137,9 +139,23 @@ def _write(args, text):
         text += "\n"
     if args.output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text)
+    except OSError as exc:  # a path the user gave: a usage error, not a traceback
+        raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+
+
+def _write_record(args, record, csv_rows=None, table_lines=None):
+    """``record`` as JSON, or ``csv_rows`` or ``table_lines`` under
+    ``--format csv`` or ``table``, where the command offers them."""
+    if args.format == "json":
+        _write(args, json.dumps(record, indent=2))
+    elif args.format == "csv":
+        _write(args, _csv(csv_rows))
+    else:
+        _write(args, "\n".join(table_lines))
 
 
 def _csv(rows):
@@ -152,16 +168,16 @@ def _derive(args):
     return derive_params(args.p, args.s, args.m, args.e, args.t, args.a, args.deltas)
 
 
-def _base_record(params, report):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "ghwlab", "version": __version__},
-        "index_base": 0,
-        "field": params.field.to_json_dict(),
-        "params": params.to_dict(),
-        "assumptions": params.assumptions.to_dict(),
-        "hypotheses": report.to_dict(),
-    }
+def _record(**fields):
+    """Every JSON record: the schema version and the tool, then ``fields``."""
+    return {"schema_version": SCHEMA_VERSION,
+            "tool": {"name": "ghwlab", "version": __version__}, **fields}
+
+
+def _code_record(params, report, **fields):
+    return _record(index_base=0, field=params.field.to_json_dict(), params=params.to_dict(),
+                   assumptions=params.assumptions.to_dict(), hypotheses=report.to_dict(),
+                   **fields)
 
 
 def cmd_params(args):
@@ -169,60 +185,50 @@ def cmd_params(args):
     closed-form gate refuses the code."""
     params = _derive(args)
     gate = ClosedFormGate.of(params)
-    _write(args, json.dumps(_base_record(params, gate.report), indent=2))
+    _write_record(args, _code_record(params, gate.report))
     return EXIT_HYPOTHESES if args.cmd == "check" and gate.failures else EXIT_OK
 
 
-def _formula_rows(params, fp, r_list, timing):
-    """One row per r in the regime ``fp``, which the caller read from the
-    code's ``ClosedFormGate``; no row evaluates the regime again."""
-    rows = []
-    for r in r_list:
-        start = time.perf_counter()
-        d, r1, r2, branch, u_star = closed_form_dr(params, fp, r)
-        row = {
-            "r": r, "method": "formula", "d_r": d,
-            "witness_basis": None,
-            "r1": r1, "r2": r2, "branch": branch,
-            "u_star": list(u_star),
-            "subspaces_examined": 0,
-        }
-        if timing:
-            row["timing_s"] = _sig12(time.perf_counter() - start)
-        rows.append(row)
-    return rows
-
-
-def _oracle_rows(code, r_list, method, budget, jobs, timing):
-    from .oracle import ghw_bruteforce, ghw_dual_sweep  # the sweeps load only where they run
-
-    sweep = ghw_bruteforce if method == "brute" else ghw_dual_sweep
-    rows = []
-    for r in r_list:
-        start = time.perf_counter()
-        res = sweep(code, r, budget=budget, jobs=jobs)
-        row = {"r": r, "method": method}
-        row.update(res.to_dict())
-        if timing:
-            row["timing_s"] = _sig12(time.perf_counter() - start)
-        rows.append(row)
-    return rows
+def _formula_row(params, fp, r):
+    d, r1, r2, branch, u_star = closed_form_dr(params, fp, r)
+    return {"d_r": d, "witness_basis": None, "r1": r1, "r2": r2, "branch": branch,
+            "u_star": list(u_star), "subspaces_examined": 0}
 
 
 def _run_methods(params, gate, methods, r_list, budget, jobs, timing, hierarchies):
-    """Every row of each method in turn; the formula reads ``gate``, which
-    refuses it when the closed form does not apply.  Each method's d_r list
-    goes into ``hierarchies`` as it finishes, so the caller keeps the
-    finished lists when a later method raises; all lists are shape-checked
-    at the end."""
-    code = None  # built for the first sweep
+    """Every row of each method in turn, each timed by one loop.  The formula
+    reads ``gate``, which refuses it when the closed form does not apply;
+    once the formula is cleared, a planned sweep builds the code and refuses
+    every requested r its budget or its method refuses, before any method
+    runs.  ``jobs`` 0 sizes the sweeps' pool by ``_auto_jobs``.  Each
+    method's d_r list goes into ``hierarchies`` as it finishes, so the
+    caller keeps the finished lists when a later method raises; all lists
+    are shape-checked at the end."""
+    row_of = {}
+    if "formula" in methods:
+        fp = gate.require()
+        row_of["formula"] = lambda r: _formula_row(params, fp, r)
+    if sweeps := [method for method in methods if method != "formula"]:
+        from .oracle import ghw_bruteforce, ghw_dual_sweep, sweep_size  # loaded only to sweep
+
+        code = TraceCode(params)
+        for method in sweeps:
+            for r in r_list:
+                sweep_size(params, r, method, budget)
+        jobs = jobs or _auto_jobs(params.k, r_list, params.q)
+        for method in sweeps:
+            sweep = ghw_bruteforce if method == "brute" else ghw_dual_sweep
+            row_of[method] = lambda r, sweep=sweep: sweep(code, r, budget=budget,
+                                                          jobs=jobs).to_dict()
     rows = []
     for method in methods:
-        if method == "formula":
-            method_rows = _formula_rows(params, gate.require(), r_list, timing)
-        else:
-            code = code or TraceCode(params)
-            method_rows = _oracle_rows(code, r_list, method, budget, jobs, timing)
+        method_rows = []
+        for r in r_list:
+            start = time.perf_counter()
+            row = {"r": r, "method": method, **row_of[method](r)}
+            if timing:
+                row["timing_s"] = _sig12(time.perf_counter() - start)
+            method_rows.append(row)
         rows += method_rows
         hierarchies[method] = [row["d_r"] for row in method_rows]
     for d_list in hierarchies.values():
@@ -269,8 +275,6 @@ def cmd_ghw(args):
     for r in r_list:
         if not 1 <= r <= tm:
             raise ValueError(f"r must lie in 1..{tm}, got {r}")
-    jobs = args.jobs or _auto_jobs(tm, r_list, params.q)
-
     methods = [args.method]
     if args.method == "all":
         methods = ["formula", "brute", "dual"]
@@ -279,26 +283,17 @@ def cmd_ghw(args):
         if params.e != params.t:
             methods.remove("dual")  # dual counting is only defined for e == t
 
-    record = _base_record(params, gate.report)
-    record["budget"] = args.budget
     hierarchies = {}
-    record["results"] = _run_methods(params, gate, methods, r_list, args.budget, jobs,
-                                     not args.no_timing, hierarchies)
-    record["hierarchy"] = hierarchies
-    record["match"] = match = len({tuple(h) for h in hierarchies.values()}) <= 1
-
-    if args.format == "json":
-        _write(args, json.dumps(record, indent=2))
-    elif args.format == "csv":
-        _write(args, _csv([["r", "method", "d_r", "subspaces_examined", "witness_basis"]]
-                          + [[row["r"], row["method"], row["d_r"], row["subspaces_examined"],
-                              json.dumps(row["witness_basis"])] for row in record["results"]]))
-    else:
-        lines = [f"{'r':>3}  {'method':<8} {'d_r':>5}  {'examined':>10}"]
-        for row in record["results"]:
-            lines.append(f"{row['r']:>3}  {row['method']:<8} {row['d_r']:>5}  "
-                         f"{row['subspaces_examined']:>10}")
-        _write(args, "\n".join(lines))
+    results = _run_methods(params, gate, methods, r_list, args.budget, args.jobs,
+                           not args.no_timing, hierarchies)
+    match = len({tuple(h) for h in hierarchies.values()}) <= 1
+    cells = [[row["r"], row["method"], row["d_r"], row["subspaces_examined"]] for row in results]
+    line = "{:>3}  {:<8} {:>5}  {:>10}".format
+    _write_record(args, _code_record(params, gate.report, budget=args.budget, results=results,
+                                     hierarchy=hierarchies, match=match),
+                  [["r", "method", "d_r", "subspaces_examined", "witness_basis"]]
+                  + [c + [json.dumps(row["witness_basis"])] for c, row in zip(cells, results)],
+                  [line("r", "method", "d_r", "examined")] + [line(*c) for c in cells])
     return EXIT_OK if match else EXIT_MISMATCH
 
 
@@ -309,18 +304,10 @@ def cmd_gauss(args):
     roots = [cmath.exp(2j * cmath.pi * k / field.p) for k in range(field.p)]
     periods = [sum(c * roots[k] for k, c in row.items())
                for row in cyc.period_table()[:args.N]]
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "ghwlab", "version": __version__},
-        "field": field.to_json_dict(),
-        "N": args.N,
-        "class_size": cyc.class_size,
-        "periods": [
-            {"i": i, "re": _sig12(v.real), "im": _sig12(v.imag)}
-            for i, v in enumerate(periods)
-        ],
-    }
-    _write(args, json.dumps(record, indent=2))
+    _write_record(args, _record(
+        field=field.to_json_dict(), N=args.N, class_size=cyc.class_size,
+        periods=[{"i": i, "re": _sig12(v.real), "im": _sig12(v.imag)}
+                 for i, v in enumerate(periods)]))
     return EXIT_OK
 
 
@@ -328,19 +315,12 @@ def cmd_flv(args):
     params = _derive(args)
     gate = ClosedFormGate.of(params)
     fp = gate.require()
-    table = [{"l": l, "value": max_class_intersection(fp, l)} for l in range(params.m + 1)]
-    if args.format == "json":
-        record = _base_record(params, gate.report)
-        record["v"] = fp.v
-        record["max_intersection"] = table
-        _write(args, json.dumps(record, indent=2))
-    elif args.format == "csv":
-        _write(args, _csv([["l", "max_intersection"]]
-                          + [[row["l"], row["value"]] for row in table]))
-    else:
-        lines = [f"v = {fp.v}", f"{'l':>3}  {'max_intersection':>16}"]
-        lines += [f"{row['l']:>3}  {row['value']:>16}" for row in table]
-        _write(args, "\n".join(lines))
+    cells = [[l, max_class_intersection(fp, l)] for l in range(params.m + 1)]
+    line = "{:>3}  {:>16}".format
+    _write_record(args, _code_record(params, gate.report, v=fp.v, max_intersection=[
+                      {"l": l, "value": value} for l, value in cells]),
+                  [["l", "max_intersection"]] + cells,
+                  [f"v = {fp.v}", line("l", "max_intersection")] + [line(*c) for c in cells])
     return EXIT_OK
 
 
@@ -352,7 +332,7 @@ SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args):
-    from .subspaces import gaussian_binomial
+    from .oracle import sweep_size
 
     try:
         a_start, a_stop = (int(v) for v in args.a_range.split(":"))
@@ -380,7 +360,10 @@ def cmd_sweep(args):
                report.j if report.j is not None else "",
                report.sm_over_2j_odd, report.m_even, report.all_hold]
         r_all = range(1, params.k + 1)
-        within = all(gaussian_binomial(params.k, r, params.q) <= args.budget for r in r_all)
+        try:  # every size is positive, so all() only waits for a refusal
+            within = all(sweep_size(params, r, "brute", args.budget) for r in r_all)
+        except BudgetExceeded:
+            within = False
         hierarchies = {}
         error = ""
         try:
@@ -421,18 +404,9 @@ def cmd_verify(args):
         numeric, exact = character_sum_count(code, basis), count_common_zeros(code, basis)
         max_err = max(max_err, abs(numeric - exact))
     ok = max_err == 0  # both counts are ints
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "ghwlab", "version": __version__},
-        "params": params.to_dict(),
-        "checked": args.count,
-        "seed": args.seed,
-        # floats, as the goldens and the benchmark harness read them
-        "max_abs_err": float(max_err),
-        "tolerance": 1e-6,
-        "ok": ok,
-    }
-    _write(args, json.dumps(record, indent=2))
+    # max_abs_err and tolerance are floats, as the goldens and the benchmark harness read them
+    _write_record(args, _record(params=params.to_dict(), checked=args.count, seed=args.seed,
+                                max_abs_err=float(max_err), tolerance=1e-6, ok=ok))
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -447,6 +421,15 @@ COMMANDS = {
 }
 
 
+# the first entry that matches an error gives its exit code
+ERROR_EXITS = {
+    BudgetExceeded: EXIT_BUDGET,
+    HypothesesNotMet: EXIT_HYPOTHESES,
+    ValueError: EXIT_USAGE,
+    RuntimeError: EXIT_MISMATCH,  # a failed internal consistency check
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -455,18 +438,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.cmd](args)
-    except BudgetExceeded as exc:
+    except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except HypothesesNotMet as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESES
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:  # a failed internal consistency check
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        return next(code for kind, code in ERROR_EXITS.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

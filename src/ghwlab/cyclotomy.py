@@ -63,15 +63,28 @@ class CyclotomyCtx:
     def period_table(self) -> tuple:
         """The Gauss periods as trace counts; cached after the first call.
 
-        Row i < N is a ``Counter`` of the absolute traces of class i, counted
-        from the class's own slice of ``exp`` (at N = 1 from ``exp`` itself,
-        not a copy), and holds only the traces that occur.  Row N is the
-        argument 0: class_size elements at trace 0.
+        Row i < N is a ``Counter`` of the absolute traces of class i, keyed
+        in the order the traces first occur along the class's slice of
+        ``exp`` (``gauss`` sums a row in that order), and holds only the
+        traces that occur.  It is counted from that slice, except at N = 1
+        with a ``bytes`` trace table: class 0 is then every nonzero element,
+        so each trace is counted over the whole table, less the zero
+        element.  A list table keeps the gather, since one ``list.count``
+        per trace would read the table p times.  Row N is the argument 0:
+        class_size elements at trace 0.
         """
         if self._table is None:
             trace, exp = self.field.trace_table(1), self.field.exp
-            classes = [exp] if self.N == 1 else map(self.class_elements, range(self.N))
-            rows = [Counter(map(getitem, repeat(trace), c)) for c in classes]
+            if self.N == 1 and isinstance(trace, bytes):
+                first = {}  # the traces in the order they first occur along exp
+                for x in exp:
+                    first[trace[x]] = None
+                    if len(first) == self.field.p:
+                        break
+                rows = [Counter({k: trace.count(k) - (k == 0) for k in first})]
+            else:
+                classes = [exp] if self.N == 1 else map(self.class_elements, range(self.N))
+                rows = [Counter(map(getitem, repeat(trace), c)) for c in classes]
             rows.append(Counter({0: self.class_size}))
             self._table = tuple(rows)
         return self._table

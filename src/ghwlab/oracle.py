@@ -332,15 +332,26 @@ def _fan_out(sweep, chunks):
     return parts + [last]
 
 
+def sweep_size(params, r, mode, budget=None) -> int:
+    """The subspaces a ``mode`` sweep at r visits, [k choose r]_q, once the
+    sweep may run: ValueError for a dual sweep with e != t or an r outside
+    1..k, BudgetExceeded above ``budget`` (default ``DEFAULT_BUDGET``)."""
+    if mode == "dual":
+        _require_e_equals_t(params)
+    tm, q = params.k, params.q
+    if not 1 <= r <= tm:
+        raise ValueError(f"need 1 <= r <= {tm}, got r={r}")
+    total = gaussian_binomial(tm, r, q)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    if total > budget:
+        raise BudgetExceeded(total, budget, f"[{tm} choose {r}]_{q} = {total}")
+    return total
+
+
 def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     """Every r-dim subspace, on a kernel built once before the fork."""
     tm, field = code.k, code.field
-    if not 1 <= r <= tm:
-        raise ValueError(f"need 1 <= r <= {tm}, got r={r}")
-    total = gaussian_binomial(tm, r, code.q)
-    budget = DEFAULT_BUDGET if budget is None else budget
-    if total > budget:
-        raise BudgetExceeded(total, budget, f"[{tm} choose {r}]_{code.q} = {total}")
+    total = sweep_size(code.params, r, mode, budget)
     jobs = jobs or 1
     matrix, score = _brute_scorer(code) if mode == "brute" else _dual_scorer(code)
     kernel = _RowMasks(field, matrix)
@@ -376,5 +387,4 @@ def ghw_dual_sweep(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWRe
 
     Requires e == t.
     """
-    _require_e_equals_t(code.params)
     return _sweep(code, r, "dual", budget, jobs)

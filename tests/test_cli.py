@@ -176,6 +176,37 @@ def test_ghw_dual_refuses_e_exceeding_t(capsys):
     assert "dual counting requires e == t" in err
 
 
+def test_ghw_refuses_an_over_budget_r_before_any_sweep(capsys, monkeypatch):
+    # [16,8] over GF(3): r = 1 is within the default budget, r = 3 is not
+    def no_sweep(code, r, budget=None, jobs=1):
+        raise AssertionError(f"swept r={r}")
+    monkeypatch.setattr(oracle, "ghw_bruteforce", no_sweep)
+    monkeypatch.setattr(oracle, "ghw_dual_sweep", no_sweep)
+    argv = ["ghw", "--p", "3", "--m", "4", "--e", "2", "--t", "2", "--a", "1"]
+    code, out, err = run(capsys, *argv, "--r", "1,3")
+    assert (code, out) == (5, "")
+    assert err.splitlines() == ["error: enumeration of 25095280 subspaces exceeds budget "
+                                f"{DEFAULT_BUDGET} ([8 choose 3]_3 = 25095280)"]
+    assert run(capsys, *argv, "--r", "3") == (5, "", err)
+    # a refusal the first sweep gave before its budget still comes first
+    code, _, err = run(capsys, "ghw", *E3T1, "--method", "dual", "--budget", "0")
+    assert code == 2
+    assert "dual counting requires e == t" in err
+    code, _, err = run(capsys, "ghw", "--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "4",
+                       "--method", "brute", "--budget", "0")  # a = 4 fails assumption iii
+    assert code == 2
+    assert "cannot materialize code" in err
+
+
+@pytest.mark.parametrize("cmd", ["params", "ghw"])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, cmd):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, cmd, *EX1, "--output", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_ghw_rejects_negative_jobs_and_budget(capsys):
     for flag, value in (("--jobs", "-3"), ("--budget", "-1")):
         code, out, err = run(capsys, "ghw", *EX1, "--method", "brute", flag, value)

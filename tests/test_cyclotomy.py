@@ -46,6 +46,19 @@ def test_single_class_period_table_copies_no_group():
     assert table[0] == Counter(trace[x] for x in cyc.class_elements(0))
 
 
+@pytest.mark.parametrize("p, degree, kind", [(3, 4, "bytes"), (3, 10, "bytes"), (2, 6, "bytes"),
+                                             (257, 2, "list"), (7, 1, "range")])
+def test_single_class_row_counts_every_nonzero_trace(p, degree, kind):
+    # a bytes table is counted whole, less the zero element; the others gather
+    field = build_field(p, degree, subfield_degree=degree)
+    trace = field.trace_table(1)
+    assert type(trace).__name__ == kind
+    reference = Counter(trace[x] for x in field.exp)
+    row = CyclotomyCtx(field, 1).period_table()[0]
+    assert row == reference
+    assert list(row.items()) == list(reference.items())  # gauss sums a row in this order
+
+
 def test_class_index_rejects_zero(f49):
     with pytest.raises(ValueError):
         helpers.class_index(CyclotomyCtx(f49, 4), 0)

@@ -6,9 +6,9 @@ The five frozen records are named tuples: immutable, equal by value, with a
 needs ``dataclasses`` (which loads ``inspect``), and a sweep at any job
 count forks its own children without ``multiprocessing``; a fresh
 interpreter checks that none of the three is loaded, since pytest itself
-loads all three.  ``verify`` runs no sweep, and a fresh interpreter checks
-that it loads neither sweep module, and that an r = 1 ``verify`` never
-builds the field's Zech table.  The arithmetic modules ``fields`` and
+loads all three.  ``verify`` and a formula-only ``ghw`` run no sweep, and a
+fresh interpreter checks that they load no sweep module, and that an r = 1
+``verify`` never builds the field's Zech table.  The arithmetic modules ``fields`` and
 ``linalg`` import no other module of the package.
 """
 
@@ -62,21 +62,29 @@ def test_import_loads_no_dataclasses_inspect_or_multiprocessing():
     assert seen["jobs2"] == []   # the fan-out forks without multiprocessing
 
 
-VERIFY_PROBE = """
+NO_SWEEP_PROBE = """
 import json, sys
 import ghwlab.cli
-code = ghwlab.cli.main(["verify", "--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6",
-                        "--count", "3"])
+code = ghwlab.cli.main(%r + ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"])
 sweep = ("ghwlab.oracle", "ghwlab.subspaces", "ghwlab.bitplanes")
 print(json.dumps({"exit": code, "loaded": [m for m in sweep if m in sys.modules]}))
 """
 
 
-def test_verify_loads_no_sweep_modules():
+def loaded_sweep_modules(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", VERIFY_PROBE], env=env, capture_output=True,
-                          text=True, check=True)
-    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    proc = subprocess.run([sys.executable, "-c", NO_SWEEP_PROBE % (argv,)], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_verify_loads_no_sweep_modules():
+    assert loaded_sweep_modules(["verify", "--count", "3"]) == {"exit": 0, "loaded": []}
+
+
+def test_formula_ghw_loads_no_sweep_modules():
+    # the sweeps' worker count is sized only when a sweep is planned
+    seen = loaded_sweep_modules(["ghw", "--method", "formula", "--format", "csv"])
     assert seen == {"exit": 0, "loaded": []}
 
 

@@ -92,9 +92,9 @@ def test_src_modules_read_every_module_level_import():
         assert unused_imports(path) == [], path.name
 
 
-def callers(name):
+def holders(match):
     """Qualified names of the functions in ``src/ghwlab`` whose own bodies,
-    nested definitions excluded, call ``name``."""
+    nested definitions excluded, hold a node that ``match`` accepts."""
     found = set()
 
     def visit(node, scope):
@@ -102,10 +102,8 @@ def callers(name):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            elif isinstance(child, ast.Call):
-                func = child.func
-                if name in (getattr(func, "id", None), getattr(func, "attr", None)):
-                    found.add(scope)
+            elif match(child):
+                found.add(scope)
             visit(child, inner)
 
     for path in SRC.glob("*.py"):
@@ -113,6 +111,23 @@ def callers(name):
     return sorted(found)
 
 
+def callers(name):
+    """The ``holders`` of a call to ``name``."""
+    return holders(lambda node: isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
 def test_one_function_evaluates_the_closed_form_regime():
     # the report and FormulaParams both read this one evaluation
     assert callers("semiprimitive_j") == ["codes.HypothesisReport.of"]
+
+
+def test_one_function_starts_every_record():
+    # every JSON record gets its schema_version and tool header in one place
+    assert holders(lambda node: isinstance(node, ast.Constant)
+                   and node.value == "schema_version") == ["cli._record"]
+
+
+def test_one_loop_times_every_row():
+    # formula and sweep rows alike are timed by the one row loop
+    assert callers("perf_counter") == ["cli._run_methods"]
