@@ -14,11 +14,10 @@ import argparse
 import csv
 import io
 import json
-import math
-import os
 import random
 import sys
 import time
+from pathlib import Path
 
 from . import __version__
 from .codes import TraceCode, count_common_zeros, derive_params
@@ -134,17 +133,28 @@ def build_parser():
     return parser
 
 
-def _write(args, text):
-    if not text.endswith("\n"):
+def _write(args, text, mode="w"):
+    if text and not text.endswith("\n"):
         text += "\n"
     if args.output == "-":
         sys.stdout.write(text)
         return
     try:
-        with open(args.output, "w") as fh:
+        with open(args.output, mode) as fh:
             fh.write(text)
     except OSError as exc:  # a path the user gave: a usage error, not a traceback
         raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+
+
+def _check_output(args):
+    """Refuse an unwritable ``--output`` before any work, as ``_write`` would.
+    Opening to append keeps an existing file's content; a file made here goes."""
+    if args.output != "-":
+        path = Path(args.output)
+        made = not (path.exists() or path.is_symlink())  # a symlink is the user's, kept
+        _write(args, "", mode="a")
+        if made:
+            path.unlink()
 
 
 def _write_record(args, record, csv_rows=None, table_lines=None):
@@ -200,7 +210,7 @@ def _run_methods(params, gate, methods, r_list, budget, jobs, timing, hierarchie
     reads ``gate``, which refuses it when the closed form does not apply;
     once the formula is cleared, a planned sweep builds the code and refuses
     every requested r its budget or its method refuses, before any method
-    runs.  ``jobs`` 0 sizes the sweeps' pool by ``_auto_jobs``.  Each
+    runs: ``oracle.plan_sweeps`` sizes each once and picks the job count.  Each
     method's d_r list goes into ``hierarchies`` as it finishes, so the
     caller keeps the finished lists when a later method raises; all lists
     are shape-checked at the end."""
@@ -209,13 +219,10 @@ def _run_methods(params, gate, methods, r_list, budget, jobs, timing, hierarchie
         fp = gate.require()
         row_of["formula"] = lambda r: _formula_row(params, fp, r)
     if sweeps := [method for method in methods if method != "formula"]:
-        from .oracle import ghw_bruteforce, ghw_dual_sweep, sweep_size  # loaded only to sweep
+        from .oracle import ghw_bruteforce, ghw_dual_sweep, plan_sweeps  # loaded only to sweep
 
         code = TraceCode(params)
-        for method in sweeps:
-            for r in r_list:
-                sweep_size(params, r, method, budget)
-        jobs = jobs or _auto_jobs(params.k, r_list, params.q)
+        jobs = plan_sweeps(params, sweeps, r_list, budget, jobs)
         for method in sweeps:
             sweep = ghw_bruteforce if method == "brute" else ghw_dual_sweep
             row_of[method] = lambda r, sweep=sweep: sweep(code, r, budget=budget,
@@ -247,24 +254,6 @@ def _check_hierarchy_shape(r_list, d_list, n, k):
     for r, d in pairs:
         if d > n - k + r:
             raise RuntimeError(f"generalized Singleton bound violated at r={r}: {shown}")
-
-
-def _auto_jobs(tm, r_list, q):
-    """Serial for small sweeps, else one worker per usable CPU and pattern."""
-    from .subspaces import gaussian_binomial
-
-    # on 2 CPUs, in timed pairs (BENCH_19.json), --jobs 2 won 21 of 30 at this
-    # size ([93,10] over GF(2) at r=2; 10 of 10 in the last set of ten), 7 of
-    # 20 at 43,435, 13 of 20 at 376,805, 18 of 20 at 508,431 and 19 of 20 at
-    # 788,035.  --jobs 1 won no set of ten here 9 times, so the cutoff stayed
-    # where --jobs 2 had won 9 of 10 before the value-plane kernel
-    if max(gaussian_binomial(tm, r, q) for r in r_list) < 174_251:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, max(math.comb(tm, r) for r in r_list))
 
 
 def cmd_ghw(args):
@@ -437,6 +426,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_output(args)
         return COMMANDS[args.cmd](args)
     except tuple(ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)

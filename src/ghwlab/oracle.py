@@ -26,8 +26,8 @@ row's prefix words depth first, then sorts the positions of each prefix
 word into one bucket per value of the last free entry (the value that zeroes
 the position), so a choice's mask is the complement of its bucket and of
 the positions that vanish for every value.  A word is a list of w scalar
-indices, or its value planes (``bitplanes``) where q is small next to w;
-its GF(q) arithmetic reads the rows of one ``linalg.ScalarTable``.
+indices, or its value planes where q is small next to w; its GF(q)
+arithmetic reads the rows of one ``linalg.ScalarTable``.
 Trailing rows whose choices number at most ``_TAIL_CAP`` together are
 OR-folded into one list of masks, in product order; a subspace is then
 scored by OR-ing the masks of the remaining rows once per prefix and taking
@@ -48,6 +48,7 @@ share's best and, for the brute sweep, recounts each one.
 
 from __future__ import annotations
 
+import functools
 import marshal
 import math
 import operator
@@ -74,13 +75,9 @@ class GHWResult(namedtuple("GHWResult", "r d_r common_zeros witness examined")):
     __slots__ = ()
 
     def to_dict(self):
-        return {
-            "r": self.r,
-            "d_r": self.d_r,
-            "common_zeros": self.common_zeros,
-            "witness_basis": [list(v) for v in self.witness],
-            "subspaces_examined": self.examined,
-        }
+        return {"r": self.r, "d_r": self.d_r, "common_zeros": self.common_zeros,
+                "witness_basis": [list(v) for v in self.witness],
+                "subspaces_examined": self.examined}
 
 
 def _require_e_equals_t(params):
@@ -97,7 +94,9 @@ class _RowMasks:
     do the kernel's GF(q) arithmetic (index 0 is zero).
     A pattern row is 1 at its pivot pc and any scalar at its free columns
     f_1 < ... < f_s, so its words are M[pc] + c_1 M[f_1] + ... + c_s M[f_s].
-    A word is a list of w indices, or its value planes with ``bitplanes``.
+    A word is a list of w indices, or with ``bitplanes`` its value planes:
+    (v, mask of the positions holding v) for each value v that occurs, in
+    value order (bitslicing; Biham, FSE 1997).
     """
 
     def __init__(self, field, matrix):
@@ -108,7 +107,11 @@ class _RowMasks:
         # from 2*q*q <= w on, and 1.25-1.88x below it at q = 4..243 (15x on
         # [242,3] over GF(243)), 1.14-1.17x at q = 3, w = 8
         self.bitplanes = 2 * table.q ** 2 <= len(self.rows[0])
-        self.planes = None  # every row's value planes, built on first use
+
+    @functools.cached_property
+    def planes(self):
+        """Every row's value planes, built by the first row on planes."""
+        return [_value_planes(row) for row in self.rows]
 
     def row_masks(self, pivot, free):
         """The mask of every choice of the row, in ``row_choices`` order.
@@ -122,9 +125,8 @@ class _RowMasks:
         if not free:  # from a bitmap string, with no int per position
             return [int("".join("1" if x else "0" for x in reversed(rows[pivot])), 2)]
         *heads, last = free
-        if self.bitplanes:  # loaded by the first row on planes, not by every import
-            from . import bitplanes
-            return bitplanes.row_masks(self, pivot, heads, last)
+        if self.bitplanes:
+            return self._plane_masks(pivot, heads, last)
         g = rows[last]
         q, add, mul = self.table.q, self.table.add, self.table.mul
         live = [(i, 1 << i, self.table.root[x]) for i, x in enumerate(g) if x]
@@ -143,6 +145,47 @@ class _RowMasks:
                     zz |= bit
             masks.extend([full ^ (zz | b) for b in bucket])
         return masks
+
+    def _plane_masks(self, pivot, heads, last):
+        """``row_masks`` on value planes, the same masks in the same order: the
+        bucket pass of g ORs W[x] & G[y] into the bucket of root[y][x], up to
+        q*q big-int ANDs where a list of w indices costs about w steps."""
+        planes, full = self.planes, self.full
+        q, add, mul, root = self.table.q, self.table.add, self.table.mul, self.table.root
+        live = [(root[y], gy) for y, gy in planes[last] if y]
+        g0 = dict(planes[last]).get(0, 0)
+        # steps[h][c] pairs mul[c][y] with plane y of M[heads[h]]; None for c = 0
+        steps = [[[(mul[c][y], py) for y, py in planes[f]] if c else None for c in range(q)]
+                 for f in heads]
+        masks = []
+        for word in _prefixes(planes[pivot], steps, functools.partial(_plane_add, q, add)):
+            bucket = [0] * q
+            for x, wx in word:
+                for rx, gy in live:
+                    if m := wx & gy:
+                        bucket[rx[x]] |= m
+            zz = 0 if word[0][0] else word[0][1] & g0  # W[0] & G[0]
+            masks.extend([full ^ (zz | b) for b in bucket])
+        return masks
+
+
+def _value_planes(row):
+    """(v, bitmask of the positions holding v) for each value v of ``row``,
+    each mask from a bitmap string, with no int per position."""
+    return [(v, int("".join(["1" if x == v else "0" for x in reversed(row)]), 2))
+            for v in sorted(set(row))]
+
+
+def _plane_add(q, add, word, step):
+    """``word + c * M[f]``: W[x] & P[y] goes to the plane of x + c*y,
+    ``step`` holding the pairs (mul[c][y], plane y)."""
+    new = [0] * q
+    for x, wx in word:
+        row = add[x]
+        for cy, py in step:
+            if m := wx & py:
+                new[row[cy]] |= m
+    return [(v, m) for v, m in enumerate(new) if m]
 
 
 def _prefixes(word, steps, plus):
@@ -348,6 +391,23 @@ def sweep_size(params, r, mode, budget=None) -> int:
     return total
 
 
+def plan_sweeps(params, modes, r_list, budget, jobs) -> int:
+    """The worker count of a run's ``modes`` sweeps at every r of ``r_list``,
+    once ``sweep_size`` lets each run, asked mode by mode and r by r:
+    ``jobs`` bounded by the usable CPUs, or for ``jobs`` 0 serial below
+    174,251 subspaces in the largest sweep, else one per CPU and pattern."""
+    # on 2 CPUs, in timed pairs (BENCH_19.json), --jobs 2 won 21 of 30 at the
+    # cutoff ([93,10] over GF(2) at r=2), 7 of 20 at 43,435 and 19 of 20 at 788,035;
+    # --jobs 1 never won 9 of 10 here, so it stayed where it was before value planes
+    if max(sweep_size(params, r, mode, budget) for mode in modes for r in r_list) < 174_251:
+        jobs = jobs or 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs or max(math.comb(params.k, r) for r in r_list))
+
+
 def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     """Every r-dim subspace, on a kernel built once before the fork."""
     tm, field = code.k, code.field
@@ -374,17 +434,12 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
 
 
 def ghw_bruteforce(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWResult:
-    """r-th GHW by direct support minimization over every r-dim subcode.
-
-    The parent recounts every sweep share's best subspace through
-    ``codeword``.
-    """
+    """r-th GHW by direct support minimization over every r-dim subcode;
+    the parent recounts every sweep share's best subspace through ``codeword``."""
     return _sweep(code, r, "brute", budget, jobs)
 
 
 def ghw_dual_sweep(code: TraceCode, r: int, budget=None, jobs: int = 1) -> GHWResult:
-    """r-th GHW with the zero count recomputed via the dual expression.
-
-    Requires e == t.
-    """
+    """r-th GHW with the zero count recomputed via the dual expression;
+    requires e == t."""
     return _sweep(code, r, "dual", budget, jobs)

@@ -8,7 +8,7 @@ import pytest
 
 import ghwlab.cli as cli
 from ghwlab import codes, fields, hierarchy, oracle
-from ghwlab.cli import _auto_jobs, main
+from ghwlab.cli import main
 from ghwlab.codes import TraceCode
 from ghwlab.oracle import DEFAULT_BUDGET, GHWResult
 
@@ -205,6 +205,48 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, cmd):
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_ghw_refuses_an_unwritable_output_before_any_sweep(capsys, monkeypatch, tmp_path):
+    def no_sweep(code, r, budget=None, jobs=1):
+        raise AssertionError(f"swept r={r}")
+    monkeypatch.setattr(oracle, "ghw_bruteforce", no_sweep)
+    monkeypatch.setattr(oracle, "ghw_dual_sweep", no_sweep)
+    argv = ["ghw", "--p", "3", "--m", "4", "--e", "2", "--t", "2", "--a", "1"]
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--r", "1,7", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: cannot write {path}: No such file or directory"]
+    # a run that fails later leaves an existing file as it was, makes no new
+    # one and keeps a symlink the user gave, even a dangling one
+    kept, fresh, link = tmp_path / "kept.json", tmp_path / "fresh.json", tmp_path / "link.json"
+    kept.write_text("earlier record\n")
+    link.symlink_to(tmp_path / "target.json")
+    for target in (kept, fresh, link):
+        code, out, err = run(capsys, *argv, "--r", "1,3", "--output", str(target))
+        assert (code, out) == (5, "")
+        assert "exceeds budget" in err
+    assert kept.read_text() == "earlier record\n"
+    assert not fresh.exists()
+    assert link.is_symlink()
+
+
+def test_explicit_jobs_are_bounded_by_the_usable_cpus(capsys, monkeypatch):
+    dealt = []
+
+    def serial(sweep, chunks):  # records the chunks, starts no process
+        dealt.append(len(chunks))
+        return [sweep(chunk) for chunk in chunks]
+
+    monkeypatch.setattr(oracle, "_fan_out", serial)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["ghw", "--p", "3", "--m", "4", "--e", "2", "--t", "2", "--a", "1", "--r", "2",
+            "--method", "brute", "--no-timing"]
+    code, out, _ = run(capsys, *argv, "--jobs", "64")
+    assert code == 0
+    assert dealt == [2]
+    assert run(capsys, *argv, "--jobs", "1") == (0, out, "")
+    assert dealt == [2, 1]
 
 
 def test_ghw_rejects_negative_jobs_and_budget(capsys):
@@ -576,18 +618,6 @@ def test_verify_budget_refuses_before_enumerating(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", *EX1, "--budget", "-1")
     assert code == 2
     assert "argument --budget: must be >= 0" in err
-
-
-def test_auto_jobs_uses_affinity_and_pattern_count(monkeypatch):
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    assert _auto_jobs(4, [1, 2], 7) == 1        # at most 2,850 subspaces: serial
-    assert _auto_jobs(8, [3], 2) == 1           # 97,155 subspaces: still serial
-    assert _auto_jobs(10, [2], 2) == 45         # 174,251 subspaces in 45 patterns
-    assert _auto_jobs(6, [2], 5) == 15          # 508,431 subspaces in 15 patterns
-    assert _auto_jobs(9, [1, 3], 2) == 64       # 788,035 subspaces in 84 patterns
-    assert _auto_jobs(8, [2], 3) == 28          # 896,260 subspaces in 28 patterns
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert _auto_jobs(8, [2], 3) == 2
 
 
 def test_verify_fails_when_one_sample_is_off(capsys, monkeypatch):

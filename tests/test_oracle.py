@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -366,3 +367,41 @@ def test_result_record_shape(example1):
     assert d["d_r"] == 2
     assert d["subspaces_examined"] == 400
     assert isinstance(d["witness_basis"], list)
+
+
+def _plan(k, r_list, q, jobs=0, modes=("brute",), e=1, t=1):
+    params = SimpleNamespace(k=k, q=q, e=e, t=t)
+    return oracle.plan_sweeps(params, modes, r_list, None, jobs)
+
+
+def test_plan_sweeps_uses_affinity_and_pattern_count(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert _plan(4, [1, 2], 7) == 1        # at most 2,850 subspaces: serial
+    assert _plan(8, [3], 2) == 1           # 97,155 subspaces: still serial
+    assert _plan(10, [2], 2) == 45         # 174,251 subspaces in 45 patterns
+    assert _plan(6, [2], 5) == 15          # 508,431 subspaces in 15 patterns
+    assert _plan(9, [1, 3], 2) == 64       # 788,035 subspaces in 84 patterns
+    assert _plan(8, [2], 3) == 28          # 896,260 subspaces in 28 patterns
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _plan(8, [2], 3) == 2
+
+
+def test_plan_sweeps_bounds_explicit_jobs_by_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _plan(4, [1], 7, jobs=500) == 2      # a small sweep too
+    assert _plan(8, [2], 3, jobs=500) == 2
+    assert _plan(8, [2], 3, jobs=1) == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _plan(8, [2], 3, jobs=500) == 3
+    assert _plan(8, [2], 3) == 3
+
+
+def test_plan_sweeps_refuses_mode_by_mode_then_r_by_r():
+    # [8 choose 3]_3 is over the default budget; r = 9 is outside 1..8
+    with pytest.raises(BudgetExceeded):
+        _plan(8, [1, 3, 9], 3, modes=("brute", "dual"), e=2)
+    with pytest.raises(ValueError, match="dual counting requires e == t"):
+        _plan(8, [1, 3, 9], 3, modes=("dual", "brute"), e=2)
+    with pytest.raises(ValueError, match="need 1 <= r <= 8"):
+        _plan(8, [9, 3], 3)

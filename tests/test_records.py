@@ -66,7 +66,7 @@ NO_SWEEP_PROBE = """
 import json, sys
 import ghwlab.cli
 code = ghwlab.cli.main(%r + ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"])
-sweep = ("ghwlab.oracle", "ghwlab.subspaces", "ghwlab.bitplanes")
+sweep = ("ghwlab.oracle", "ghwlab.subspaces")
 print(json.dumps({"exit": code, "loaded": [m for m in sweep if m in sys.modules]}))
 """
 

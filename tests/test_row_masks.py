@@ -2,20 +2,15 @@
 
 ``oracle._RowMasks`` gives the masks of every choice of a pattern row at
 once, from depth-first prefix words and one bucket pass per prefix.  It
-holds a word as its value planes (one bitmask per value that occurs,
-``ghwlab.bitplanes``) when 2*q*q <= w, else as a list of w scalar indices;
+holds a word as its value planes (one bitmask per value that occurs)
+when 2*q*q <= w, else as a list of w scalar indices;
 the tests below force each form on the same matrices.
 ``helpers.brute_row_mask`` and ``helpers.dual_row_mask`` build each
 choice's word on its own, the way the sweeps did before the kernel.
 """
 
-import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,27 +102,6 @@ def test_add_and_mul_rows_match_the_field(p, degree, s):
     for a, x in enumerate(scalars):
         assert [scalars[c] for c in table.add[a]] == [field.add(x, y) for y in scalars], a
         assert [scalars[c] for c in table.mul[a]] == [field.mul(x, y) for y in scalars], a
-
-
-PLANES_PROBE = """
-import json, sys
-from ghwlab.cli import main
-loaded = []
-for args in (["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"],  # lists
-             ["--p", "2", "--m", "6", "--e", "1", "--t", "1", "--a", "3"]):  # planes
-    assert main(["ghw", *args, "--method", "all", "--no-timing"]) == 0
-    loaded.append("ghwlab.bitplanes" in sys.modules)
-print(json.dumps(loaded))
-"""
-
-
-def test_plane_words_load_on_the_first_row_on_planes():
-    # ex1 over GF(7) keeps index lists, so its sweeps never load bitplanes;
-    # irr21 over GF(2) is swept on planes
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", PLANES_PROBE], env=env, capture_output=True,
-                          text=True, check=True)
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [False, True]
 
 
 def test_prefix_words_are_built_depth_first():

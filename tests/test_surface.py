@@ -62,17 +62,22 @@ def test_every_src_definition_is_reached_from_cli_or_perfbench():
     assert unreached() == []
 
 
+def imported(name):
+    """The modules that ``src/ghwlab/<name>`` imports at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / name).read_text())):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add(node.module)
+    return found
+
+
 def test_exact_modules_import_no_cmath():
     # the periods are trace counts and the character sum is an int sum, so
     # neither module needs a complex value, not even inside a function
     for name in ("cyclotomy.py", "hierarchy.py"):
-        imported = set()
-        for node in ast.walk(ast.parse((SRC / name).read_text())):
-            if isinstance(node, ast.Import):
-                imported |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                imported.add(node.module)
-        assert "cmath" not in imported, name
+        assert "cmath" not in imported(name), name
 
 
 def unused_imports(path):
@@ -131,3 +136,47 @@ def test_one_function_starts_every_record():
 def test_one_loop_times_every_row():
     # formula and sweep rows alike are timed by the one row loop
     assert callers("perf_counter") == ["cli._run_methods"]
+
+
+def import_graph():
+    """Each module of ``src/ghwlab`` -> the package modules it imports, from
+    every ``import`` and ``from`` statement at any depth, function level too."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {}
+    for path in SRC.glob("*.py"):
+        targets = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                targets |= {alias.name.removeprefix("ghwlab.") for alias in node.names
+                            if alias.name.startswith("ghwlab.")}
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level == 0:  # absolute: only the package's own modules count
+                    if module != "ghwlab" and not module.startswith("ghwlab."):
+                        continue
+                    module = module.removeprefix("ghwlab").lstrip(".")
+                if module:
+                    targets.add(module.partition(".")[0])
+                else:  # from . import name: name may be a module
+                    targets |= {alias.name for alias in node.names}
+        graph[path.stem] = targets & modules
+    return graph
+
+
+def test_src_imports_form_no_cycle():
+    graph = import_graph()
+    assert graph["oracle"] and graph["cli"]  # the graph does see the package's imports
+    # peel modules that import nothing left; a cycle is what cannot be peeled
+    while leaves := [name for name, targets in graph.items() if not targets - {name}]:
+        for name in leaves:
+            del graph[name]
+        for targets in graph.values():
+            targets.difference_update(leaves)
+    assert graph == {}
+
+
+def test_oracle_plans_every_sweep():
+    # the sweeps are sized and their job count picked in one place
+    assert callers("sched_getaffinity") == ["oracle.plan_sweeps"]
+    assert not [name for name in callers("gaussian_binomial") if name.startswith("cli.")]
+    assert not imported("cli.py") & {"os", "math"}
