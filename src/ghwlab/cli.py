@@ -205,34 +205,40 @@ def _formula_row(params, fp, r):
             "u_star": list(u_star), "subspaces_examined": 0}
 
 
-def _run_methods(params, gate, methods, r_list, budget, jobs, timing, hierarchies):
-    """Every row of each method in turn, each timed by one loop.  The formula
-    reads ``gate``, which refuses it when the closed form does not apply;
-    once the formula is cleared, a planned sweep builds the code and refuses
-    every requested r its budget or its method refuses, before any method
-    runs: ``oracle.plan_sweeps`` sizes each once and picks the job count.  Each
-    method's d_r list goes into ``hierarchies`` as it finishes, so the
-    caller keeps the finished lists when a later method raises; all lists
-    are shape-checked at the end."""
+def _plan_methods(params, gate, methods, optional, r_list, budget, jobs):
+    """The row function of each of ``methods`` that will run, in order, chosen
+    before any row runs.  A method in ``optional`` is left out where the
+    closed-form gate or ``oracle.plan_sweeps`` refuses it; any other refusal
+    is raised, in this order: the gate, building the code, then each sweep's,
+    mode by mode and r by r.  ``oracle.plan_sweeps`` sizes every sweep once
+    and picks the job count."""
     row_of = {}
-    if "formula" in methods:
+    if "formula" in methods and not ("formula" in optional and gate.failures):
         fp = gate.require()
         row_of["formula"] = lambda r: _formula_row(params, fp, r)
     if sweeps := [method for method in methods if method != "formula"]:
         from .oracle import ghw_bruteforce, ghw_dual_sweep, plan_sweeps  # loaded only to sweep
 
         code = TraceCode(params)
-        jobs = plan_sweeps(params, sweeps, r_list, budget, jobs)
-        for method in sweeps:
+        jobs, refused = plan_sweeps(params, sweeps, r_list, budget, jobs, optional)
+        for method in (method for method in sweeps if method not in refused):
             sweep = ghw_bruteforce if method == "brute" else ghw_dual_sweep
             row_of[method] = lambda r, sweep=sweep: sweep(code, r, budget=budget,
                                                           jobs=jobs).to_dict()
+    return row_of
+
+
+def _run_methods(params, plan, r_list, timing, hierarchies):
+    """Every row of each planned method in turn, each timed by one loop.
+    Each method's d_r list goes into ``hierarchies`` as it finishes, so the
+    caller keeps the finished lists when a later method raises; all lists
+    are shape-checked at the end."""
     rows = []
-    for method in methods:
+    for method, row_of in plan.items():
         method_rows = []
         for r in r_list:
             start = time.perf_counter()
-            row = {"r": r, "method": method, **row_of[method](r)}
+            row = {"r": r, "method": method, **row_of(r)}
             if timing:
                 row["timing_s"] = _sig12(time.perf_counter() - start)
             method_rows.append(row)
@@ -264,17 +270,13 @@ def cmd_ghw(args):
     for r in r_list:
         if not 1 <= r <= tm:
             raise ValueError(f"r must lie in 1..{tm}, got {r}")
-    methods = [args.method]
+    # an explicit --method refuses as it must: formula exit 4, dual with e != t exit 2
+    methods, optional = [args.method], ()
     if args.method == "all":
-        methods = ["formula", "brute", "dual"]
-        if gate.failures:
-            methods.remove("formula")  # --method formula refuses with exit 4
-        if params.e != params.t:
-            methods.remove("dual")  # dual counting is only defined for e == t
-
+        methods, optional = ["formula", "brute", "dual"], ("formula", "dual")
+    plan = _plan_methods(params, gate, methods, optional, r_list, args.budget, args.jobs)
     hierarchies = {}
-    results = _run_methods(params, gate, methods, r_list, args.budget, args.jobs,
-                           not args.no_timing, hierarchies)
+    results = _run_methods(params, plan, r_list, not args.no_timing, hierarchies)
     match = len({tuple(h) for h in hierarchies.values()}) <= 1
     cells = [[row["r"], row["method"], row["d_r"], row["subspaces_examined"]] for row in results]
     line = "{:>3}  {:<8} {:>5}  {:>10}".format
@@ -321,8 +323,6 @@ SWEEP_COLUMNS = [
 
 
 def cmd_sweep(args):
-    from .oracle import sweep_size
-
     try:
         a_start, a_stop = (int(v) for v in args.a_range.split(":"))
     except ValueError as exc:
@@ -341,7 +341,7 @@ def cmd_sweep(args):
             skipped += 1
             continue
         gate = ClosedFormGate.of(params)  # the assumptions hold, so only hypotheses can fail
-        report, formula = gate.report, not gate.failures
+        report = gate.report
         row = [params.p, params.s, params.m, params.e, params.t, params.a,
                ";".join(str(d) for d in params.deltas),
                params.q, params.Q, params.N, params.delta, params.n, params.k,
@@ -349,20 +349,17 @@ def cmd_sweep(args):
                report.j if report.j is not None else "",
                report.sm_over_2j_odd, report.m_even, report.all_hold]
         r_all = range(1, params.k + 1)
-        try:  # every size is positive, so all() only waits for a refusal
-            within = all(sweep_size(params, r, "brute", args.budget) for r in r_all)
-        except BudgetExceeded:
-            within = False
-        hierarchies = {}
-        error = ""
+        # the code materializes: the plan leaves out only formula (hypotheses) or brute (budget)
+        methods = ["formula", "brute"]
+        plan = _plan_methods(params, gate, methods, methods, r_all, args.budget, 1)
+        hierarchies, error = {}, ""
         try:
-            _run_methods(params, gate, ["formula"] * formula + ["brute"] * within,
-                         r_all, args.budget, 1, False, hierarchies)
+            _run_methods(params, plan, r_all, False, hierarchies)
         except Exception as exc:  # per-row error column, sweep keeps going
             error = f"{type(exc).__name__}: {exc}"
         cells = {method: ";".join(map(str, d_list)) for method, d_list in hierarchies.items()}
-        formula_cell = cells.get("formula", "") if formula else "n/a (hypotheses)"
-        oracle_cell = cells.get("brute", "") if within else "n/a (budget)"
+        formula_cell = cells.get("formula", "") if "formula" in plan else "n/a (hypotheses)"
+        oracle_cell = cells.get("brute", "") if "brute" in plan else "n/a (budget)"
         match_cell = str(cells["formula"] == cells["brute"]) if len(cells) == 2 else ""
         failed = failed or match_cell == "False" or bool(error)
         rows.append(row + [formula_cell, oracle_cell, match_cell, error])

@@ -1,15 +1,10 @@
 """Exceptions shared across the package and mapped to CLI exit codes."""
 
-
-class GhwlabError(Exception):
-    pass
-
-
 # the most subspaces a sweep, or subspace members a verify sample, may enumerate
 DEFAULT_BUDGET = 10_000_000
 
 
-class BudgetExceeded(GhwlabError):
+class BudgetExceeded(Exception):
     """Enumeration refused: the count of ``unit`` is over the configured budget."""
 
     def __init__(self, count: int, budget: int, detail: str = "", unit: str = "subspaces"):
@@ -21,7 +16,7 @@ class BudgetExceeded(GhwlabError):
         super().__init__(msg)
 
 
-class HypothesesNotMet(GhwlabError):
+class HypothesesNotMet(Exception):
     """The closed-form engine refused to run; lists the failing hypotheses."""
 
     def __init__(self, failures):

@@ -21,15 +21,15 @@ from .errors import HypothesesNotMet
 from .fields import prime_factors
 
 
-class FormulaParams(namedtuple("FormulaParams", "q m N p s j")):
+class FormulaParams(namedtuple("FormulaParams", "q m N")):
     """The (q, m, N) regime in which the closed form is valid.
 
     Construction refuses (ValueError) a q that is not a prime power and any
     regime that ``HypothesisReport.of`` finds outside the hypotheses: m
     even, 2 < N with N^2 <= q^m, a smallest j with p^j = -1 (mod N), and
     sm/(2j) odd.  These are exactly the conditions under which the per-slot
-    intersection bound below is attained.  Built from (q, m, N) alone; p, s
-    and j are derived, and repr shows q, m, N.
+    intersection bound below is attained.  Copy and pickle rebuild through
+    these checks.
     """
 
     __slots__ = ()
@@ -44,13 +44,7 @@ class FormulaParams(namedtuple("FormulaParams", "q m N p s j")):
         if not report.all_hold:
             raise ValueError(f"q={q}, m={m}, N={N} is outside the closed-form regime: "
                              + "; ".join(report.failures()))
-        return super().__new__(cls, q, m, N, p, s, report.j)
-
-    def __getnewargs__(self):  # copy and pickle rebuild through the checks
-        return self[:3]
-
-    def __repr__(self):
-        return f"FormulaParams(q={self.q}, m={self.m}, N={self.N})"
+        return super().__new__(cls, q, m, N)
 
     @property
     def half(self) -> int:
@@ -82,8 +76,7 @@ class ClosedFormGate(namedtuple("ClosedFormGate", "report failures fp")):
                     for name, check in params.assumptions._asdict().items() if not check.ok]
         failures += report.failures()
         # the report has evaluated the regime; _make builds it without a second evaluation
-        fp = None if failures else FormulaParams._make(
-            (params.q, params.m, params.N, params.p, params.s, report.j))
+        fp = None if failures else FormulaParams._make((params.q, params.m, params.N))
         return cls(report, failures, fp)
 
     def require(self) -> FormulaParams:

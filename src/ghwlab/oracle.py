@@ -391,21 +391,31 @@ def sweep_size(params, r, mode, budget=None) -> int:
     return total
 
 
-def plan_sweeps(params, modes, r_list, budget, jobs) -> int:
-    """The worker count of a run's ``modes`` sweeps at every r of ``r_list``,
-    once ``sweep_size`` lets each run, asked mode by mode and r by r:
-    ``jobs`` bounded by the usable CPUs, or for ``jobs`` 0 serial below
-    174,251 subspaces in the largest sweep, else one per CPU and pattern."""
+def plan_sweeps(params, modes, r_list, budget, jobs, optional=()):
+    """``(jobs, refused)`` for a run's ``modes`` sweeps at every r of
+    ``r_list``, each sized once by ``sweep_size``, mode by mode and r by r.
+    A refusal of a mode in ``optional`` leaves that mode out, listed in
+    ``refused``; any other is raised.  ``jobs`` is bounded by the usable
+    CPUs, or for ``jobs`` 0 serial below 174,251 subspaces in the largest
+    kept sweep, else one per CPU and pattern."""
+    sizes, refused = [], []
+    for mode in modes:
+        try:
+            sizes += [sweep_size(params, r, mode, budget) for r in r_list]
+        except (ValueError, BudgetExceeded):
+            if mode not in optional:
+                raise
+            refused.append(mode)
     # on 2 CPUs, in timed pairs (BENCH_19.json), --jobs 2 won 21 of 30 at the
     # cutoff ([93,10] over GF(2) at r=2), 7 of 20 at 43,435 and 19 of 20 at 788,035;
     # --jobs 1 never won 9 of 10 here, so it stayed where it was before value planes
-    if max(sweep_size(params, r, mode, budget) for mode in modes for r in r_list) < 174_251:
+    if max(sizes, default=0) < 174_251:
         jobs = jobs or 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, jobs or max(math.comb(params.k, r) for r in r_list))
+    return min(cpus, jobs or max(math.comb(params.k, r) for r in r_list)), refused
 
 
 def _sweep(code, r, mode, budget, jobs) -> GHWResult:

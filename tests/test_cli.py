@@ -192,6 +192,11 @@ def test_ghw_refuses_an_over_budget_r_before_any_sweep(capsys, monkeypatch):
     code, _, err = run(capsys, "ghw", *E3T1, "--method", "dual", "--budget", "0")
     assert code == 2
     assert "dual counting requires e == t" in err
+    # --method all leaves dual out for e != t silently; brute's refusal stands
+    code, out, err = run(capsys, "ghw", *E3T1, "--method", "all", "--budget", "0")
+    assert (code, out) == (5, "")
+    assert err.splitlines() == ["error: enumeration of 15 subspaces exceeds budget 0 "
+                                "([4 choose 1]_2 = 15)"]
     code, _, err = run(capsys, "ghw", "--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "4",
                        "--method", "brute", "--budget", "0")  # a = 4 fails assumption iii
     assert code == 2
@@ -375,7 +380,9 @@ def test_sweep_budget_column(capsys):
     code, out, _ = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
                        "--t", "2", "--a-range", "6:6", "--budget", "10")
     assert code == 0
-    assert "n/a (budget)" in out
+    # the formula still runs; the oracle, match and error cells are left empty
+    assert out.splitlines()[1:] == ["7,1,2,2,2,6,0;1,7,49,4,6,8,4,True,True,1,True,True,True,"
+                                    "2;4;6;8,n/a (budget),,"]
 
 
 def test_verify_example1(capsys):
@@ -532,6 +539,21 @@ def test_sweep_builds_the_field_once(capsys, monkeypatch):
     assert code == 0
     assert len(out.strip().splitlines()) > 2
     assert built == [(7, 1, 2)]
+
+
+def test_sweep_sizes_each_r_in_the_plan_and_in_its_sweep(capsys, monkeypatch):
+    # [8,4] over GF(7): oracle.plan_sweeps sizes r = 1..4, then each sweep its own r
+    sized = []
+    real = oracle.sweep_size
+
+    def counting(params, r, mode, budget=None):
+        sized.append((mode, r))
+        return real(params, r, mode, budget)
+
+    monkeypatch.setattr(oracle, "sweep_size", counting)
+    code, _, _ = run(capsys, "sweep", *EX1[:-2], "--a-range", "6:6")
+    assert code == 0
+    assert sized == [("brute", r) for r in (1, 2, 3, 4)] * 2
 
 
 def test_ghw_runtime_error_exit_3(capsys, monkeypatch):

@@ -46,11 +46,9 @@ def test_formula_params_validation():
 
 def test_formula_params_derived_fields():
     fp = FormulaParams(7, 2, 4)
-    assert (fp.p, fp.s, fp.j, fp.half, fp.v) == (7, 1, 1, 1, 0)
-    fp2 = FormulaParams(2, 6, 3)
-    assert (fp2.j, fp2.v) == (1, 1)
-    fp4 = FormulaParams(4, 6, 5)
-    assert (fp4.p, fp4.s, fp4.j) == (2, 2, 2)
+    assert (fp.half, fp.v) == (1, 0)
+    assert FormulaParams(2, 6, 3).v == 1
+    assert FormulaParams(4, 6, 5).v == 1
 
 
 @pytest.mark.parametrize("q,m,N", helpers.REGIME_CORPUS)

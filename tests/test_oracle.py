@@ -371,7 +371,9 @@ def test_result_record_shape(example1):
 
 def _plan(k, r_list, q, jobs=0, modes=("brute",), e=1, t=1):
     params = SimpleNamespace(k=k, q=q, e=e, t=t)
-    return oracle.plan_sweeps(params, modes, r_list, None, jobs)
+    jobs, refused = oracle.plan_sweeps(params, modes, r_list, None, jobs)
+    assert refused == []  # no mode is optional, so none is left out
+    return jobs
 
 
 def test_plan_sweeps_uses_affinity_and_pattern_count(monkeypatch):
@@ -405,3 +407,10 @@ def test_plan_sweeps_refuses_mode_by_mode_then_r_by_r():
         _plan(8, [1, 3, 9], 3, modes=("dual", "brute"), e=2)
     with pytest.raises(ValueError, match="need 1 <= r <= 8"):
         _plan(8, [9, 3], 3)
+    # a refused optional mode is left out and reported; the rest still refuse
+    params = SimpleNamespace(k=8, q=3, e=2, t=1)
+    modes = ("brute", "dual")
+    assert oracle.plan_sweeps(params, modes, [1, 3], None, 0, modes) == (1, ["brute", "dual"])
+    assert oracle.plan_sweeps(params, modes, [1], None, 0, ("dual",)) == (1, ["dual"])
+    with pytest.raises(BudgetExceeded):
+        oracle.plan_sweeps(params, modes, [1, 3], None, 0, ("dual",))

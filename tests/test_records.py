@@ -187,7 +187,7 @@ def test_record_reprs():
 
 def test_formula_params_validates_and_derives():
     fp = FormulaParams(2, 6, 3)
-    assert (fp.q, fp.m, fp.N, fp.p, fp.s, fp.j) == (2, 6, 3, 2, 1, 1)
+    assert (fp.q, fp.m, fp.N) == (2, 6, 3)
     assert FormulaParams(q=2, m=6, N=3) == fp
     with pytest.raises(ValueError):
         FormulaParams(2, 4, 3)

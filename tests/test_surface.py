@@ -180,3 +180,16 @@ def test_oracle_plans_every_sweep():
     assert callers("sched_getaffinity") == ["oracle.plan_sweeps"]
     assert not [name for name in callers("gaussian_binomial") if name.startswith("cli.")]
     assert not imported("cli.py") & {"os", "math"}
+
+
+def test_the_method_plan_is_the_one_place_that_decides():
+    # no CLI function sizes a sweep or drops a method for e != t inline:
+    # cli._plan_methods reads the closed-form gate and oracle.plan_sweeps
+    assert callers("sweep_size") == ["oracle._sweep", "oracle.plan_sweeps"]
+
+    def compares_e_with_t(node):
+        return isinstance(node, ast.Compare) and {"e", "t"} <= {
+            getattr(side, "attr", None) for side in (node.left, *node.comparators)}
+
+    assert "oracle._require_e_equals_t" in holders(compares_e_with_t)  # the matcher sees one
+    assert not [name for name in holders(compares_e_with_t) if name.startswith("cli.")]
