@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .codes import TraceCode, count_common_zeros, derive_params
+from .codes import TraceCode, count_common_zeros, derive_params, require_e_equals_t
 from .cyclotomy import CyclotomyCtx
 from .errors import DEFAULT_BUDGET, BudgetExceeded, HypothesesNotMet
 from .fields import build_field
@@ -245,12 +245,15 @@ def _run_methods(params, plan, r_list, timing, hierarchies):
         rows += method_rows
         hierarchies[method] = [row["d_r"] for row in method_rows]
     for d_list in hierarchies.values():
-        _check_hierarchy_shape(r_list, d_list, params.n, params.k)
+        _check_hierarchy_shape(r_list, d_list, params.n, params.k, params.q)
     return rows
 
 
-def _check_hierarchy_shape(r_list, d_list, n, k):
-    """d_r < d_r' for every requested r < r', and d_r <= n - k + r."""
+def _check_hierarchy_shape(r_list, d_list, n, k, q):
+    """d_r < d_r' for every requested r < r', d_r <= n - k + r, and the chain
+    bound (q^(r+1) - 1) d_r <= (q^(r+1) - q) d_(r+1) where r and r + 1 are
+    both requested: each coordinate of an (r+1)-dim subcode's support lies
+    in the supports of all but one of its (q^(r+1)-1)/(q-1) r-dim subcodes."""
     # sorted by (r, d): each r's largest d meets the next r's smallest
     pairs = sorted(zip(r_list, d_list))
     shown = ";".join(str(d) for d in d_list)  # no commas: sweep puts it in a CSV cell
@@ -260,6 +263,9 @@ def _check_hierarchy_shape(r_list, d_list, n, k):
     for r, d in pairs:
         if d > n - k + r:
             raise RuntimeError(f"generalized Singleton bound violated at r={r}: {shown}")
+    for (r, d), (r2, d2) in zip(pairs, pairs[1:]):
+        if r2 == r + 1 and (q**r2 - 1) * d > (q**r2 - q) * d2:
+            raise RuntimeError(f"chain bound violated at r={r}: {shown}")
 
 
 def cmd_ghw(args):
@@ -375,6 +381,7 @@ def cmd_sweep(args):
 def cmd_verify(args):
     params = _derive(args)
     code = TraceCode(params)
+    require_e_equals_t(params, "character-sum counting")  # before any sample or budget check
     rng = random.Random(args.seed)
     max_err = 0
     for _ in range(args.count):

@@ -35,15 +35,11 @@ class AssumptionReport(namedtuple("AssumptionReport", "i ii iii")):
 
     @property
     def all_ok(self) -> bool:
-        return self.i.ok and self.ii.ok and self.iii.ok
+        return all(check.ok for check in self)
 
     def to_dict(self):
-        return {
-            "i": self.i.to_dict(),
-            "ii": self.ii.to_dict(),
-            "iii": self.iii.to_dict(),
-            "all_ok": self.all_ok,
-        }
+        return {**{name: check.to_dict() for name, check in self._asdict().items()},
+                "all_ok": self.all_ok}
 
 
 class HypothesisReport(namedtuple(
@@ -76,8 +72,7 @@ class HypothesisReport(namedtuple(
 
     @property
     def all_hold(self) -> bool:
-        return (self.e_equals_t and self.N_in_range and self.semiprimitive
-                and self.sm_over_2j_odd and self.m_even)
+        return not self.failures()
 
     def failures(self) -> list:
         return [name for name, ok in (
@@ -200,10 +195,7 @@ def _check_iii(field, a_list, m):
     check passes.  The minimal polynomial of a root over GF(q) is the
     product over its orbit: its degree is the orbit size, and two are equal
     exactly when the orbits are."""
-    orbits = []
-    for ai in a_list:
-        root = field.pow(field.gamma, -ai) if ai else field.one
-        orbits.append(frozenset(field.conjugacy_orbit(root)))
+    orbits = [frozenset(field.conjugacy_orbit(field.pow(field.gamma, -ai))) for ai in a_list]
     k = len(frozenset().union(*orbits))
     degs = [len(orbit) for orbit in orbits]
     if any(d != m for d in degs):
@@ -216,6 +208,13 @@ def _check_iii(field, a_list, m):
 def check_closed_form_hypotheses(params: CodeParams) -> HypothesisReport:
     """Report whether the closed-form hierarchy applies; never raises."""
     return HypothesisReport.of(params.p, params.s, params.m, params.N, params.e, params.t)
+
+
+def require_e_equals_t(params: CodeParams, count: str):
+    """The one e = t check of the counts that need it: ValueError naming
+    ``count`` ("dual counting", "character-sum counting") when e != t."""
+    if params.e != params.t:
+        raise ValueError(f"{count} requires e == t, got e={params.e}, t={params.t}")
 
 
 class TraceCode:
@@ -231,9 +230,7 @@ class TraceCode:
         if not params.assumptions.all_ok:
             raise ValueError(
                 "cannot materialize code: assumption check failed: "
-                + "; ".join(c.detail for c in (params.assumptions.i,
-                                               params.assumptions.ii,
-                                               params.assumptions.iii) if not c.ok))
+                + "; ".join(c.detail for c in params.assumptions if not c.ok))
         self.params = params
         self.field = params.field
         self.n = params.n

@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .codes import CodeParams, HypothesisReport, TraceCode, check_closed_form_hypotheses
+from .codes import (CodeParams, HypothesisReport, TraceCode, check_closed_form_hypotheses,
+                    require_e_equals_t)
 from .errors import HypothesesNotMet
 from .fields import prime_factors
 
@@ -180,8 +181,7 @@ def character_sum_count(code: TraceCode, basis) -> int:
     exactly; otherwise RuntimeError.  Requires e == t.
     """
     params = code.params
-    if params.e != params.t:
-        raise ValueError(f"character-sum counting requires e == t, got e={params.e}, t={params.t}")
+    require_e_equals_t(params, "character-sum counting")
     field, cyclotomy = code.field, code.cyclotomy
     q, N, r = params.q, params.N, len(basis)
     row = cyclotomy.class_by_code().__getitem__ if r > 1 else (

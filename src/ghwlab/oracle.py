@@ -56,7 +56,7 @@ import os
 from collections import namedtuple
 
 from . import linalg
-from .codes import TraceCode, count_common_zeros
+from .codes import TraceCode, count_common_zeros, require_e_equals_t
 from .errors import DEFAULT_BUDGET, BudgetExceeded
 from .subspaces import SubspaceIter, gaussian_binomial
 
@@ -78,11 +78,6 @@ class GHWResult(namedtuple("GHWResult", "r d_r common_zeros witness examined")):
         return {"r": self.r, "d_r": self.d_r, "common_zeros": self.common_zeros,
                 "witness_basis": [list(v) for v in self.witness],
                 "subspaces_examined": self.examined}
-
-
-def _require_e_equals_t(params):
-    if params.e != params.t:
-        raise ValueError(f"dual counting requires e == t, got e={params.e}, t={params.t}")
 
 
 # -- the row-mask kernel ------------------------------------------------------
@@ -380,7 +375,7 @@ def sweep_size(params, r, mode, budget=None) -> int:
     sweep may run: ValueError for a dual sweep with e != t or an r outside
     1..k, BudgetExceeded above ``budget`` (default ``DEFAULT_BUDGET``)."""
     if mode == "dual":
-        _require_e_equals_t(params)
+        require_e_equals_t(params, "dual counting")
     tm, q = params.k, params.q
     if not 1 <= r <= tm:
         raise ValueError(f"need 1 <= r <= {tm}, got r={r}")

@@ -17,9 +17,10 @@ the entries).
 from dataclasses import dataclass, field as _dc_field
 
 from ghwlab import linalg
+from ghwlab.codes import require_e_equals_t
 from ghwlab.fields import FieldCtx
 from ghwlab.hierarchy import FormulaParams, profile_objective, rank_decomposition
-from ghwlab.oracle import _dual_scorer, _require_e_equals_t
+from ghwlab.oracle import _dual_scorer
 
 
 class OpConditionError(ValueError):
@@ -328,7 +329,7 @@ def count_via_dual(code, basis) -> int:
     through the dual sweep's own matrix and score, ``oracle._dual_scorer``,
     with each basis vector's word ``coords . M`` formed in field arithmetic.
     """
-    _require_e_equals_t(code.params)
+    require_e_equals_t(code.params, "dual counting")
     field = code.field
     if not linalg.vectors_independent(field, basis):
         raise ValueError("basis vectors are GF(q)-dependent")

@@ -1,6 +1,9 @@
 import argparse
 import ast
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -507,6 +510,13 @@ def test_sweep_rejects_empty_a_range(capsys):
     assert "--a-range" in err and "'47:1'" in err
 
 
+@pytest.mark.parametrize("a_range", ["5", "x:y"])
+def test_sweep_rejects_an_a_range_that_is_not_start_stop(capsys, a_range):
+    code, out, err = run(capsys, "sweep", *EX1[:-2], "--a-range", a_range)
+    assert (code, out) == (2, "")
+    assert err == f"error: --a-range must be START:STOP, got {a_range!r}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--p", "4", "--m", "2", "--e", "1", "--t", "1", "--a-range", "1:5"], "prime"),
     (["--p", "7", "--m", "2", "--e", "5", "--t", "2", "--a-range", "1:5"], "deltas"),
@@ -601,6 +611,81 @@ def test_shape_check_covers_partial_r_lists(capsys, monkeypatch):
                        "--no-timing")
     assert code == 0
     assert json.loads(out)["hierarchy"]["brute"] == [4, 2, 4]
+
+
+def test_chain_bound_catches_a_d2_one_too_small(capsys, monkeypatch):
+    # [80,8] over GF(3) and [73,9] over GF(2) meet the chain bound with
+    # equality at r = 1, so d_2 - 1 fails it while still increasing and
+    # meeting the Singleton bound
+    for argv, n, d1, d2 in (
+            (["--p", "3", "--m", "4", "--e", "2", "--t", "2", "--a", "1"], 80, 24, 32),
+            (["--p", "2", "--m", "9", "--e", "1", "--t", "1", "--a", "7"], 73, 28, 42)):
+        for lowered in (0, 1):
+            values = {1: d1, 2: d2 - lowered}
+            monkeypatch.setattr(oracle, "ghw_bruteforce", lambda code, r, budget=None, jobs=1:
+                                GHWResult(r=r, d_r=values[r], common_zeros=n - values[r],
+                                          witness=(), examined=1))
+            code, out, err = run(capsys, "ghw", *argv, "--method", "brute", "--r", "1,2",
+                                 "--no-timing")
+            if lowered:
+                assert (code, out) == (3, "")
+                assert err == f"error: chain bound violated at r=1: {d1};{d2 - 1}\n"
+            else:
+                assert code == 0, err
+                assert json.loads(out)["hierarchy"]["brute"] == [d1, d2]
+
+
+def test_ghw_refuses_an_r_outside_1_to_k_before_any_sweep(capsys, monkeypatch):
+    def no_sweep(code, r, budget=None, jobs=1):
+        raise AssertionError(f"swept r={r}")
+    monkeypatch.setattr(oracle, "ghw_bruteforce", no_sweep)
+    monkeypatch.setattr(oracle, "ghw_dual_sweep", no_sweep)
+    for r in ("0", "9"):
+        code, out, err = run(capsys, "ghw", "--p", "3", "--m", "4", "--e", "2", "--t", "2",
+                             "--a", "1", "--r", r)
+        assert (code, out) == (2, "")
+        assert err == f"error: r must lie in 1..8, got {r}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["params", "--p", "7", "--m", "0", "--e", "2", "--t", "2", "--a", "6"],
+     "m must be positive, got 0"),
+    (["params", "--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "0"],
+     "a must be positive, got 0"),
+    (["gauss", "--p", "3", "--m", "0", "--N", "2"], "ext_degree must be positive"),
+])
+def test_nonpositive_degree_or_a_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_python_m_ghwlab_matches_main(capsys):
+    # the entry the benchmark runs: same stdout and exit code as main()
+    argv = ["ghw", *EX1, "--r", "1,2", "--no-timing"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ghwlab", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code, out, _ = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and json.loads(out)["match"]
+
+
+def test_verify_refuses_e_not_t_before_its_budget(capsys, monkeypatch):
+    # e3t1: e = 3, t = 1; the refusal comes before the first sample is drawn
+    class NoDraws:
+        def __init__(self, seed):
+            pass
+
+        def __getattr__(self, name):
+            raise AssertionError(f"drew a sample: {name}")
+    monkeypatch.setattr(cli.random, "Random", NoDraws)
+    for budget in ("0", str(DEFAULT_BUDGET)):
+        code, out, err = run(capsys, "verify", *E3T1, "--count", "1", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == "error: character-sum counting requires e == t, got e=3, t=1\n"
 
 
 def test_verify_rejects_count_below_1(capsys):

@@ -1,14 +1,17 @@
 """Property-based checks of the algebraic invariants."""
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from ghwlab.cli import _check_hierarchy_shape
 from ghwlab.codes import check_closed_form_hypotheses, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams
 from ghwlab.linalg import rref, vectors_independent
+from ghwlab.oracle import ghw_bruteforce
+from ghwlab.subspaces import gaussian_binomial
 
-from helpers import DualContext, class_index, mul_gauss_period, period_value
+from helpers import DualContext, class_index, mul_gauss_period, period_value, small_sweeps
 from paper_lemmas import enumerate_profiles, shift_cross, unshift_cross, vector_coords
 
 F49 = build_field(7, 2)
@@ -133,3 +136,17 @@ def test_hypotheses_hold_exactly_when_formula_params_builds(fsm, t, draw):
     else:
         builds = True
     assert check_closed_form_hypotheses(params).all_hold == builds
+
+
+@given(small_sweeps())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_brute_hierarchies_meet_the_chain_bound(sweep):
+    # (q^(r+1) - 1) d_r <= (q^(r+1) - q) d_(r+1): an (r+1)-dim subcode's
+    # support coordinate misses exactly one of its r-dim subcodes' supports
+    code, r = sweep
+    assume(r < code.k and gaussian_binomial(code.k, r + 1, code.q) <= 3000)
+    d, d2 = ghw_bruteforce(code, r).d_r, ghw_bruteforce(code, r + 1).d_r
+    q = code.q
+    assert (q ** (r + 1) - 1) * d <= (q ** (r + 1) - q) * d2, (code, r, d, d2)
+    _check_hierarchy_shape([r, r + 1], [d, d2], code.n, code.k, q)

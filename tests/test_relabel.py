@@ -66,6 +66,13 @@ def test_relabel_links_counts_random(sweep, rng):
         _assert_relabel_links_counts(code, helpers.random_basis(code, r, rng))
 
 
+def test_relabel_refuses_a_message_of_the_wrong_length():
+    code = TraceCode(derive_params(7, 1, 2, 2, 2, 6))  # t = 2
+    for vec in [(1,), (1, 0, 0)]:
+        with pytest.raises(ValueError, match=f"message must have 2 components, got {len(vec)}"):
+            code.relabel(vec)
+
+
 def test_relabel_is_the_argument_of_each_slot():
     # ex1: e = t = 2, deltas (0, 1), so beta = -1 and slot h is
     # gamma^(a*h) * (b_0 + (-1)^h * b_1)

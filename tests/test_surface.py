@@ -182,14 +182,39 @@ def test_oracle_plans_every_sweep():
     assert not imported("cli.py") & {"os", "math"}
 
 
+def compares_e_with_t(node):
+    return isinstance(node, ast.Compare) and {"e", "t"} <= {
+        getattr(side, "attr", None) for side in (node.left, *node.comparators)}
+
+
 def test_the_method_plan_is_the_one_place_that_decides():
     # no CLI function sizes a sweep or drops a method for e != t inline:
     # cli._plan_methods reads the closed-form gate and oracle.plan_sweeps
     assert callers("sweep_size") == ["oracle._sweep", "oracle.plan_sweeps"]
-
-    def compares_e_with_t(node):
-        return isinstance(node, ast.Compare) and {"e", "t"} <= {
-            getattr(side, "attr", None) for side in (node.left, *node.comparators)}
-
-    assert "oracle._require_e_equals_t" in holders(compares_e_with_t)  # the matcher sees one
+    assert "codes.require_e_equals_t" in holders(compares_e_with_t)  # the matcher sees one
     assert not [name for name in holders(compares_e_with_t) if name.startswith("cli.")]
+
+
+def definition(module, qualname):
+    """The ``ast`` node of ``qualname`` in ``src/ghwlab/<module>.py``."""
+    node = ast.parse((SRC / f"{module}.py").read_text())
+    for name in qualname.split("."):
+        node = next(sub for sub in node.body if isinstance(sub, DEFS) and sub.name == name)
+    return node
+
+
+def test_each_question_is_answered_once():
+    # e = t: one function compares the attributes, and every count calls it
+    assert holders(compares_e_with_t) == ["codes.require_e_equals_t"]
+    assert callers("require_e_equals_t") == ["cli.cmd_verify", "hierarchy.character_sum_count",
+                                             "oracle.sweep_size"]
+    # assumptions i-iii: every reader iterates the report, none names a field
+    assert holders(lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in {"i", "ii", "iii"}) == []
+    # primality: the trial division of prime_factors, not a second loop
+    is_prime = definition("fields", "is_prime")
+    assert not [node for node in ast.walk(is_prime)
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert "prime_factors" in identifiers([is_prime])
+    # the hypotheses: all_hold is "no failure", from the one list of them
+    assert "failures" in identifiers([definition("codes", "HypothesisReport.all_hold")])
