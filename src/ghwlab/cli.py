@@ -250,10 +250,12 @@ def _run_methods(params, plan, r_list, timing, hierarchies):
 
 
 def _check_hierarchy_shape(r_list, d_list, n, k, q):
-    """d_r < d_r' for every requested r < r', d_r <= n - k + r, and the chain
+    """d_r < d_r' for every requested r < r', d_r <= n - k + r, the chain
     bound (q^(r+1) - 1) d_r <= (q^(r+1) - q) d_(r+1) where r and r + 1 are
     both requested: each coordinate of an (r+1)-dim subcode's support lies
-    in the supports of all but one of its (q^(r+1)-1)/(q-1) r-dim subcodes."""
+    in the supports of all but one of its (q^(r+1)-1)/(q-1) r-dim subcodes,
+    and, where r = 1 is requested, the Griesmer bound d_r >= sum_{i<r}
+    ceil(d_1 / q^i) (Helleseth, Kløve and Ytrehus, IEEE TIT 38(3), 1992)."""
     # sorted by (r, d): each r's largest d meets the next r's smallest
     pairs = sorted(zip(r_list, d_list))
     shown = ";".join(str(d) for d in d_list)  # no commas: sweep puts it in a CSV cell
@@ -266,6 +268,9 @@ def _check_hierarchy_shape(r_list, d_list, n, k, q):
     for (r, d), (r2, d2) in zip(pairs, pairs[1:]):
         if r2 == r + 1 and (q**r2 - 1) * d > (q**r2 - q) * d2:
             raise RuntimeError(f"chain bound violated at r={r}: {shown}")
+    for r, d in pairs:
+        if pairs[0][0] == 1 and d < sum(-(-pairs[0][1] // q**i) for i in range(r)):
+            raise RuntimeError(f"Griesmer bound violated at r={r}: {shown}")
 
 
 def cmd_ghw(args):
@@ -348,12 +353,6 @@ def cmd_sweep(args):
             continue
         gate = ClosedFormGate.of(params)  # the assumptions hold, so only hypotheses can fail
         report = gate.report
-        row = [params.p, params.s, params.m, params.e, params.t, params.a,
-               ";".join(str(d) for d in params.deltas),
-               params.q, params.Q, params.N, params.delta, params.n, params.k,
-               report.e_equals_t, report.N_in_range,
-               report.j if report.j is not None else "",
-               report.sm_over_2j_odd, report.m_even, report.all_hold]
         r_all = range(1, params.k + 1)
         # the code materializes: the plan leaves out only formula (hypotheses) or brute (budget)
         methods = ["formula", "brute"]
@@ -363,12 +362,18 @@ def cmd_sweep(args):
             _run_methods(params, plan, r_all, False, hierarchies)
         except Exception as exc:  # per-row error column, sweep keeps going
             error = f"{type(exc).__name__}: {exc}"
-        cells = {method: ";".join(map(str, d_list)) for method, d_list in hierarchies.items()}
-        formula_cell = cells.get("formula", "") if "formula" in plan else "n/a (hypotheses)"
-        oracle_cell = cells.get("brute", "") if "brute" in plan else "n/a (budget)"
-        match_cell = str(cells["formula"] == cells["brute"]) if len(cells) == 2 else ""
-        failed = failed or match_cell == "False" or bool(error)
-        rows.append(row + [formula_cell, oracle_cell, match_cell, error])
+        joined = {method: ";".join(map(str, d_list)) for method, d_list in hierarchies.items()}
+        cells = {**params.to_dict(), **report.to_dict(),
+                 "deltas": ";".join(map(str, params.deltas)),
+                 "semiprimitive_j": "" if report.j is None else report.j,
+                 "hypotheses_ok": report.all_hold,
+                 "formula_hierarchy": joined.get("formula", "" if "formula" in plan
+                                                 else "n/a (hypotheses)"),
+                 "oracle_hierarchy": joined.get("brute", "" if "brute" in plan else "n/a (budget)"),
+                 "match": str(joined["formula"] == joined["brute"]) if len(joined) == 2 else "",
+                 "error": error}
+        failed = failed or cells["match"] == "False" or bool(error)
+        rows.append([cells[column] for column in SWEEP_COLUMNS])
     _write(args, _csv(rows))
     if skipped:
         print(f"sweep: skipped {skipped} of {a_stop - a_start + 1} a values whose assumptions fail",

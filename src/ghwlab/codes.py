@@ -24,9 +24,6 @@ from .fields import build_field, is_prime
 class AssumptionCheck(namedtuple("AssumptionCheck", "ok detail")):
     __slots__ = ()
 
-    def to_dict(self):
-        return {"ok": self.ok, "detail": self.detail}
-
 
 class AssumptionReport(namedtuple("AssumptionReport", "i ii iii")):
     """Pass/fail record, with witnesses, for the three parameter assumptions."""
@@ -38,7 +35,7 @@ class AssumptionReport(namedtuple("AssumptionReport", "i ii iii")):
         return all(check.ok for check in self)
 
     def to_dict(self):
-        return {**{name: check.to_dict() for name, check in self._asdict().items()},
+        return {**{name: check._asdict() for name, check in self._asdict().items()},
                 "all_ok": self.all_ok}
 
 
@@ -95,34 +92,19 @@ class HypothesisReport(namedtuple(
         }
 
 
-class CodeParams:
-    """The derived parameters of one code, built by ``derive_params``.
+class CodeParams(namedtuple(
+        "CodeParams",
+        "p s m e t a deltas q Q a_list delta n N k field assumptions")):
+    """The derived parameters of one code, built by ``derive_params``:
+    immutable and equal by value, so a ``TraceCode`` never sees its
+    parameters change; ``_replace`` makes a variant."""
 
-    Mutable, and equal only to itself.
-    """
-
-    __slots__ = ("p", "s", "m", "e", "t", "a", "deltas", "q", "Q", "a_list",
-                 "delta", "n", "N", "k", "field", "assumptions")
-
-    def __init__(self, **fields):
-        if fields.keys() != set(self.__slots__):
-            raise TypeError(f"CodeParams takes exactly the fields {self.__slots__}")
-        for name, value in fields.items():
-            setattr(self, name, value)
-
-    def __repr__(self):
-        return "CodeParams(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+    __slots__ = ()
 
     def to_dict(self):
-        return {
-            "p": self.p, "s": self.s, "m": self.m,
-            "e": self.e, "t": self.t, "a": self.a,
-            "deltas": list(self.deltas),
-            "q": self.q, "Q": self.Q,
-            "a_i": list(self.a_list),
-            "delta": self.delta, "n": self.n, "N": self.N, "k": self.k,
-        }
+        """The fields before ``field``, tuples as lists and ``a_list`` as ``a_i``."""
+        return {"a_i" if name == "a_list" else name: list(v) if isinstance(v, tuple) else v
+                for name, v in zip(self._fields[:-2], self)}
 
 
 def derive_params(p, s, m, e, t, a, deltas=None) -> CodeParams:
@@ -309,19 +291,17 @@ class TraceCode:
         return frozenset(supp)
 
     def generator_matrix(self) -> tuple:
-        """The k x n generator matrix over GF(q), read from the trace tables.
-
+        """The k x n generator matrix over GF(q): ``linalg.pairing_matrix``
+        with slot j the evaluation points gamma^(a_j*i), ``exp[a_j*i mod (Q-1)]``.
         Row j*m + i is the word of gamma^i at slot j, the message that
-        ``vector_from_coords`` makes of unit vector j*m + i: coordinate i of
-        ``FieldCtx.trace_coords`` at each evaluation point gamma^(a_j*i),
-        read as ``exp[a_j*i mod (Q-1)]``.  An RREF row's word is its
-        GF(q)-combination of these rows.  Read without ``codeword``, so the
-        brute witness recount checks the two against each other.  Built on
-        every call and never stored on the instance.
+        ``vector_from_coords`` makes of unit vector j*m + i; an RREF row's
+        word is its GF(q)-combination of these rows.  Read without
+        ``codeword``, so the brute witness recount checks the two against
+        each other.  Built on every call and never stored on the instance.
         """
-        coords, exp, group = self.field.trace_coords, self.field.exp, self.params.Q - 1
-        return tuple(row for aj in self.params.a_list
-                     for row in zip(*(coords(exp[aj * i % group]) for i in range(1, self.n + 1))))
+        exp, group, n = self.field.exp, self.params.Q - 1, self.n
+        return linalg.pairing_matrix(self.field, [[exp[aj * i % group] for i in range(1, n + 1)]
+                                                  for aj in self.params.a_list])
 
 
 def count_common_zeros(code: TraceCode, basis) -> int:

@@ -133,7 +133,6 @@ class FieldCtx:
         self.log = log_table
         self._zech = None  # the Zech table, built on first use by ``zech``
         self.gamma = exp_table[1 % (self.Q - 1)]
-        self.one = 1
         self._subfields: dict[int, tuple] = {}
         self._trace_tables: dict[int, bytes | list] = {}
 

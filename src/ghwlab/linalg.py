@@ -89,6 +89,14 @@ def vector_from_coords(ctx, t, coords) -> tuple:
     return tuple(ctx.element_from_coords(coords[i * m:(i + 1) * m]) for i in range(t))
 
 
+def pairing_matrix(ctx, slots) -> tuple:
+    """Row h*m + j is Tr_{Q->q}(gamma^j * x) for each x of ``slots[h]``, the
+    slot-h elements of w points of F_Q^t, so b = ``vector_from_coords(c)``
+    pairs with point x to c . column = sum_h Tr_{Q->q}(b_h * x_h), the trace
+    being GF(q)-linear.  Built per slot, column by column."""
+    return tuple(row for slot in slots for row in zip(*map(ctx.trace_coords, slot)))
+
+
 def vectors_independent(ctx, vecs) -> bool:
     """Whether vectors over F_Q are GF(q)-independent: the rank of their trace
     coordinates, a GF(q)-linear bijection onto GF(q)^(t*m), is their number."""

@@ -12,11 +12,12 @@ therefore maximize the same counts, though the dual sweep's witness is a
 basis of the image, not of S.
 
 Both sweeps are one kernel over a k x w matrix M over GF(q): a message row
-marks the positions where ``row . M`` is nonzero.  Both matrices are read
-from ``FieldCtx.trace_coords``.  For the direct sweep M is the generator
-matrix; for the dual sweep row (h, j) of M holds Tr_{Q->q}(gamma^j * y),
-coordinate j of the trace coordinates of y, at slot h for each target y,
-since a slot's element is sum_j c_j gamma^j and the trace is GF(q)-linear.
+marks the positions where ``row . M`` is nonzero.  Both matrices are
+trace pairings of messages with points of F_Q^t, built by
+``linalg.pairing_matrix``.  For the direct sweep M is the generator matrix,
+paired with the evaluation points; for the dual sweep the points are the
+y*e_h, y a target, so row (h, j) of M holds Tr_{Q->q}(gamma^j * y) at slot h
+for each target y and 0 elsewhere.
 The sweeps differ only in how they turn a count of marked positions into a
 zero count.
 
@@ -221,9 +222,9 @@ def _dual_scorer(code):
     """``(matrix, score)``: the trace-pairing matrix, and the common-zero
     count of the best subspace of a list through the dual expression.
 
-    A row's message b marks the pair (h, y), y in -C_0, when
+    A row's message b marks the point y*e_h, y in -C_0, when
     Tr_{Q->q}(b_h * y) != 0.  The trace form is GF(q)-linear in b, so the
-    unmarked pairs are the y on axis h that pair to zero with the whole
+    unmarked points are the y on axis h that pair to zero with the whole
     subspace: the axis-supported dual vectors whose negation lies in class
     0.  Their count times N/(t*delta) is the zero count, checked integral.
     """
@@ -231,13 +232,8 @@ def _dual_scorer(code):
     targets = [field.neg(x) for x in code.cyclotomy.class_elements(0)]
     size = len(targets)
     width, denom = t * size, t * params.delta
-    block = list(zip(*map(field.trace_coords, targets)))  # row j: Tr(gamma^j * y)
-    matrix = []
-    for h in range(t):
-        for coords in block:
-            row = [0] * width
-            row[h * size:(h + 1) * size] = coords
-            matrix.append(row)
+    matrix = linalg.pairing_matrix(field, [[0] * (h * size) + targets + [0] * ((t - 1 - h) * size)
+                                           for h in range(t)])
 
     def score(pops):
         totals = _unmarked(width, set(pops))  # every count, each once

@@ -297,7 +297,7 @@ def parity_check_poly(code) -> PolyOverFq:
     field = code.field
     coeffs = (1,)
     for ai in code.params.a_list:
-        root = field.pow(field.gamma, -ai) if ai else field.one
+        root = field.pow(field.gamma, -ai)
         coeffs = poly_mul(field, coeffs, minimal_poly(field, root).coeffs)
     return PolyOverFq(field, coeffs)
 

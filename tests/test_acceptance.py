@@ -11,17 +11,14 @@ import time
 from collections import Counter
 from contextlib import contextmanager
 
-import pytest
-
 from ghwlab.codes import check_closed_form_hypotheses
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.hierarchy import (
-    FormulaParams,
     character_sum_count,
     max_class_intersection,
     optimize_profile,
 )
-from ghwlab.oracle import count_common_zeros, ghw_bruteforce, ghw_dual_sweep
+from ghwlab.oracle import count_common_zeros, ghw_dual_sweep
 
 import helpers
 from helpers import closed_form_hierarchy, span_elements

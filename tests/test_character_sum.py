@@ -125,11 +125,12 @@ def test_verify_exits_3_on_doubled_delta_in_scaling(name, capsys, monkeypatch):
     # delta enters character_sum_count only through the scaling
     # N*(T_0 - T_1)/(t*delta*q^r)
     def doubled(code, basis):
-        code.params.delta *= 2
+        params = code.params
+        code.params = params._replace(delta=2 * params.delta)
         try:
             return character_sum_count(code, basis)
         finally:
-            code.params.delta //= 2
+            code.params = params
 
     monkeypatch.setattr(cli, "character_sum_count", doubled)
     assert cli.main(["verify", *MUTATION_CASES[name]]) == 3

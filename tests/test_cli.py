@@ -1,5 +1,7 @@
 import argparse
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -633,6 +635,50 @@ def test_chain_bound_catches_a_d2_one_too_small(capsys, monkeypatch):
             else:
                 assert code == 0, err
                 assert json.loads(out)["hierarchy"]["brute"] == [d1, d2]
+
+
+def test_griesmer_bound_catches_a_d_r_one_too_small(capsys, monkeypatch):
+    # d_r >= sum_{i<r} ceil(d_1 / q^i): 39 at r = 7 on [80,8] over GF(3) and
+    # 49 at r = 3 on [73,9] over GF(2); one less still increases and meets
+    # the Singleton bound, and the chain bound needs r and r + 1 requested
+    for argv, n, r, d1, dr, bound in (
+            (["--p", "3", "--m", "4", "--e", "2", "--t", "2", "--a", "1"], 80, 7, 24, 78, 39),
+            (["--p", "2", "--m", "9", "--e", "1", "--t", "1", "--a", "7"], 73, 3, 28, 51, 49)):
+        for d in (dr, bound - 1):
+            values = {1: d1, r: d}
+            monkeypatch.setattr(oracle, "ghw_bruteforce", lambda code, r, budget=None, jobs=1:
+                                GHWResult(r=r, d_r=values[r], common_zeros=n - values[r],
+                                          witness=(), examined=1))
+            code, out, err = run(capsys, "ghw", *argv, "--method", "brute", "--r", f"1,{r}",
+                                 "--no-timing")
+            if d < bound:
+                assert (code, out) == (3, "")
+                assert err == f"error: Griesmer bound violated at r={r}: {d1};{d}\n"
+            else:
+                assert code == 0, err
+                assert json.loads(out)["hierarchy"]["brute"] == [d1, d]
+
+
+def test_closed_form_exits_3_when_branch_and_objective_disagree(capsys, monkeypatch):
+    real = hierarchy.optimize_profile
+
+    def raised(fp, t, r):  # the objective up by t*delta (delta = 6): its scaled value up by N
+        u_star, t_star = real(fp, t, r)
+        return u_star, t_star + t * 6
+
+    monkeypatch.setattr(hierarchy, "optimize_profile", raised)
+    code, out, err = run(capsys, "ghw", *EX1, "--method", "formula", "--no-timing")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: branch/objective mismatch at r=1: ")
+
+
+def test_sweep_writes_each_cell_under_its_own_header(capsys, monkeypatch):
+    argv = ["sweep", "--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a-range", "2:6"]
+    _, out, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "SWEEP_COLUMNS", cli.SWEEP_COLUMNS[::-1])
+    _, permuted, _ = run(capsys, *argv)
+    assert permuted != out
+    assert list(csv.DictReader(io.StringIO(permuted))) == list(csv.DictReader(io.StringIO(out)))
 
 
 def test_ghw_refuses_an_r_outside_1_to_k_before_any_sweep(capsys, monkeypatch):

@@ -113,8 +113,7 @@ def test_assumption_iii_failure_collision():
 def _check_iii_by_minimal_polys(field, a_list, m):
     """Assumption iii read off the multiplied-out minimal polynomials, and
     the code dimension as the sum of the distinct ones' degrees."""
-    polys = [minimal_poly(field, field.pow(field.gamma, -ai) if ai else field.one)
-             for ai in a_list]
+    polys = [minimal_poly(field, field.pow(field.gamma, -ai)) for ai in a_list]
     k = sum({poly.coeffs: poly.degree for poly in polys}.values())
     degs = [poly.degree for poly in polys]
     if any(d != m for d in degs):
@@ -148,7 +147,7 @@ def _unit_word_rank(params):
     field, tm = params.field, params.t * params.m
     code = SimpleNamespace(field=field, n=params.n, params=params)
     words = [helpers.fq_codeword(code, vector_from_coords(
-        field, params.t, [field.one if i == u else 0 for i in range(tm)])) for u in range(tm)]
+        field, params.t, [1 if i == u else 0 for i in range(tm)])) for u in range(tm)]
     return len(rref(field, words)[0])
 
 

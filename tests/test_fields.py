@@ -191,6 +191,26 @@ def test_trace_rejects_bad_degree(f64):
         f64.trace_table(4)
 
 
+def test_subfield_rejects_bad_degree(f64):
+    for degree in (0, 4):
+        with pytest.raises(ValueError, match="does not divide"):
+            f64.subfield(degree)
+
+
+def test_zero_has_no_inverse_and_its_zeroth_power_is_one(f49):
+    with pytest.raises(ZeroDivisionError):
+        f49.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        f49.pow(0, -1)
+    assert (f49.pow(0, 0), f49.pow(0, 3)) == (1, 0)
+
+
+def test_element_from_coords_rejects_the_wrong_length(f64):
+    for coords in ([1] * 5, [1] * 7):
+        with pytest.raises(ValueError, match="expected 6 coordinates"):
+            f64.element_from_coords(coords)
+
+
 # (p, degree, s, {target degree: table form}): p in {2, 3, 5, 7}, target
 # degree 1, a proper divisor where one exists, and the whole field; four
 # fields have s > 1.  A table is bytes where every code of its subfield is

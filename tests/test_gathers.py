@@ -4,11 +4,11 @@
 ``CyclotomyCtx.class_by_code`` each against its definition, on fields
 with p = 2 and odd p, with q < Q and q = Q; the independence test on trace
 coordinates against the rank of the coordinates in the basis
-(1, gamma, ..., gamma^(m-1)); the character sum at q = 2, where an image
+(1, gamma, ..., gamma^(m-1)); ``linalg.pairing_matrix`` against the trace
+pairing it stands for; the character sum at q = 2, where an image
 has a single nonzero multiple; and the memory the gathers and their caches
 hold on [61,1] over GF(3^10)."""
 
-import copy
 import random
 import tracemalloc
 from functools import reduce
@@ -17,9 +17,9 @@ import pytest
 
 from ghwlab.codes import TraceCode, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
-from ghwlab.fields import FieldCtx
+from ghwlab.fields import FieldCtx, build_field
 from ghwlab.hierarchy import character_sum_count
-from ghwlab.linalg import rref, vectors_independent
+from ghwlab.linalg import pairing_matrix, rref, vector_from_coords, vectors_independent
 
 import helpers
 from paper_lemmas import vector_coords
@@ -93,6 +93,29 @@ def test_vectors_independent_matches_primal_rank(p, degree, s):
     assert seen == {True, False}
 
 
+def test_rref_of_no_rows_is_empty(f49):
+    assert rref(f49, []) == ([], [])
+
+
+# (p, s, m, t): q = Q at m = 1, q = 2 at m = 9, GF(4) in GF(16), t >= 2
+@pytest.mark.parametrize("p, s, m, t", [(3, 5, 1, 2), (2, 1, 9, 1), (2, 1, 9, 2), (2, 2, 2, 3)])
+def test_pairing_matrix_pairs_messages_with_points_by_the_trace(p, s, m, t):
+    # c . column x of the matrix is sum_h Tr_{Q->q}(b_h * x_h), b the message
+    # of the coordinates c, from FieldCtx products and the trace table
+    field = build_field(p, s * m, subfield_degree=s)
+    trace = field.trace_table(s)
+    rng = random.Random(f"{p}-{s}-{m}-{t}")
+    for _ in range(20):
+        c = [rng.choice(field.subfield_q) for _ in range(t * m)]
+        b = vector_from_coords(field, t, c)
+        points = [[rng.randrange(field.Q) for _ in range(t)] for _ in range(rng.randint(1, 6))]
+        matrix = pairing_matrix(field, [list(slot) for slot in zip(*points)])
+        assert len(matrix) == t * m
+        for x, column in zip(points, zip(*matrix), strict=True):
+            paired = reduce(field.add, (trace[field.mul(bh, xh)] for bh, xh in zip(b, x)), 0)
+            assert reduce(field.add, map(field.mul, c, column), 0) == paired, (c, x)
+
+
 @pytest.mark.parametrize("p, degree, s", FIELDS)
 def test_periods_by_log_definition(p, degree, s):
     field = helpers.field(p, degree, s)
@@ -131,8 +154,7 @@ def test_gathers_memory_on_gf3_10():
     f = params.field
     # a private field context, so the caches are built here whatever ran before
     field = FieldCtx(f.p, f.s, f.m, f.modulus, f.exp, f.log)
-    params = copy.copy(params)
-    params.field = field
+    params = params._replace(field=field)
     code = TraceCode(params)
     code.cyclotomy.period_table()
     field.subfield_q
@@ -156,9 +178,7 @@ def _private_61_1():
     # built caches start empty whatever ran before
     params = derive_params(3, 10, 1, 1, 1, 968)
     f = params.field
-    params = copy.copy(params)
-    params.field = FieldCtx(f.p, f.s, f.m, f.modulus, f.exp, f.log)
-    return params
+    return params._replace(field=FieldCtx(f.p, f.s, f.m, f.modulus, f.exp, f.log))
 
 
 def test_trace_code_at_q_eq_Q_holds_no_field_sized_list():

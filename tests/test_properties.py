@@ -150,3 +150,15 @@ def test_brute_hierarchies_meet_the_chain_bound(sweep):
     q = code.q
     assert (q ** (r + 1) - 1) * d <= (q ** (r + 1) - q) * d2, (code, r, d, d2)
     _check_hierarchy_shape([r, r + 1], [d, d2], code.n, code.k, q)
+
+
+@given(small_sweeps())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+def test_brute_hierarchies_meet_the_griesmer_bound(sweep):
+    # d_r >= sum_{i<r} ceil(d_1 / q^i) (Helleseth, Kløve and Ytrehus, 1992)
+    code, r = sweep
+    d1, d = ghw_bruteforce(code, 1).d_r, ghw_bruteforce(code, r).d_r
+    q = code.q
+    assert d >= sum(-(-d1 // q**i) for i in range(r)), (code, r, d1, d)
+    _check_hierarchy_shape([1, r], [d1, d], code.n, code.k, q)

@@ -1,8 +1,11 @@
 """The package's records and what ``import ghwlab`` loads.
 
-The five frozen records are named tuples: immutable, equal by value, with a
-``Name(field=value, ...)`` repr and the same ``to_dict()`` as before.
-``CodeParams`` is a plain ``__slots__`` class equal only to itself.  Neither
+The package's seven records are named tuples: immutable, equal by value,
+with a ``Name(field=value, ...)`` repr and the same ``to_dict()`` as before.
+Five of them are checked together.  ``CodeParams`` is checked on its own:
+its ``field`` compares by identity, so two ``derive_params`` calls of one
+field are equal, ``_replace`` makes a variant, and its class body writes
+no ``__init__`` or ``__repr__`` of its own.  None of them
 needs ``dataclasses`` (which loads ``inspect``), and a sweep at any job
 count forks its own children without ``multiprocessing``; a fresh
 interpreter checks that none of the three is loaded, since pytest itself
@@ -23,8 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from ghwlab.codes import (AssumptionCheck, AssumptionReport, CodeParams, HypothesisReport,
-                          check_closed_form_hypotheses, derive_params)
+from ghwlab.codes import AssumptionCheck, CodeParams, check_closed_form_hypotheses, derive_params
 from ghwlab.hierarchy import FormulaParams
 from ghwlab.oracle import GHWResult
 
@@ -215,23 +217,26 @@ def test_record_to_dicts_are_unchanged():
     }
 
 
-def test_code_params_equal_only_to_themselves():
+def test_code_params_are_frozen_and_equal_by_value():
     a, b = derive_params(*EX1), derive_params(*EX1)
-    assert a.to_dict() == b.to_dict()
-    assert a == a and a != b
-    c = copy.copy(a)
-    assert c != a and c.field is a.field and c.to_dict() == a.to_dict()
-    c.a = 2   # mutable, like the record it replaced
-    assert (c.a, a.a) == (2, 6)
+    assert isinstance(a, tuple) and a is not b
+    assert a == b and hash(a) == hash(b) and a.to_dict() == b.to_dict()
+    with pytest.raises(AttributeError):
+        a.a = 2
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    c = a._replace(a=2)
+    assert (c.a, a.a) == (2, 6) and c != a and c.field is a.field
     assert repr(a).startswith("CodeParams(p=7, s=1, m=2, e=2, t=2, a=6, deltas=(0, 1), ")
 
 
 def test_code_params_takes_exactly_its_fields():
-    fields = {name: getattr(derive_params(*EX1), name) for name in CodeParams.__slots__}
+    assert CodeParams._fields == ("p", "s", "m", "e", "t", "a", "deltas", "q", "Q", "a_list",
+                                  "delta", "n", "N", "k", "field", "assumptions")
+    assert not {"__init__", "__repr__"} & vars(CodeParams).keys()
+    fields = derive_params(*EX1)._asdict()
     with pytest.raises(TypeError):
         CodeParams(**{k: v for k, v in fields.items() if k != "field"})
     with pytest.raises(TypeError):
         CodeParams(**fields, extra=1)
-    assert CodeParams(**fields).to_dict() == derive_params(*EX1).to_dict()
-    with pytest.raises(AttributeError):
-        CodeParams(**fields).extra = 1
+    assert CodeParams(**fields) == derive_params(*EX1)

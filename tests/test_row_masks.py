@@ -153,5 +153,5 @@ def test_row_masks_at_q_eq_Q_build_no_index_dict():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert masks.rows == matrix
+    assert masks.rows == [list(row) for row in matrix]  # each entry its own index
     assert peak < 1_000_000

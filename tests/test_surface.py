@@ -9,8 +9,8 @@ reached class those of its class-level statements but not of its methods.
 Matching is by bare name, so a method sharing a name with any reached
 identifier counts as reached.  Test-only code belongs under ``tests/``.
 
-Also: every name a module-level import in ``src/ghwlab`` binds is read in
-its module, and the modules that hold Gauss periods and sum them exactly
+Also: every name a module-level import in ``src/ghwlab`` or ``tests`` binds
+is read in its module, and the modules that hold Gauss periods and sum them exactly
 import no complex arithmetic.
 """
 
@@ -94,6 +94,11 @@ def unused_imports(path):
 
 def test_src_modules_read_every_module_level_import():
     for path in SRC.glob("*.py"):
+        assert unused_imports(path) == [], path.name
+
+
+def test_test_modules_read_every_module_level_import():
+    for path in (ROOT / "tests").glob("*.py"):
         assert unused_imports(path) == [], path.name
 
 
@@ -201,6 +206,14 @@ def definition(module, qualname):
     for name in qualname.split("."):
         node = next(sub for sub in node.body if isinstance(sub, DEFS) and sub.name == name)
     return node
+
+
+def test_one_builder_reads_the_trace_coordinates():
+    # both sweep matrices are trace pairings, built by linalg.pairing_matrix
+    readers = holders(lambda node: isinstance(node, ast.Attribute) and node.attr == "trace_coords")
+    assert "linalg.pairing_matrix" in readers  # the matcher sees one
+    assert [name for name in readers if not name.startswith("linalg.")] == []
+    assert callers("pairing_matrix") == ["codes.TraceCode.generator_matrix", "oracle._dual_scorer"]
 
 
 def test_each_question_is_answered_once():
