@@ -41,13 +41,13 @@ class AssumptionReport(namedtuple("AssumptionReport", "i ii iii")):
 
 class HypothesisReport(namedtuple(
         "HypothesisReport",
-        "e_equals_t N_in_range j sm_over_2j_odd m_even irreducible")):
+        "e_equals_t N_in_range semiprimitive j sm_over_2j_odd m_even irreducible")):
     """Which closed-form hypotheses hold for a parameter set.
 
     Never raised from; the closed-form engine consults it and refuses when
     any flag is false.  t = 1 is accepted and flagged as the irreducible
     (one-nonzero) special case.  N_in_range is 2 < N and N^2 <= Q; j is the
-    smallest j with p^j = -1 (mod N), or None.
+    smallest j with p^j = -1 (mod N), or None when semiprimitive is false.
     """
 
     __slots__ = ()
@@ -55,17 +55,13 @@ class HypothesisReport(namedtuple(
     @classmethod
     def of(cls, p, s, m, N, e, t) -> "HypothesisReport":
         """The one evaluation of the closed-form regime, for Q = p^(sm) and
-        N classes; ``check_closed_form_hypotheses`` and ``FormulaParams``
-        both read it."""
+        N classes, which ``check_closed_form_hypotheses`` reads."""
         j = semiprimitive_j(p, N) if N > 2 else None
         sm = s * m
-        return cls(e_equals_t=e == t, N_in_range=2 < N and N * N <= p**sm, j=j,
+        return cls(e_equals_t=e == t, N_in_range=2 < N and N * N <= p**sm,
+                   semiprimitive=j is not None, j=j,
                    sm_over_2j_odd=j is not None and sm % (2 * j) == 0 and (sm // (2 * j)) % 2 == 1,
                    m_even=m % 2 == 0, irreducible=t == 1)
-
-    @property
-    def semiprimitive(self) -> bool:
-        return self.j is not None
 
     @property
     def all_hold(self) -> bool:
@@ -80,16 +76,7 @@ class HypothesisReport(namedtuple(
             ("m_even", self.m_even)) if not ok]
 
     def to_dict(self):
-        return {
-            "e_equals_t": self.e_equals_t,
-            "N_in_range": self.N_in_range,
-            "semiprimitive": self.semiprimitive,
-            "j": self.j,
-            "sm_over_2j_odd": self.sm_over_2j_odd,
-            "m_even": self.m_even,
-            "irreducible": self.irreducible,
-            "all_hold": self.all_hold,
-        }
+        return {**self._asdict(), "all_hold": self.all_hold}
 
 
 class CodeParams(namedtuple(

@@ -151,6 +151,15 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(p={self.p}, s={self.s}, m={self.m}, Q={self.Q})"
 
+    def __eq__(self, other):
+        # equal by value: one (p, s, m, modulus) gives one field, however often built
+        if not isinstance(other, FieldCtx):
+            return NotImplemented
+        return (self.p, self.s, self.m, self.modulus) == (other.p, other.s, other.m, other.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.s, self.m, self.modulus))
+
     # -- basic arithmetic ------------------------------------------------
 
     def add(self, a, b):

@@ -13,39 +13,22 @@ periods are trace counts.  Every division meant to be exact is checked.
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 
-from .codes import (CodeParams, HypothesisReport, TraceCode, check_closed_form_hypotheses,
-                    require_e_equals_t)
+from .codes import CodeParams, TraceCode, check_closed_form_hypotheses, require_e_equals_t
 from .errors import HypothesesNotMet
-from .fields import prime_factors
 
 
 class FormulaParams(namedtuple("FormulaParams", "q m N")):
-    """The (q, m, N) regime in which the closed form is valid.
-
-    Construction refuses (ValueError) a q that is not a prime power and any
-    regime that ``HypothesisReport.of`` finds outside the hypotheses: m
-    even, 2 < N with N^2 <= q^m, a smallest j with p^j = -1 (mod N), and
-    sm/(2j) odd.  These are exactly the conditions under which the per-slot
-    intersection bound below is attained.  Copy and pickle rebuild through
-    these checks.
+    """The (q, m, N) regime in which the closed form is valid: m even,
+    2 < N with N^2 <= q^m, a smallest j with p^j = -1 (mod N), and sm/(2j)
+    odd.  These are exactly the conditions under which the per-slot
+    intersection bound below is attained.  ``ClosedFormGate.of`` builds it
+    only when ``HypothesisReport.of`` finds them all; the record itself
+    checks nothing.
     """
 
     __slots__ = ()
-
-    def __new__(cls, q, m, N):
-        factors = prime_factors(q)
-        if len(factors) != 1:
-            raise ValueError(f"q={q} is not a prime power")
-        p, = factors
-        s = next(s for s in itertools.count(1) if p**s == q)
-        report = HypothesisReport.of(p, s, m, N, 1, 1)  # e = t: the regime alone
-        if not report.all_hold:
-            raise ValueError(f"q={q}, m={m}, N={N} is outside the closed-form regime: "
-                             + "; ".join(report.failures()))
-        return super().__new__(cls, q, m, N)
 
     @property
     def half(self) -> int:
@@ -76,8 +59,7 @@ class ClosedFormGate(namedtuple("ClosedFormGate", "report failures fp")):
         failures = [f"assumption {name}: {check.detail}"
                     for name, check in params.assumptions._asdict().items() if not check.ok]
         failures += report.failures()
-        # the report has evaluated the regime; _make builds it without a second evaluation
-        fp = None if failures else FormulaParams._make((params.q, params.m, params.N))
+        fp = None if failures else FormulaParams(params.q, params.m, params.N)
         return cls(report, failures, fp)
 
     def require(self) -> FormulaParams:

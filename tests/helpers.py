@@ -8,7 +8,7 @@ from functools import lru_cache
 
 from hypothesis import assume, strategies as st
 
-from ghwlab.codes import TraceCode, derive_params
+from ghwlab.codes import HypothesisReport, TraceCode, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import _poly_mulmod, build_field, prime_factors
 from ghwlab.hierarchy import ClosedFormGate, FormulaParams, closed_form_dr
@@ -258,6 +258,10 @@ def field(p, degree, s=1):
 
 @lru_cache(maxsize=None)
 def formula_params(q, m, N):
+    """The regime (q, m, N), asserted to satisfy every closed-form hypothesis."""
+    p, = prime_factors(q)
+    s = next(s for s in itertools.count(1) if p**s == q)
+    assert HypothesisReport.of(p, s, m, N, 1, 1).all_hold, (q, m, N)
     return FormulaParams(q, m, N)
 
 

@@ -17,7 +17,7 @@ the entries).
 from dataclasses import dataclass, field as _dc_field
 
 from ghwlab import linalg
-from ghwlab.codes import require_e_equals_t
+from ghwlab.codes import HypothesisReport, require_e_equals_t
 from ghwlab.fields import FieldCtx
 from ghwlab.hierarchy import FormulaParams, profile_objective, rank_decomposition
 from ghwlab.oracle import _dual_scorer
@@ -183,6 +183,7 @@ def achieving_subspace(cyc, l: int, i: int):
     independent) and the whole basis is scaled by gamma^i.
     """
     field = cyc.field
+    assert HypothesisReport.of(field.p, field.s, field.m, cyc.N, 1, 1).all_hold, cyc
     fp = FormulaParams(field.q, field.m, cyc.N)
     if not 0 <= l <= field.m:
         raise ValueError(f"need 0 <= l <= m={field.m}, got {l}")

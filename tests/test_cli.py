@@ -504,6 +504,19 @@ def test_sweep_formula_cell_empty_on_closed_form_error(capsys, monkeypatch):
                         "RuntimeError: scaled objective for r=1 is not an integer"]
 
 
+def test_ghw_formula_exits_3_on_an_inexact_scaled_objective(capsys, monkeypatch):
+    real = hierarchy.optimize_profile
+
+    def off_by_one(fp, t, r):
+        u, objective = real(fp, t, r)
+        return u, objective + 1
+
+    monkeypatch.setattr(hierarchy, "optimize_profile", off_by_one)
+    code, out, err = run(capsys, "ghw", *EX1, "--method", "formula")
+    assert (code, out) == (3, "")
+    assert err == "error: scaled objective for r=1 is not an integer\n"
+
+
 def test_sweep_rejects_empty_a_range(capsys):
     code, out, err = run(capsys, "sweep", "--p", "7", "--m", "2", "--e", "2",
                          "--t", "2", "--a-range", "47:1")

@@ -18,6 +18,11 @@ import helpers
 from paper_lemmas import generator_poly, is_monic, minimal_poly, parity_check_poly, poly_mul
 
 
+def test_code_and_cyclotomy_reprs(example1):
+    assert repr(example1) == "TraceCode([8,4] over GF(7), N=4)"
+    assert repr(example1.cyclotomy) == "CyclotomyCtx(Q=49, N=4)"
+
+
 def test_example1_derivation(example1_params):
     p = example1_params
     assert p.a_list == (6, 30)

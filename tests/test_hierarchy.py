@@ -1,5 +1,6 @@
 import pytest
 
+from ghwlab.codes import HypothesisReport, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.errors import HypothesesNotMet
 from ghwlab.hierarchy import (
@@ -29,19 +30,17 @@ from paper_lemmas import (
 )
 
 
-def test_formula_params_validation():
-    FormulaParams(7, 2, 4)
-    FormulaParams(2, 6, 3)
-    with pytest.raises(ValueError):
-        FormulaParams(2, 4, 3)   # sm/(2j) = 2 is even
-    with pytest.raises(ValueError):
-        FormulaParams(3, 2, 4)   # N exceeds sqrt(Q)
-    with pytest.raises(ValueError):
-        FormulaParams(7, 2, 2)   # N too small
-    with pytest.raises(ValueError):
-        FormulaParams(6, 2, 4)   # q not a prime power
-    with pytest.raises(ValueError):
-        FormulaParams(7, 3, 4)   # odd m
+def test_hypothesis_report_names_each_failed_hypothesis():
+    # e = t = 1: the regime alone, as ClosedFormGate.of reads it
+    in_range = "N_in_range (need 2 < N <= sqrt(Q))"
+    for (p, s, m, N), failures in {
+            (2, 1, 4, 3): ["sm_over_2j_odd"],   # sm/(2j) = 2 is even
+            (3, 1, 2, 4): [in_range],           # N exceeds sqrt(Q)
+            (7, 1, 2, 2): [in_range, "semiprimitive (no j with p^j = -1 mod N)", "sm_over_2j_odd"],
+            (7, 1, 3, 4): ["sm_over_2j_odd", "m_even"],   # odd m: sm/(2j) = 3/2 too
+            (7, 1, 2, 4): [],
+            (2, 1, 6, 3): []}.items():
+        assert HypothesisReport.of(p, s, m, N, 1, 1).failures() == failures, (p, s, m, N)
 
 
 def test_formula_params_derived_fields():
@@ -49,6 +48,24 @@ def test_formula_params_derived_fields():
     assert (fp.half, fp.v) == (1, 0)
     assert FormulaParams(2, 6, 3).v == 1
     assert FormulaParams(4, 6, 5).v == 1
+
+
+# FormulaParams checks nothing, so an out-of-regime record reaches the
+# exactness checks of the closed form, which the gate never lets fail
+
+def test_threshold_outside_its_range_raises():
+    with pytest.raises(RuntimeError, match=r"threshold v=1 escaped \[0, m/2-1\]"):
+        FormulaParams(7, 2, 1).v   # N = 1: (q + 1)/N - 1 = q
+
+
+def test_inexact_intersection_value_raises():
+    with pytest.raises(RuntimeError, match="intersection value for l=3 is not an integer"):
+        max_class_intersection(FormulaParams(2, 4, 3), 3)   # sm/(2j) = 2 is even
+
+
+def test_inexact_branch_value_raises():
+    with pytest.raises(RuntimeError, match="branch value for r=1 is not an integer"):
+        closed_form_dr(derive_params(7, 1, 2, 2, 2, 6), FormulaParams(7, 2, 3), 1)  # ex1 has N = 4
 
 
 @pytest.mark.parametrize("q,m,N", helpers.REGIME_CORPUS)

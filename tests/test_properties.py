@@ -6,7 +6,7 @@ from ghwlab.cli import _check_hierarchy_shape
 from ghwlab.codes import check_closed_form_hypotheses, derive_params
 from ghwlab.cyclotomy import CyclotomyCtx
 from ghwlab.fields import build_field
-from ghwlab.hierarchy import FormulaParams
+from ghwlab.hierarchy import ClosedFormGate, FormulaParams
 from ghwlab.linalg import rref, vectors_independent
 from ghwlab.oracle import ghw_bruteforce
 from ghwlab.subspaces import gaussian_binomial
@@ -122,20 +122,16 @@ REGIME_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 6), (2, 1, 10), (2, 2, 
 @example((7, 1, 2), 2, 5)   # ex1, a = 6: every hypothesis holds
 @example((7, 1, 2), 2, 2)   # a = 3: N = 2
 @settings(max_examples=150, deadline=None)
-def test_hypotheses_hold_exactly_when_formula_params_builds(fsm, t, draw):
-    # e = t, so the report and FormulaParams read the same regime
+def test_gate_builds_a_regime_exactly_when_assumptions_and_hypotheses_hold(fsm, t, draw):
     p, s, m = fsm
     Q = p ** (s * m)
     if (Q - 1) % t:
         t = 1
     params = derive_params(p, s, m, t, t, 1 + draw % (Q - 2))
-    try:
-        FormulaParams(params.q, m, params.N)
-    except ValueError:
-        builds = False
-    else:
-        builds = True
-    assert check_closed_form_hypotheses(params).all_hold == builds
+    gate = ClosedFormGate.of(params)
+    holds = params.assumptions.all_ok and check_closed_form_hypotheses(params).all_hold
+    assert bool(gate.failures) != holds
+    assert gate.fp == (FormulaParams(params.q, m, params.N) if holds else None)
 
 
 @given(small_sweeps())

@@ -3,8 +3,9 @@
 The package's seven records are named tuples: immutable, equal by value,
 with a ``Name(field=value, ...)`` repr and the same ``to_dict()`` as before.
 Five of them are checked together.  ``CodeParams`` is checked on its own:
-its ``field`` compares by identity, so two ``derive_params`` calls of one
-field are equal, ``_replace`` makes a variant, and its class body writes
+its ``field`` compares by value, so two ``derive_params`` calls with the same
+arguments are equal even when another field was built between them,
+``_replace`` makes a variant that shares the field, and its class body writes
 no ``__init__`` or ``__repr__`` of its own.  None of them
 needs ``dataclasses`` (which loads ``inspect``), and a sweep at any job
 count forks its own children without ``multiprocessing``; a fresh
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from ghwlab.codes import AssumptionCheck, CodeParams, check_closed_form_hypotheses, derive_params
+from ghwlab.fields import build_field
 from ghwlab.hierarchy import FormulaParams
 from ghwlab.oracle import GHWResult
 
@@ -187,12 +189,10 @@ def test_record_reprs():
         "AssumptionReport(i=AssumptionCheck(ok=True, detail='e=2 divides Q-1; ")
 
 
-def test_formula_params_validates_and_derives():
+def test_formula_params_holds_q_m_and_n():
     fp = FormulaParams(2, 6, 3)
     assert (fp.q, fp.m, fp.N) == (2, 6, 3)
     assert FormulaParams(q=2, m=6, N=3) == fp
-    with pytest.raises(ValueError):
-        FormulaParams(2, 4, 3)
 
 
 def test_record_to_dicts_are_unchanged():
@@ -228,6 +228,16 @@ def test_code_params_are_frozen_and_equal_by_value():
     c = a._replace(a=2)
     assert (c.a, a.a) == (2, 6) and c != a and c.field is a.field
     assert repr(a).startswith("CodeParams(p=7, s=1, m=2, e=2, t=2, a=6, deltas=(0, 1), ")
+
+
+def test_code_params_stay_equal_across_another_field():
+    # build_field keeps only the last field, so the second ex1 gets a new one
+    a = derive_params(*EX1)
+    derive_params(3, 1, 4, 2, 2, 1)
+    b = derive_params(*EX1)
+    assert a.field is not b.field
+    assert a == b and hash(a) == hash(b)
+    assert a.field != build_field(7, 2, subfield_degree=2)  # GF(49) over itself: s = 2
 
 
 def test_code_params_takes_exactly_its_fields():

@@ -10,12 +10,15 @@ Matching is by bare name, so a method sharing a name with any reached
 identifier counts as reached.  Test-only code belongs under ``tests/``.
 
 Also: every name a module-level import in ``src/ghwlab`` or ``tests`` binds
-is read in its module, and the modules that hold Gauss periods and sum them exactly
-import no complex arithmetic.
+is read in its module, the modules that hold Gauss periods and sum them exactly
+import no complex arithmetic, and every record is a named tuple with empty
+``__slots__`` and no ``__init__`` or ``__new__`` of its own.
 """
 
 import ast
 from pathlib import Path
+
+from ghwlab.codes import HypothesisReport
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ghwlab"
@@ -128,7 +131,7 @@ def callers(name):
 
 
 def test_one_function_evaluates_the_closed_form_regime():
-    # the report and FormulaParams both read this one evaluation
+    # the report holds this one evaluation, and the gate builds the regime from it
     assert callers("semiprimitive_j") == ["codes.HypothesisReport.of"]
 
 
@@ -231,3 +234,41 @@ def test_each_question_is_answered_once():
     assert "prime_factors" in identifiers([is_prime])
     # the hypotheses: all_hold is "no failure", from the one list of them
     assert "failures" in identifiers([definition("codes", "HypothesisReport.all_hold")])
+
+
+def records():
+    """Qualified name -> ``ast`` node of every class in ``src/ghwlab`` whose
+    base is a ``namedtuple(...)`` call."""
+    found = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Call)
+                    and "namedtuple" in (getattr(base.func, "id", None), getattr(base.func, "attr", None))
+                    for base in node.bases):
+                found[f"{path.stem}.{node.name}"] = node
+    return found
+
+
+def test_every_record_is_built_by_its_named_tuple_alone():
+    # empty __slots__, and no __init__ or __new__ to fork the one constructor
+    found = records()
+    assert len(found) == 7  # the matcher sees every record
+    for name, node in found.items():
+        slots = [stmt.value for stmt in node.body if isinstance(stmt, ast.Assign)
+                 and [getattr(target, "id", None) for target in stmt.targets] == ["__slots__"]]
+        assert len(slots) == 1 and isinstance(slots[0], ast.Tuple) and not slots[0].elts, name
+        assert not {stmt.name for stmt in node.body
+                    if isinstance(stmt, DEFS)} & {"__init__", "__new__"}, name
+
+
+def test_each_record_has_one_constructor_and_one_serialisation():
+    # only the gate builds the regime, and hierarchy keeps no second check of it
+    assert callers("FormulaParams") == ["hierarchy.ClosedFormGate.of"]
+    assert "itertools" not in imported("hierarchy.py")
+    assert "prime_factors" not in identifiers([ast.parse((SRC / "hierarchy.py").read_text())])
+    # the report's JSON is its fields, in order, then all_hold
+    assert "semiprimitive" in HypothesisReport._fields
+    to_dict = definition("codes", "HypothesisReport.to_dict")
+    assert {node.value for node in ast.walk(to_dict) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)} == {"all_hold"}
