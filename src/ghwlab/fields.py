@@ -282,14 +282,11 @@ class FieldCtx:
         code of the subfield is below 256 the table is ``bytes``, each block
         one ``bytes.translate`` of the last; otherwise it is a list, the one
         form that holds larger codes.  The trace onto the whole field is the
-        identity, returned as ``range(Q)``.
+        identity, returned as ``range(Q)``; ``subfield`` refuses a bad degree.
         """
         table = self._trace_tables.get(sub_degree)
         if table is not None:
             return table
-        if sub_degree <= 0 or self.degree % sub_degree != 0:
-            raise ValueError(
-                f"trace target degree {sub_degree} does not divide {self.degree}")
         if sub_degree == self.degree:
             return range(self.Q)
         p, values = self.p, self.subfield(sub_degree)

@@ -16,8 +16,8 @@ marks the positions where ``row . M`` is nonzero.  Both matrices are
 trace pairings of messages with points of F_Q^t, built by
 ``linalg.pairing_matrix``.  For the direct sweep M is the generator matrix,
 paired with the evaluation points; for the dual sweep the points are the
-y*e_h, y a target, so row (h, j) of M holds Tr_{Q->q}(gamma^j * y) at slot h
-for each target y and 0 elsewhere.
+z*e_h, z in C_0, so M is t copies on the diagonal of one slot block, whose
+row j holds Tr_{Q->q}(gamma^j * z) for each z in C_0.
 The sweeps differ only in how they turn a count of marked positions into a
 zero count.
 
@@ -222,18 +222,18 @@ def _dual_scorer(code):
     """``(matrix, score)``: the trace-pairing matrix, and the common-zero
     count of the best subspace of a list through the dual expression.
 
-    A row's message b marks the point y*e_h, y in -C_0, when
-    Tr_{Q->q}(b_h * y) != 0.  The trace form is GF(q)-linear in b, so the
-    unmarked points are the y on axis h that pair to zero with the whole
-    subspace: the axis-supported dual vectors whose negation lies in class
-    0.  Their count times N/(t*delta) is the zero count, checked integral.
+    A row's message b marks the point z*e_h, z in C_0, when
+    Tr_{Q->q}(b_h * z) != 0: the matrix is the one slot block of C_0, m
+    rows of |C_0| columns, laid t times on the diagonal.  A subspace leaves
+    unmarked the pairs (h, z) that ``TraceCode.relabel``'s derivation counts;
+    their number times N/(t*delta) is the zero count, checked integral.
     """
-    field, params, t = code.field, code.params, code.t
-    targets = [field.neg(x) for x in code.cyclotomy.class_elements(0)]
-    size = len(targets)
+    params, t = code.params, code.t
+    block = linalg.pairing_matrix(code.field, [code.cyclotomy.class_elements(0)])
+    size = len(block[0])
     width, denom = t * size, t * params.delta
-    matrix = linalg.pairing_matrix(field, [[0] * (h * size) + targets + [0] * ((t - 1 - h) * size)
-                                           for h in range(t)])
+    matrix = tuple((0,) * (h * size) + row + (0,) * ((t - 1 - h) * size)
+                   for h in range(t) for row in block)
 
     def score(pops):
         totals = _unmarked(width, set(pops))  # every count, each once

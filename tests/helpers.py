@@ -516,7 +516,8 @@ def dual_row_mask(code):
     """Bitmask of the (slot, target) pairs one message row marks: bit
     (h, y), y in -C_0, when Tr_{Q->q}(b_h * y) != 0, with b_h assembled by
     ``element_from_coords`` and one big-field product per target: the
-    per-row reference for the dual sweep's kernel."""
+    per-row reference for the dual sweep's kernel, whose C_0 points it
+    negates on purpose, an independent route to the same masks."""
     field, t, m = code.field, code.t, code.field.m
     trace_q, mul = field.trace_table(field.s), field.mul
     targets = [field.neg(x) for x in code.cyclotomy.class_elements(0)]

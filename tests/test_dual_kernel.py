@@ -1,9 +1,11 @@
 """Differential checks of the dual sweep on the trace-pairing kernel.
 
-The kernel marks, for each basis row, the targets y in -C_0 that pair to a
-nonzero trace with the row's slot, as the support of ``row . M`` for the
-trace-pairing matrix M; the reference path solves each slot's trace system
-as a null space and enumerates it (``helpers.nullspace_dual_count``).
+The kernel marks, for each basis row, the points z*e_h, z in C_0, that pair
+to a nonzero trace with the row's slot, as the support of ``row . M`` for
+the trace-pairing matrix M, t copies of one slot block on the diagonal; the
+reference path solves each slot's trace system as a null space and
+enumerates it, counting the y with -y in C_0 (``helpers.nullspace_dual_count``).
+It keeps the negation on purpose, as an independent route: -C_0 = C_0.
 """
 
 import functools
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from ghwlab import oracle
 from ghwlab.cli import main
 from ghwlab.codes import TraceCode, derive_params
-from ghwlab.linalg import vector_from_coords
+from ghwlab.linalg import pairing_matrix, vector_from_coords
 from ghwlab.oracle import GHWResult, _dual_scorer, ghw_dual_sweep
 from ghwlab.subspaces import SubspaceIter
 
@@ -35,6 +37,27 @@ def gf4_code():
 def code_80_8():
     # [80,8] over GF(3): p=3, m=4, e=t=2, a=1
     return TraceCode(derive_params(3, 1, 4, 2, 2, 1))
+
+
+# ex1 (p = 7, t = 2), GF(4) with t = 3, [80,8], [364,12] and [61,1] (t = 1, q = Q)
+DIAGONAL_CODES = [(7, 1, 2, 2, 2, 6), (2, 2, 2, 3, 3, 1), (3, 1, 4, 2, 2, 1),
+                  (3, 1, 6, 2, 2, 2), (3, 10, 1, 1, 1, 968)]
+
+
+@pytest.mark.parametrize("args", DIAGONAL_CODES, ids=["ex1", "gf4_t3", "80_8", "364_12", "61_1"])
+def test_dual_matrix_is_one_slot_block_of_c0_on_the_diagonal(args):
+    code = TraceCode(derive_params(*args))
+    field, t, c0 = code.field, code.t, code.cyclotomy.class_elements(0)
+    assert set(map(field.neg, c0)) == set(c0)  # -1 is in GF(q)^*, inside C_0
+    block, size = pairing_matrix(field, [c0]), len(c0)
+    assert len(block) == field.m and {len(row) for row in block} == {size}
+    matrix = _dual_scorer(code)[0]
+    assert len(matrix) == t * field.m
+    for h in range(t):
+        for j, row in enumerate(block):
+            assert matrix[h * field.m + j] == tuple(
+                row[i - h * size] if h * size <= i < (h + 1) * size else 0
+                for i in range(t * size))
 
 
 def _messages(code, rows):

@@ -27,6 +27,11 @@ def test_build_field_basic(f49):
     assert f49.log[f49.gamma] == 1
 
 
+def test_field_equals_no_other_type(f49):
+    assert f49.__eq__(49) is NotImplemented
+    assert build_field(7, 2) != 49
+
+
 def test_prime_field_trivial():
     f2 = build_field(2, 1)
     assert f2.Q == 2

@@ -11,8 +11,9 @@ identifier counts as reached.  Test-only code belongs under ``tests/``.
 
 Also: every name a module-level import in ``src/ghwlab`` or ``tests`` binds
 is read in its module, the modules that hold Gauss periods and sum them exactly
-import no complex arithmetic, and every record is a named tuple with empty
-``__slots__`` and no ``__init__`` or ``__new__`` of its own.
+import no complex arithmetic, every record is a named tuple with empty
+``__slots__`` and no ``__init__`` or ``__new__`` of its own, and the dual
+sweep pairs with C_0 itself, one slot, negating nothing.
 """
 
 import ast
@@ -217,6 +218,19 @@ def test_one_builder_reads_the_trace_coordinates():
     assert "linalg.pairing_matrix" in readers  # the matcher sees one
     assert [name for name in readers if not name.startswith("linalg.")] == []
     assert callers("pairing_matrix") == ["codes.TraceCode.generator_matrix", "oracle._dual_scorer"]
+
+
+def test_the_dual_sweep_pairs_with_one_slot_of_c0():
+    # -C_0 = C_0, so no oracle function negates, and the block is paired once
+    assert "linalg.ScalarTable._root_row" in callers("neg")  # the matcher sees one
+    assert [name for name in callers("neg") if name.startswith("oracle.")] == []
+    calls = [node for node in ast.walk(definition("oracle", "_dual_scorer"))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "pairing_matrix"]
+    assert len(calls) == 1
+    slots = calls[0].args[1]
+    assert isinstance(slots, ast.List) and len(slots.elts) == 1
+    assert not isinstance(slots.elts[0], ast.Starred)
+    assert "class_elements" in identifiers(slots.elts)
 
 
 def test_each_question_is_answered_once():
