@@ -1,40 +1,39 @@
 """Ground-truth GHW computation by exhaustive subspace search.
 
-Two independent oracles validate the closed form: a direct sweep that takes
-the support union of every r-dimensional subcode, and a recount through the
-dual of each message subspace under the trace bilinear form, where common
-zeros become axis-supported dual vectors landing in a fixed cyclotomy class.
-The two sweeps must agree on the maximum.  The dual sweep reads each
-subspace it enumerates as an image relabel(S) under ``TraceCode.relabel``,
-an invertible linear map, and the dual count of relabel(S) is the direct
-count of S subspace by subspace (``tests/test_relabel.py``).  The sweeps
-therefore maximize the same counts, though the dual sweep's witness is a
-basis of the image, not of S.
+Two independent oracles validate the closed form: a direct sweep that counts
+the common zeros of every r-dimensional subcode, d_r = n - max N(D), and a
+recount through the dual of each message subspace under the trace bilinear
+form, where common zeros become axis-supported dual vectors landing in a
+fixed cyclotomy class.  The two sweeps must agree on the maximum.  The dual
+sweep reads each subspace it enumerates as an image relabel(S) under
+``TraceCode.relabel``, an invertible linear map, and the dual count of
+relabel(S) is the direct count of S subspace by subspace
+(``tests/test_relabel.py``).  The sweeps therefore maximize the same counts,
+though the dual sweep's witness is a basis of the image, not of S.
 
-Both sweeps are one kernel over a k x w matrix M over GF(q): a message row
-marks the positions where ``row . M`` is nonzero.  Both matrices are
-trace pairings of messages with points of F_Q^t, built by
-``linalg.pairing_matrix``.  For the direct sweep M is the generator matrix,
-paired with the evaluation points; for the dual sweep the points are the
-z*e_h, z in C_0, so M is t copies on the diagonal of one slot block, whose
-row j holds Tr_{Q->q}(gamma^j * z) for each z in C_0.
-The sweeps differ only in how they turn a count of marked positions into a
-zero count.
+Both sweeps are one kernel over a k x w matrix M over GF(q): a message row's
+zero set is the positions where ``row . M`` vanishes, and a subspace's common
+zeros are the AND of its rows' zero sets.  Both matrices are trace pairings
+of messages with points of F_Q^t, built by ``linalg.pairing_matrix``.  For
+the direct sweep M is the generator matrix, paired with the evaluation
+points; for the dual sweep the points are the z*e_h, z in C_0, so M is t
+copies on the diagonal of one slot block, whose row j holds
+Tr_{Q->q}(gamma^j * z) for each z in C_0.  The sweeps differ only in how
+they turn a count of common zeros into a zero count.
 
 A pivot pattern's subspaces are the product of its rows' independent
 choices.  The kernel gives every choice of a row at once: it builds the
 row's prefix words depth first, then sorts the positions of each prefix
 word into one bucket per value of the last free entry (the value that zeroes
-the position), so a choice's mask is the complement of its bucket and of
-the positions that vanish for every value.  A word is a list of w scalar
-indices, or its value planes where q is small next to w; its GF(q)
-arithmetic reads the rows of one ``linalg.ScalarTable``.
-Trailing rows whose choices number at most ``_TAIL_CAP`` together are
-OR-folded into one list of masks, in product order; a subspace is then
-scored by OR-ing the masks of the remaining rows once per prefix and taking
-one popcount per folded mask.  A witness is decoded from its subspace's
-position by ``SubspaceIter.pattern_basis``.  The dual count of a
-single basis, ``count_via_dual``, is a test reference in
+the position), so a choice's zero set is its bucket and the positions that
+vanish for every value.  A word is a list of w scalar indices, or its value
+planes where q is small next to w; its GF(q) arithmetic reads the rows of
+one ``linalg.ScalarTable``.  Trailing rows whose choices number at most
+``_TAIL_CAP`` together are AND-folded into one list of zero sets, in product
+order; a subspace is then scored by AND-ing the zero sets of the remaining
+rows once per prefix and taking one popcount per folded zero set.  A witness
+is decoded from its subspace's position by ``SubspaceIter.pattern_basis``.
+The dual count of a single basis, ``count_via_dual``, is a test reference in
 ``tests/paper_lemmas.py`` that scores through this module's dual scorer.
 
 Sweeps are split into work units, slices of a pattern's first-row choices;
@@ -64,7 +63,7 @@ from .subspaces import SubspaceIter, gaussian_binomial
 # a fanned-out sweep is cut into about this many work units per worker
 _UNITS_PER_JOB = 4
 
-# trailing rows are OR-folded into one mask list while it stays this long
+# trailing rows are AND-folded into one zero-set list while it stays this long
 _TAIL_CAP = 4096
 
 
@@ -84,7 +83,8 @@ class GHWResult(namedtuple("GHWResult", "r d_r common_zeros witness examined")):
 # -- the row-mask kernel ------------------------------------------------------
 
 class _RowMasks:
-    """Support bitmasks of ``row . M`` for a k x w matrix M over GF(q).
+    """Zero-set bitmasks of ``row . M`` for a k x w matrix M over GF(q),
+    with ``full``, the w positions, as the identity of their AND.
 
     M is held as the scalar indices of a ``linalg.ScalarTable``, whose rows
     do the kernel's GF(q) arithmetic (index 0 is zero).
@@ -110,16 +110,17 @@ class _RowMasks:
         return [_value_planes(row) for row in self.rows]
 
     def row_masks(self, pivot, free):
-        """The mask of every choice of the row, in ``row_choices`` order.
+        """The zero set of every choice of the row, in ``row_choices`` order.
 
         For the last free column g, position i of a prefix word w vanishes
         for the one c with w_i + c*g_i = 0 when g_i != 0, and for every c
         or none when g_i = 0; one pass puts each position in its bucket, or
-        in ``zz`` when g_i = w_i = 0, and the mask for c is the rest.
+        in ``zz`` when g_i = w_i = 0, and the zero set for c is its bucket
+        and ``zz``.
         """
-        rows, full = self.rows, self.full
+        rows = self.rows
         if not free:  # from a bitmap string, with no int per position
-            return [int("".join("1" if x else "0" for x in reversed(rows[pivot])), 2)]
+            return [int("".join("0" if x else "1" for x in reversed(rows[pivot])), 2)]
         *heads, last = free
         if self.bitplanes:
             return self._plane_masks(pivot, heads, last)
@@ -139,14 +140,14 @@ class _RowMasks:
             for i, bit in dead:
                 if not word[i]:
                     zz |= bit
-            masks.extend([full ^ (zz | b) for b in bucket])
+            masks.extend([zz | b for b in bucket])
         return masks
 
     def _plane_masks(self, pivot, heads, last):
         """``row_masks`` on value planes, the same masks in the same order: the
         bucket pass of g ORs W[x] & G[y] into the bucket of root[y][x], up to
         q*q big-int ANDs where a list of w indices costs about w steps."""
-        planes, full = self.planes, self.full
+        planes = self.planes
         q, add, mul, root = self.table.q, self.table.add, self.table.mul, self.table.root
         live = [(root[y], gy) for y, gy in planes[last] if y]
         g0 = dict(planes[last]).get(0, 0)
@@ -161,7 +162,7 @@ class _RowMasks:
                     if m := wx & gy:
                         bucket[rx[x]] |= m
             zz = 0 if word[0][0] else word[0][1] & g0  # W[0] & G[0]
-            masks.extend([full ^ (zz | b) for b in bucket])
+            masks.extend([zz | b for b in bucket])
         return masks
 
 
@@ -186,62 +187,57 @@ def _plane_add(q, add, word, step):
 
 def _prefixes(word, steps, plus):
     """``word + c_1 M[f_1] + ...`` for every (c_1, ...) in product order,
-    one ``plus(word, step)`` per word, none for c = 0 (step None), depth
-    first: one word per level is alive."""
+    one ``plus(word, step)`` per word, none for c = 0 (step None; a 0 mask
+    is a step, since u & 0 is not u), depth first: one word per level is
+    alive."""
     if not steps:
         yield word
         return
     first, *rest = steps
     for step in first:
-        prefix = plus(word, step) if step else word
+        prefix = word if step is None else plus(word, step)
         if rest:
             yield from _prefixes(prefix, rest, plus)
         else:
             yield prefix
 
 
-def _unmarked(width, pops):
-    """For each count of marked positions, the number of the ``width``
-    positions left unmarked."""
-    return [width - p for p in pops]
-
-
 def _brute_scorer(code):
     """``(matrix, score)``: the generator matrix, whose ``row . M`` is the
-    row's codeword, and the common-zero count of the best subspace of a list
-    from the subspaces' support sizes (each a popcount of OR-ed row masks).
+    row's codeword, and ``max``: a subspace's count of common zeros (a
+    popcount of AND-ed row zero sets) is its zero count.
 
-    By GF(q)-linearity the subcode's support is the union of its rows'
-    supports.  The matrix is read from the trace tables, so the recount of
-    each share's best through ``TraceCode.codeword`` in ``_sweep`` checks it.
+    By GF(q)-linearity the subcode's common zeros are the intersection of
+    its rows' zero sets.  The matrix is read from the trace tables, so the
+    recount of each share's best through ``TraceCode.codeword`` checks it.
     """
-    return code.generator_matrix(), lambda pops: code.n - min(pops)
+    return code.generator_matrix(), max
 
 
 def _dual_scorer(code):
     """``(matrix, score)``: the trace-pairing matrix, and the common-zero
     count of the best subspace of a list through the dual expression.
 
-    A row's message b marks the point z*e_h, z in C_0, when
-    Tr_{Q->q}(b_h * z) != 0: the matrix is the one slot block of C_0, m
+    A row's message b leaves unmarked the point z*e_h, z in C_0, when
+    Tr_{Q->q}(b_h * z) = 0: the matrix is the one slot block of C_0, m
     rows of |C_0| columns, laid t times on the diagonal.  A subspace leaves
-    unmarked the pairs (h, z) that ``TraceCode.relabel``'s derivation counts;
-    their number times N/(t*delta) is the zero count, checked integral.
+    unmarked the pairs (h, z) that ``TraceCode.relabel``'s derivation counts,
+    the AND of its rows' zero sets; their number times N/(t*delta) is the
+    zero count, checked integral for every count.
     """
     params, t = code.params, code.t
     block = linalg.pairing_matrix(code.field, [code.cyclotomy.class_elements(0)])
     size = len(block[0])
-    width, denom = t * size, t * params.delta
+    denom = t * params.delta
     matrix = tuple((0,) * (h * size) + row + (0,) * ((t - 1 - h) * size)
                    for h in range(t) for row in block)
 
     def score(pops):
-        totals = _unmarked(width, set(pops))  # every count, each once
-        for total in totals:
+        for total in set(pops):  # every count, each once
             if params.N * total % denom:
                 raise RuntimeError(f"dual count {total} times N={params.N} "
                                    f"not divisible by t*delta={denom}")
-        return params.N * max(totals) // denom
+        return params.N * max(pops) // denom
 
     return matrix, score
 
@@ -249,22 +245,22 @@ def _dual_scorer(code):
 # -- exhaustive sweeps ------------------------------------------------------
 
 def _fold_tail(rows):
-    """``rows`` with its trailing rows OR-folded into the last while that
-    holds at most ``_TAIL_CAP`` masks: one OR per combination, in product
-    order, so a subspace keeps its position."""
+    """``rows`` with its trailing rows' zero sets AND-folded into the last
+    while that holds at most ``_TAIL_CAP`` masks: one AND per combination,
+    in product order, so a subspace keeps its position."""
     if not rows:
         return rows
     *heads, last = rows
     while heads and len(heads[-1]) * len(last) <= _TAIL_CAP:
-        last = [a | b for a in heads.pop() for b in last]
+        last = [a & b for a in heads.pop() for b in last]
     return [*heads, last]
 
 
 def _sweep_units(kernel, score, it, units):
     """Best subspace of the units ``(pat_idx, pattern, lo, hi)``, each the
     slice [lo, hi) of its pattern's first-row choices, given in sweep order:
-    ``(zeros, (pat_idx, index), pattern, examined)``, plain ints."""
-    best, best_pos, best_pattern = -1, None, None
+    ``(zeros, (pat_idx, index), examined)``, plain ints."""
+    best, best_pos = -1, None
     examined, masks_of = 0, None
     for pat_idx, pattern, lo, hi in units:
         if masks_of != pat_idx:  # a worker's consecutive units share a pattern
@@ -273,17 +269,16 @@ def _sweep_units(kernel, score, it, units):
             rest = _fold_tail(rest)
         *heads, last = [first[lo:hi], *rest]
         offset = lo * math.prod(map(len, rest))
-        # depth first over the prefix unions; a zero mask adds nothing
-        for pos, union in enumerate(_prefixes(0, heads, operator.or_)):
-            pops = [(union | mask).bit_count() for mask in last]
+        # depth first over the prefixes' common zeros
+        for pos, common in enumerate(_prefixes(kernel.full, heads, operator.and_)):
+            pops = [(common & mask).bit_count() for mask in last]
             zeros = score(pops)
             examined += len(pops)
             if zeros > best:
-                # fewest marked positions is most zeros, for both scores
+                # the largest count of common zeros scores highest, for both scores
                 best = zeros
-                best_pos = (pat_idx, offset + pos * len(last) + pops.index(min(pops)))
-                best_pattern = pattern
-    return best, best_pos, best_pattern, examined
+                best_pos = (pat_idx, offset + pos * len(last) + pops.index(max(pops)))
+    return best, best_pos, examined
 
 
 def _work_units(it, q, jobs, total):
@@ -419,12 +414,13 @@ def _sweep(code, r, mode, budget, jobs) -> GHWResult:
     it = SubspaceIter(field, tm, r)
     chunks = _deal(_work_units(it, code.q, jobs, total), jobs)
     parts = _fan_out(lambda chunk: _sweep_units(kernel, score, it, chunk), chunks)
-    if (examined := sum(part[3] for part in parts)) != total:
+    if (examined := sum(part[2] for part in parts)) != total:
         raise RuntimeError(f"sweep visited {examined} subspaces, expected {total}")
+    patterns = list(it.patterns())
     best, best_pos, best_witness = -1, None, ()
-    for zeros, pos, pattern, _ in parts:
+    for zeros, pos, _ in parts:
         witness = tuple(linalg.vector_from_coords(field, code.t, row)
-                        for row in it.pattern_basis(pattern, pos[1]))
+                        for row in it.pattern_basis(patterns[pos[0]], pos[1]))
         if mode == "brute" and (recount := count_common_zeros(code, witness)) != zeros:
             raise RuntimeError(f"brute witness at r={r} recounts to {recount} "
                                f"common zeros, the sweep scored {zeros}")

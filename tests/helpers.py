@@ -550,9 +550,11 @@ def kernel(code, mode, bitplanes=None):
 
 
 def kernel_mismatches(code, mode, dims, bitplanes=None):
-    """Every (r, pattern, row) whose kernel masks differ from the per-row
-    reference masks of its ``row_choices``, over the dimensions ``dims``."""
-    row_masks = kernel(code, mode, bitplanes).row_masks
+    """Every (r, pattern, row) whose kernel zero sets differ from the
+    complements of the per-row reference masks of its ``row_choices``, over
+    the dimensions ``dims``."""
+    masks = kernel(code, mode, bitplanes)
+    row_masks, full = masks.row_masks, masks.full
     reference = REFERENCE_ROW_MASKS[mode](code)
     bad = []
     for r in dims:
@@ -560,14 +562,14 @@ def kernel_mismatches(code, mode, dims, bitplanes=None):
         for pattern in it.patterns():
             columns, choices = it.row_columns(pattern), it.row_choices(pattern)
             for i, ((pc, free), rows) in enumerate(zip(columns, choices)):
-                if row_masks(pc, free) != [reference(row) for row in rows]:
+                if row_masks(pc, free) != [full ^ reference(row) for row in rows]:
                     bad.append((r, pattern, i))
     return bad
 
 
 def kernel_subspaces(code, mode, r):
     """Every r-dimensional subspace as (rows, masks): its RREF rows from
-    ``iter_pattern`` beside the kernel's masks of those rows."""
+    ``iter_pattern`` beside the kernel's zero sets of those rows."""
     masks_of = kernel(code, mode)
     it = SubspaceIter(code.field, code.k, r)
     for pattern in it.patterns():

@@ -328,7 +328,8 @@ def count_via_dual(code, basis) -> int:
     == count_common_zeros(code, S) for every subspace S, and relabel is
     invertible, so the maxima over each dimension agree as well.  Scores
     through the dual sweep's own matrix and score, ``oracle._dual_scorer``,
-    with each basis vector's word ``coords . M`` formed in field arithmetic.
+    with each basis vector's word ``coords . M`` formed in field arithmetic
+    and the pairs outside the union of the words' supports counted.
     """
     require_e_equals_t(code.params, "dual counting")
     field = code.field
@@ -342,4 +343,4 @@ def count_via_dual(code, basis) -> int:
             if c:
                 word = [field.add(w, field.mul(c, x)) for w, x in zip(word, row)]
         union |= sum(1 << i for i, w in enumerate(word) if w)
-    return score([union.bit_count()])
+    return score([len(matrix[0]) - union.bit_count()])

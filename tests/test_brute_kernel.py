@@ -1,6 +1,6 @@
 """Differential checks of the brute sweep on the generator-matrix kernel.
 
-The kernel scores a subspace from per-row support bitmasks of
+The kernel scores a subspace from per-row zero-set bitmasks of
 ``row . generator_matrix``; the reference path recomputes every basis word
 through ``TraceCode.codeword``.
 """
@@ -50,8 +50,8 @@ def _assert_kernel_matches(code, dims):
     _, score = _brute_scorer(code)
     for r in dims:
         for rows, masks in kernel_subspaces(code, "brute", r):
-            union = functools.reduce(operator.or_, masks)
-            assert score([union.bit_count()]) == count_common_zeros(code, _messages(code, rows))
+            common = functools.reduce(operator.and_, masks)
+            assert score([common.bit_count()]) == count_common_zeros(code, _messages(code, rows))
 
 
 def test_generator_matrix_rows_are_unit_message_words(example1):

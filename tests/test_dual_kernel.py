@@ -1,8 +1,8 @@
 """Differential checks of the dual sweep on the trace-pairing kernel.
 
-The kernel marks, for each basis row, the points z*e_h, z in C_0, that pair
-to a nonzero trace with the row's slot, as the support of ``row . M`` for
-the trace-pairing matrix M, t copies of one slot block on the diagonal; the
+The kernel leaves unmarked, for each basis row, the points z*e_h, z in C_0,
+that pair to a zero trace with the row's slot, as the zero set of ``row . M``
+for the trace-pairing matrix M, t copies of one slot block on the diagonal; the
 reference path solves each slot's trace system as a null space and
 enumerates it, counting the y with -y in C_0 (``helpers.nullspace_dual_count``).
 It keeps the negation on purpose, as an independent route: -C_0 = C_0.
@@ -22,6 +22,7 @@ from ghwlab.oracle import GHWResult, _dual_scorer, ghw_dual_sweep
 from ghwlab.subspaces import SubspaceIter
 
 from helpers import all_subspaces, kernel_subspaces, nullspace_dual_count, small_sweeps
+import paper_lemmas
 from paper_lemmas import count_via_dual
 
 EX1 = ["--p", "7", "--m", "2", "--e", "2", "--t", "2", "--a", "6"]
@@ -81,8 +82,8 @@ def _assert_kernel_matches(code, dims):
     _, score = _dual_scorer(code)
     for r in dims:
         for rows, masks in kernel_subspaces(code, "dual", r):
-            union = functools.reduce(operator.or_, masks)
-            assert score([union.bit_count()]) == nullspace_dual_count(code, _messages(code, rows))
+            common = functools.reduce(operator.and_, masks)
+            assert score([common.bit_count()]) == nullspace_dual_count(code, _messages(code, rows))
 
 
 @pytest.mark.parametrize("key", ["example1", "example2", "irreducible21"])
@@ -125,12 +126,14 @@ def off_by_one(monkeypatch):
     # one more unmarked pair than the truth: on example 1 (N=4, t*delta=12)
     # the true raw count is a multiple of 3, so N times this one never
     # divides by t*delta
-    real = oracle._unmarked
+    real = oracle._dual_scorer
 
-    def wrong(width, pops):
-        return [count + 1 for count in real(width, pops)]
+    def wrong(code):
+        matrix, score = real(code)
+        return matrix, lambda pops: score([count + 1 for count in pops])
 
-    monkeypatch.setattr(oracle, "_unmarked", wrong)
+    for module in (oracle, paper_lemmas):  # the sweep's and count_via_dual's name
+        monkeypatch.setattr(module, "_dual_scorer", wrong)
 
 
 def test_divisibility_check_catches_a_wrong_count(example1, off_by_one):

@@ -116,7 +116,7 @@ def test_pool_units_balance_the_workers():
     matrix, score = oracle._brute_scorer(code)
     kernel = oracle._RowMasks(code.field, matrix)
     for chunk, load in zip(chunks, loads):
-        assert oracle._sweep_units(kernel, score, it, chunk)[3] == load
+        assert oracle._sweep_units(kernel, score, it, chunk)[2] == load
     for sweep in (ghw_bruteforce, ghw_dual_sweep):
         assert sweep(code, 3, jobs=2) == sweep(code, 3, jobs=1)
 

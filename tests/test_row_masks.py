@@ -1,12 +1,14 @@
 """The sweep kernel's row masks against the per-row references.
 
-``oracle._RowMasks`` gives the masks of every choice of a pattern row at
+``oracle._RowMasks`` gives the zero sets of every choice of a pattern row at
 once, from depth-first prefix words and one bucket pass per prefix.  It
 holds a word as its value planes (one bitmask per value that occurs)
 when 2*q*q <= w, else as a list of w scalar indices;
 the tests below force each form on the same matrices.
 ``helpers.brute_row_mask`` and ``helpers.dual_row_mask`` build each
-choice's word on its own, the way the sweeps did before the kernel.
+choice's word on its own, the way the sweeps did before the kernel, and
+keep its support (or its marked pairs), whose complement the kernel's zero
+set must be.
 """
 
 import tracemalloc
@@ -134,7 +136,7 @@ def test_row_masks_hold_no_int_per_position():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert mask == sum(1 << i for i, x in enumerate(matrix[0]) if x)
+    assert mask == sum(1 << i for i, x in enumerate(matrix[0]) if not x)
     assert peak < 16_000_000
 
 

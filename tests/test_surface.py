@@ -12,8 +12,9 @@ identifier counts as reached.  Test-only code belongs under ``tests/``.
 Also: every name a module-level import in ``src/ghwlab`` or ``tests`` binds
 is read in its module, the modules that hold Gauss periods and sum them exactly
 import no complex arithmetic, every record is a named tuple with empty
-``__slots__`` and no ``__init__`` or ``__new__`` of its own, and the dual
-sweep pairs with C_0 itself, one slot, negating nothing.
+``__slots__`` and no ``__init__`` or ``__new__`` of its own, the dual
+sweep pairs with C_0 itself, one slot, negating nothing, and the sweep
+kernel holds zero sets, which both scores count with no complement.
 """
 
 import ast
@@ -286,3 +287,28 @@ def test_each_record_has_one_constructor_and_one_serialisation():
     to_dict = definition("codes", "HypothesisReport.to_dict")
     assert {node.value for node in ast.walk(to_dict) if isinstance(node, ast.Constant)
             and isinstance(node.value, str)} == {"all_hold"}
+
+
+def complements_full(node):
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitXor) and "full" in {
+        getattr(side, "id", getattr(side, "attr", None)) for side in (node.left, node.right)}
+
+
+def test_the_sweep_kernel_holds_zero_sets():
+    # a row choice's mask is its zero set, and both scores read its count:
+    # no complement into a support, no unmarked-count helper
+    assert complements_full(ast.parse("full ^ (zz | b)", mode="eval").body)  # the matcher sees one
+    assert not [name for name in holders(complements_full) if name.startswith("oracle.")]
+    oracle_ast = ast.parse((SRC / "oracle.py").read_text())
+    assert "_unmarked" not in identifiers([oracle_ast])
+    # the brute score is the builtin max: oracle rebinds no name max
+    (ret,) = [node for node in ast.walk(definition("oracle", "_brute_scorer"))
+              if isinstance(node, ast.Return)]
+    assert isinstance(ret.value, ast.Tuple) and getattr(ret.value.elts[1], "id", None) == "max"
+    bound = set()
+    for node in ast.walk(oracle_ast):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, (*DEFS, ast.arg, ast.alias)):
+            bound.add(getattr(node, "asname", None) or getattr(node, "name", None) or node.arg)
+    assert "_RowMasks" in bound and "max" not in bound

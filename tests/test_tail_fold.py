@@ -1,11 +1,12 @@
 """The sweep's folded trailing rows keep every result and witness.
 
-``oracle._sweep_units`` ORs the masks of a pattern's trailing rows into one
-list, once per pattern, while it holds at most ``_TAIL_CAP`` masks; the
+``oracle._sweep_units`` ANDs the zero sets of a pattern's trailing rows into
+one list, once per pattern, while it holds at most ``_TAIL_CAP`` masks; the
 fold keeps product order, so the best position, and with it the witness,
 must not move.  At a cap of 1 no row with a free column is folded.
 """
 
+import operator
 from unittest import mock
 
 import pytest
@@ -18,6 +19,12 @@ from ghwlab.oracle import ghw_bruteforce, ghw_dual_sweep
 from helpers import small_sweeps
 
 CAPS = (1, 16, oracle._TAIL_CAP)
+
+
+def test_prefixes_and_an_empty_zero_set():
+    # a row choice may leave no common zero: u & 0 is 0, not u, so only a
+    # None step (c = 0) is skipped, never a 0 mask
+    assert list(oracle._prefixes(0b111, [[0b101, 0]], operator.and_)) == [0b101, 0]
 
 
 def _sweeps_at_each_cap(code, r, jobs):
