@@ -262,21 +262,6 @@ class TraceCode:
         add, mul = self.field.add, self.field.mul
         return tuple(reduce(add, map(mul, vec, row), 0) for row in self._relabel_rows)
 
-    def support_union(self, basis) -> frozenset:
-        """0-based coordinates where some basis word is nonzero.
-
-        By linearity of the coordinate functionals this is the support of
-        the whole subcode spanned by the basis.  The basis must be
-        GF(q)-independent.
-        """
-        if not linalg.vectors_independent(self.field, basis):
-            raise ValueError("basis vectors are GF(q)-dependent")
-        supp = set()
-        for vec in basis:
-            word = self.codeword(vec)
-            supp.update(i for i, c in enumerate(word) if c)
-        return frozenset(supp)
-
     def generator_matrix(self) -> tuple:
         """The k x n generator matrix over GF(q): ``linalg.pairing_matrix``
         with slot j the evaluation points gamma^(a_j*i), ``exp[a_j*i mod (Q-1)]``.
@@ -292,5 +277,13 @@ class TraceCode:
 
 
 def count_common_zeros(code: TraceCode, basis) -> int:
-    """Number of coordinates at which every word of the subcode vanishes."""
-    return code.n - len(code.support_union(basis))
+    """Number of coordinates at which every word of the subcode vanishes:
+    n minus the union of the basis words' supports, which by linearity of
+    the coordinate functionals is the support of the whole subcode.  The
+    basis must be GF(q)-independent."""
+    if not linalg.vectors_independent(code.field, basis):
+        raise ValueError("basis vectors are GF(q)-dependent")
+    support = set()
+    for vec in basis:
+        support.update(i for i, c in enumerate(code.codeword(vec)) if c)
+    return code.n - len(support)

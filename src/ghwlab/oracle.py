@@ -36,10 +36,12 @@ is decoded from its subspace's position by ``SubspaceIter.pattern_basis``.
 The dual count of a single basis, ``count_via_dual``, is a test reference in
 ``tests/paper_lemmas.py`` that scores through this module's dual scorer.
 
-Sweeps are split into work units, slices of a pattern's first-row choices;
-units are independent and combine by max reduction, so multi-process runs
-return identical results to serial ones, including the reported witness.
-Units are dealt largest first to the least-loaded worker.  The parent
+Sweeps are split into work units, slices of a pattern's first-row choices,
+or the whole pattern where each choice is a single subspace (every pattern
+at r = 1): every holder of a slice builds the whole mask list.  Units are
+independent and combine by max reduction, so multi-process runs return
+identical results to serial ones, including the reported witness.  Units
+are dealt largest first to the least-loaded worker.  The parent
 builds the kernel once, then with N jobs forks N-1 children and sweeps the
 last share itself.  Children inherit the kernel and see no code or mode;
 only the ints of each share's best cross a pipe.  The parent decodes every
@@ -284,17 +286,18 @@ def _sweep_units(kernel, score, it, units):
 def _work_units(it, q, jobs, total):
     """The sweep as ``(size, (pat_idx, pattern, lo, hi))`` units, in sweep order.
 
-    Each pattern's first-row choices are sliced so that a unit holds about
-    total / (jobs * _UNITS_PER_JOB) subspaces, or one first-row choice if
-    that is more.  A worker's consecutive units of one pattern share its
-    masks, so slicing a serial sweep costs no extra mask builds.
+    Where later rows multiply each first-row choice, the choices are sliced
+    so that a unit holds about total / (jobs * _UNITS_PER_JOB) subspaces, or
+    one choice if that is more; a worker's consecutive units of one pattern
+    share its masks.  Any other pattern is one unit, since each holder of a
+    slice would build its whole mask list, the pattern's whole job.
     """
     cap = -(-total // (jobs * _UNITS_PER_JOB))
     units = []
     for pat_idx, pattern in enumerate(it.patterns()):
         first, *rest = [q ** len(free) for _, free in it.row_columns(pattern)]
         other = math.prod(rest)
-        step = max(1, cap // other)
+        step = max(1, cap // other) if other > 1 else first
         for lo in range(0, first, step):
             hi = min(lo + step, first)
             units.append(((hi - lo) * other, (pat_idx, pattern, lo, hi)))

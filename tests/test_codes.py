@@ -9,6 +9,7 @@ from ghwlab.codes import (
     TraceCode,
     _check_iii,
     check_closed_form_hypotheses,
+    count_common_zeros,
     derive_params,
 )
 from ghwlab.fields import FieldCtx, build_field
@@ -320,27 +321,27 @@ def test_cyclic_shift_property(example1):
         assert example1.codeword(shifted_msg) == word[1:] + word[:1]
 
 
-def test_support_union_single_vector(example1):
+def test_count_common_zeros_single_vector(example1):
     word = example1.codeword((1, 1))
-    supp = example1.support_union([(1, 1)])
-    assert supp == frozenset(i for i, c in enumerate(word) if c)
+    count = count_common_zeros(example1, [(1, 1)])
+    assert example1.n - count == sum(1 for c in word if c)
 
 
-def test_support_union_full_space(example1):
+def test_count_common_zeros_full_space(example1):
     f = example1.field
     basis = [(1, 0), (f.gamma, 0), (0, 1), (0, f.gamma)]
-    assert len(example1.support_union(basis)) == 8
+    assert count_common_zeros(example1, basis) == 0
 
 
-def test_support_union_monotone(example1):
-    small = example1.support_union([(1, 1)])
-    bigger = example1.support_union([(1, 1), (0, 1)])
-    assert small <= bigger
+def test_count_common_zeros_monotone(example1):
+    line = count_common_zeros(example1, [(1, 1)])
+    plane = count_common_zeros(example1, [(1, 1), (0, 1)])
+    assert plane <= line
 
 
-def test_support_union_rejects_dependent(example1):
+def test_count_common_zeros_rejects_dependent(example1):
     with pytest.raises(ValueError, match="dependent"):
-        example1.support_union([(1, 1), (2, 2)])
+        count_common_zeros(example1, [(1, 1), (2, 2)])
 
 
 def test_parity_check_and_generator(example1):

@@ -1,4 +1,5 @@
 import cmath
+import math
 import os
 import random
 import subprocess
@@ -31,7 +32,7 @@ def test_brute_simplex(simplex):
 
 def test_brute_witness_achieves_value(example1):
     res = ghw_bruteforce(example1, 2)
-    assert len(example1.support_union(res.witness)) == res.d_r == 4
+    assert example1.n - count_common_zeros(example1, res.witness) == res.d_r == 4
     assert res.examined == 2850
 
 
@@ -119,6 +120,36 @@ def test_pool_units_balance_the_workers():
         assert oracle._sweep_units(kernel, score, it, chunk)[2] == load
     for sweep in (ghw_bruteforce, ghw_dual_sweep):
         assert sweep(code, 3, jobs=2) == sweep(code, 3, jobs=1)
+
+
+def test_a_pattern_is_sliced_only_where_later_rows_multiply_its_choices(example1):
+    # a first-row choice with no later choices is one subspace, and each
+    # holder of a slice would build the pattern's whole mask list
+    q = example1.q
+    it = SubspaceIter(example1.field, example1.k, 1)
+    whole = [(size, (pat_idx, pattern, 0, size))
+             for pat_idx, (pattern, size) in enumerate(zip(it.patterns(), [343, 49, 7, 1]))]
+    for jobs in (1, 2, 4):
+        assert oracle._work_units(it, q, jobs, gaussian_binomial(4, 1, q)) == whole
+    assert ghw_dual_sweep(example1, 1, jobs=2) == ghw_dual_sweep(example1, 1, jobs=1)
+    # at r = 2 every pattern whose later row has a free column keeps its
+    # cap // other slices; pattern (0, 3)'s later row has none, so its 49
+    # choices, 5 slices of at most cap = 12, are one unit
+    it = SubspaceIter(example1.field, example1.k, 2)
+    total = gaussian_binomial(4, 2, q)
+    cap = -(-total // (64 * oracle._UNITS_PER_JOB))
+    assert cap == 12
+    expected = []
+    for pat_idx, pattern in enumerate(it.patterns()):
+        first, *rest = [q ** len(free) for _, free in it.row_columns(pattern)]
+        other = math.prod(rest)
+        step = max(1, cap // other) if other > 1 else first
+        expected += [(pat_idx, pattern, lo, min(lo + step, first))
+                     for lo in range(0, first, step)]
+    units = [unit for _, unit in oracle._work_units(it, q, 64, total)]
+    assert units == expected
+    assert [unit[1:] for unit in units if unit[1] == (0, 3)] == [((0, 3), 0, 49)]
+    assert len(units) > len(list(it.patterns()))  # the other rule still slices
 
 
 def test_parallel_matches_serial(example1):

@@ -13,8 +13,9 @@ Also: every name a module-level import in ``src/ghwlab`` or ``tests`` binds
 is read in its module, the modules that hold Gauss periods and sum them exactly
 import no complex arithmetic, every record is a named tuple with empty
 ``__slots__`` and no ``__init__`` or ``__new__`` of its own, the dual
-sweep pairs with C_0 itself, one slot, negating nothing, and the sweep
-kernel holds zero sets, which both scores count with no complement.
+sweep pairs with C_0 itself, one slot, negating nothing, the sweep
+kernel holds zero sets, which both scores count with no complement, and the
+exact count is the one reader of ``codeword``.
 """
 
 import ast
@@ -312,3 +313,12 @@ def test_the_sweep_kernel_holds_zero_sets():
         elif isinstance(node, (*DEFS, ast.arg, ast.alias)):
             bound.add(getattr(node, "asname", None) or getattr(node, "name", None) or node.arg)
     assert "_RowMasks" in bound and "max" not in bound
+
+
+def test_the_exact_count_alone_reads_codewords():
+    # the brute recount is a real check: the exact count reads words only
+    # through codeword, and the kernel's generator matrix never does
+    assert callers("codeword") == ["codes.count_common_zeros"]
+    assert callers("generator_matrix") == ["oracle._brute_scorer"]
+    codes_ast = ast.parse((SRC / "codes.py").read_text())
+    assert "support_union" not in {node.name for node in ast.walk(codes_ast) if isinstance(node, DEFS)}
