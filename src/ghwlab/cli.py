@@ -148,13 +148,14 @@ def _write(args, text, mode="w"):
 
 def _check_output(args):
     """Refuse an unwritable ``--output`` before any work, as ``_write`` would.
-    Opening to append keeps an existing file's content; a file made here goes."""
+    Opening to append keeps an existing file's content; a file made here
+    goes, and behind a symlink it is the link's target that goes."""
     if args.output != "-":
         path = Path(args.output)
-        made = not (path.exists() or path.is_symlink())  # a symlink is the user's, kept
+        made = not path.exists()  # follows a symlink to its target
         _write(args, "", mode="a")
         if made:
-            path.unlink()
+            path.resolve().unlink()
 
 
 def _write_record(args, record, csv_rows=None, table_lines=None):

@@ -131,7 +131,7 @@ def derive_params(p, s, m, e, t, a, deltas=None) -> CodeParams:
     n = (Q - 1) // delta
     N = math.gcd((Q - 1) // (q - 1), a * e)
 
-    iii, k = _check_iii(field, a_list, m)
+    iii, k = _check_iii(q, Q, a_list, m)
     report = AssumptionReport(i=_check_i(Q, e, a, t), ii=_check_ii(e, t, deltas), iii=iii)
     return CodeParams(p=p, s=s, m=m, e=e, t=t, a=a, deltas=deltas,
                       q=q, Q=Q, a_list=a_list, delta=delta, n=n, N=N, k=k,
@@ -158,18 +158,20 @@ def _check_ii(e, t, deltas):
     return AssumptionCheck(True, "deltas distinct mod e and difference gcd is 1")
 
 
-def _check_iii(field, a_list, m):
-    """The check, and the code dimension k: the size of the union of the
-    roots' q-conjugacy orbits, the code's nonzeros, which is t*m when the
-    check passes.  The minimal polynomial of a root over GF(q) is the
-    product over its orbit: its degree is the orbit size, and two are equal
-    exactly when the orbits are."""
-    orbits = [frozenset(field.conjugacy_orbit(field.pow(field.gamma, -ai))) for ai in a_list]
-    k = len(frozenset().union(*orbits))
-    degs = [len(orbit) for orbit in orbits]
+def _check_iii(q, Q, a_list, m):
+    """The check, and the code dimension k, on the q-cyclotomic cosets of
+    the exponents: gamma^(-a_j) has the q-conjugates gamma^(-a_j*q^i), so
+    its orbit is the coset {-a_j*q^i mod (Q-1)}, i < m.  The cosets' union
+    is the code's nonzeros, of size k, t*m when the check passes (Delsarte,
+    IEEE TIT 21(5), 1975).  A root's minimal polynomial over GF(q) is the
+    product over its orbit: its degree is the coset size, and two are equal
+    exactly when the cosets are."""
+    cosets = [frozenset(-aj * q**i % (Q - 1) for i in range(m)) for aj in a_list]
+    k = len(frozenset().union(*cosets))
+    degs = [len(coset) for coset in cosets]
     if any(d != m for d in degs):
         return AssumptionCheck(False, f"minimal polynomial degrees {degs}, expected all {m}"), k
-    if len(set(orbits)) != len(orbits):
+    if len(set(cosets)) != len(cosets):
         return AssumptionCheck(False, "repeated minimal polynomial among the exponents"), k
     return AssumptionCheck(True, f"all degrees equal {m} and polynomials pairwise distinct"), k
 

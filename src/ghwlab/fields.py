@@ -25,8 +25,8 @@ GF(q)^m is its trace coordinates (Tr_{Q->q}(x * gamma^j))_{j<m}, read from
 the exp, log and trace tables; the trace form is nondegenerate, so the map
 is a GF(q)-linear bijection.  Coordinates in the basis
 (1, gamma, ..., gamma^(m-1)) are read back to an element by
-``element_from_coords``, and the degree of x over GF(q) is the size of
-its q-conjugacy orbit.
+``element_from_coords``; the degree of gamma^k over GF(q) is the size of
+the q-cyclotomic coset {k*q^i mod (Q-1)} of its exponent.
 
 Fields are capped at 2^20 elements: this module targets desk-scale
 verification, not cryptographic sizes.
@@ -203,9 +203,6 @@ class FieldCtx:
         group = self.Q - 1
         return self.exp[(self.log[a] + group // 2) % group]
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
@@ -220,23 +217,6 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of zero")
         group = self.Q - 1
         return self.exp[(group - self.log[a]) % group]
-
-    def pow(self, a, k):
-        if a == 0:
-            if k > 0:
-                return 0
-            if k == 0:
-                return 1
-            raise ZeroDivisionError("negative power of zero")
-        group = self.Q - 1
-        return self.exp[(self.log[a] * k) % group]
-
-    def frobenius(self, x, k=1):
-        """x^(p^k)."""
-        if x == 0:
-            return 0
-        group = self.Q - 1
-        return self.exp[(self.log[x] * pow(self.p, k, group)) % group]
 
     # -- subfields and traces ---------------------------------------------
 
@@ -273,7 +253,8 @@ class FieldCtx:
         """Relative trace onto GF(p^sub_degree) of every element; built once.
 
         The trace is GF(p)-linear, so it is fixed by its values on the basis
-        X^i (element code p**i), each the Frobenius sum of its conjugates.
+        X^i (element code p**i), each the sum of its conjugates
+        ``exp[log(p^i) * p^(sub_degree*j) mod (Q-1)]``.
         The table then grows one base-p digit at a time:
         tr[x + c*p^i] = tr[x + (c-1)*p^i] + tr[p^i], where adding tr[p^i]
         is a lookup in a shift table over the subfield, which holds every
@@ -289,14 +270,13 @@ class FieldCtx:
             return table
         if sub_degree == self.degree:
             return range(self.Q)
-        p, values = self.p, self.subfield(sub_degree)
+        p, values, group = self.p, self.subfield(sub_degree), self.Q - 1
         small = values[-1] < 256
         table = bytearray(1) if small else [0]
         for i in range(self.degree):
-            tr = cur = p**i
-            for _ in range(self.degree // sub_degree - 1):
-                cur = self.frobenius(cur, sub_degree)
-                tr = _digit_add(p, tr, cur)
+            tr, log_x = 0, self.log[p**i]
+            for j in range(self.degree // sub_degree):
+                tr = _digit_add(p, tr, self.exp[log_x * p ** (sub_degree * j) % group])
             block = len(table)
             if small:
                 shift = bytearray(256)
@@ -340,15 +320,6 @@ class FieldCtx:
             if c:
                 acc = self.add(acc, self.mul(c, self.exp[i]))
         return acc
-
-    def conjugacy_orbit(self, x) -> list:
-        """Orbit of x under x -> x^q; its size is the degree of x over GF(q)."""
-        orbit = [x]
-        cur = self.frobenius(x, self.s)
-        while cur != x:
-            orbit.append(cur)
-            cur = self.frobenius(cur, self.s)
-        return orbit
 
     def to_json_dict(self) -> dict:
         return {

@@ -75,8 +75,8 @@ def rref(ctx, rows):
         rows[r] = [ctx.mul(inv, v) for v in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [ctx.sub(rows[i][j], ctx.mul(f, rows[r][j])) for j in range(ncols)]
+                f = ctx.neg(rows[i][c])
+                rows[i] = [ctx.add(rows[i][j], ctx.mul(f, rows[r][j])) for j in range(ncols)]
         pivots.append(c)
         r += 1
     return rows[:r], pivots

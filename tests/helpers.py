@@ -325,18 +325,50 @@ def exhaustive_class_intersections(ctx, N, l):
     return best
 
 
+def power(ctx, x, k):
+    """x^k, k >= 0, by square and multiply through ``mul`` alone: the
+    reference for powers, sharing no exponent formula with ``src``, which
+    reads the q-conjugates of gamma^k off the exponents k*q^i mod (Q-1)."""
+    acc = 1
+    for bit in bin(k)[2:]:
+        acc = ctx.mul(acc, acc)
+        if bit == "1":
+            acc = ctx.mul(acc, x)
+    return acc
+
+
+def frobenius(ctx, x, k=1):
+    """x^(p^k): k times raised to the p-th power by repeated ``mul``."""
+    for _ in range(k):
+        x = power(ctx, x, ctx.p)
+    return x
+
+
+def q_orbit(ctx, x) -> list:
+    """The orbit of x under x -> x^q, by ``frobenius``: its size is the
+    degree of x over GF(q)."""
+    orbit = [x]
+    cur = frobenius(ctx, x, ctx.s)
+    while cur != x:
+        orbit.append(cur)
+        cur = frobenius(ctx, cur, ctx.s)
+    return orbit
+
+
 def frobenius_trace(ctx, x, sub_degree, top_degree=None):
     """Definitional relative trace from GF(p^top_degree) onto GF(p^sub_degree).
 
-    The sum x + x^(p^sub) + x^(p^(2 sub)) + ... over top/sub conjugates;
-    the reference for ``FieldCtx.trace_table``.  ``top_degree`` defaults to
+    The sum x + x^(p^sub) + x^(p^(2 sub)) + ... over top/sub conjugates,
+    each the last raised to the p^sub-th power by ``frobenius``; the
+    reference for ``FieldCtx.trace_table``.  ``top_degree`` defaults to
     the whole field; x must lie in GF(p^top_degree).
     """
     top = ctx.degree if top_degree is None else top_degree
-    assert top % sub_degree == 0 and ctx.frobenius(x, top) == x
-    acc = 0
-    for i in range(top // sub_degree):
-        acc = ctx.add(acc, ctx.frobenius(x, sub_degree * i))
+    assert top % sub_degree == 0 and frobenius(ctx, x, top) == x
+    acc, cur = 0, x
+    for _ in range(top // sub_degree):
+        acc = ctx.add(acc, cur)
+        cur = frobenius(ctx, cur, sub_degree)
     return acc
 
 

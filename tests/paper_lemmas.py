@@ -22,6 +22,8 @@ from ghwlab.fields import FieldCtx
 from ghwlab.hierarchy import FormulaParams, profile_objective, rank_decomposition
 from ghwlab.oracle import _dual_scorer
 
+from helpers import frobenius, power, q_orbit
+
 
 class OpConditionError(ValueError):
     """A profile rewrite was attempted outside its side conditions."""
@@ -192,7 +194,7 @@ def achieving_subspace(cyc, l: int, i: int):
     group = field.Q - 1
     half_deg = field.s * fp.half
     theta = field.exp[(group // (field.p**half_deg - 1)) % group]
-    half_basis = [field.pow(theta, k) for k in range(fp.half)]
+    half_basis = [power(field, theta, k) for k in range(fp.half)]
     if l <= fp.half:
         basis = half_basis[:l]
     else:
@@ -228,14 +230,15 @@ class PolyOverFq:
 def minimal_poly(field, x) -> PolyOverFq:
     """Monic minimal polynomial of a nonzero x over GF(q).
 
-    Computed as the product over the q-conjugacy orbit; every
-    coefficient is verified to be fixed by y -> y^q.  The reference for
-    ``codes._check_iii``, which reads degrees and equality off the orbits.
+    Computed as the product over the q-conjugacy orbit, taken by repeated
+    ``mul`` (``helpers.q_orbit``); every coefficient is verified to be fixed
+    by y -> y^q.  The reference for ``codes._check_iii``, which reads
+    degrees and equality off the q-cyclotomic cosets of the exponents.
     """
     if x == 0:
         raise ValueError("minimal_poly requires a nonzero element")
     coeffs = [1]
-    for root in field.conjugacy_orbit(x):
+    for root in q_orbit(field, x):
         nroot = field.neg(root)
         nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
@@ -244,7 +247,7 @@ def minimal_poly(field, x) -> PolyOverFq:
                 nxt[i + 1] = field.add(nxt[i + 1], c)
         coeffs = nxt
     for c in coeffs:
-        if field.frobenius(c, field.s) != c:
+        if frobenius(field, c, field.s) != c:
             raise RuntimeError("minimal polynomial coefficient escaped GF(q)")
     return PolyOverFq(field, tuple(coeffs))
 
@@ -288,7 +291,7 @@ def poly_divmod(ctx, a, b):
         factor = ctx.mul(c, inv_lead)
         quot[k - db] = factor
         for i, bi in enumerate(b):
-            a[k - db + i] = ctx.sub(a[k - db + i], ctx.mul(factor, bi))
+            a[k - db + i] = ctx.add(a[k - db + i], ctx.neg(ctx.mul(factor, bi)))
     rem = a[:db] if db > 0 else [0]
     return tuple(quot), tuple(rem)
 
@@ -298,7 +301,7 @@ def parity_check_poly(code) -> PolyOverFq:
     field = code.field
     coeffs = (1,)
     for ai in code.params.a_list:
-        root = field.pow(field.gamma, -ai)
+        root = field.inv(power(field, field.gamma, ai))
         coeffs = poly_mul(field, coeffs, minimal_poly(field, root).coeffs)
     return PolyOverFq(field, coeffs)
 

@@ -228,7 +228,8 @@ def test_ghw_refuses_an_unwritable_output_before_any_sweep(capsys, monkeypatch, 
     assert (code, out) == (2, "")
     assert err.splitlines() == [f"error: cannot write {path}: No such file or directory"]
     # a run that fails later leaves an existing file as it was, makes no new
-    # one and keeps a symlink the user gave, even a dangling one
+    # one and keeps a symlink the user gave, even a dangling one, whose
+    # target it does not leave behind
     kept, fresh, link = tmp_path / "kept.json", tmp_path / "fresh.json", tmp_path / "link.json"
     kept.write_text("earlier record\n")
     link.symlink_to(tmp_path / "target.json")
@@ -239,6 +240,7 @@ def test_ghw_refuses_an_unwritable_output_before_any_sweep(capsys, monkeypatch, 
     assert kept.read_text() == "earlier record\n"
     assert not fresh.exists()
     assert link.is_symlink()
+    assert not (tmp_path / "target.json").exists()
 
 
 def test_explicit_jobs_are_bounded_by_the_usable_cpus(capsys, monkeypatch):

@@ -117,9 +117,10 @@ def test_assumption_iii_failure_collision():
 
 
 def _check_iii_by_minimal_polys(field, a_list, m):
-    """Assumption iii read off the multiplied-out minimal polynomials, and
-    the code dimension as the sum of the distinct ones' degrees."""
-    polys = [minimal_poly(field, field.pow(field.gamma, -ai)) for ai in a_list]
+    """Assumption iii read off the multiplied-out minimal polynomials of the
+    roots gamma^(-a_j), each raised by repeated ``mul``, and the code
+    dimension as the sum of the distinct ones' degrees."""
+    polys = [minimal_poly(field, field.inv(helpers.power(field, field.gamma, ai))) for ai in a_list]
     k = sum({poly.coeffs: poly.degree for poly in polys}.values())
     degs = [poly.degree for poly in polys]
     if any(d != m for d in degs):
@@ -131,13 +132,15 @@ def _check_iii_by_minimal_polys(field, a_list, m):
 
 def test_assumption_iii_orbits_match_minimal_polynomials():
     kinds = {"pass": 0, "degrees": 0, "repeated": 0}
+    # (2, 2, 5, 3, 3): s > 1 with codes above 255; (3, 10, 1, 2, 2): GF(3^10) at m = 1
     for p, s, m, e, t in ((7, 1, 2, 2, 2), (3, 1, 4, 2, 2), (2, 1, 6, 3, 3),
-                          (2, 1, 4, 3, 2), (2, 2, 2, 3, 3), (3, 1, 6, 2, 2)):
+                          (2, 1, 4, 3, 2), (2, 2, 2, 3, 3), (3, 1, 6, 2, 2),
+                          (2, 2, 5, 3, 3), (3, 10, 1, 2, 2)):
         field = build_field(p, s * m, subfield_degree=s)
         group = field.Q - 1
         for a in range(1, 60):
             a_list = tuple((a + group // e * d) % group for d in range(t))
-            got, k = _check_iii(field, a_list, m)
+            got, k = _check_iii(field.q, field.Q, a_list, m)
             assert (got, k) == _check_iii_by_minimal_polys(field, a_list, m), (p, s, m, e, t, a)
             kinds["pass" if got.ok else "repeated" if "repeated" in got.detail
                   else "degrees"] += 1

@@ -16,7 +16,7 @@ from ghwlab.fields import (
 )
 
 import helpers
-from helpers import digit_loop_tables, order
+from helpers import digit_loop_tables, frobenius, order, power
 from paper_lemmas import coords_over_q, evaluate, is_monic, minimal_poly, poly_divmod, poly_mul
 
 
@@ -133,10 +133,10 @@ def test_log_multiplicative(f64):
 @pytest.mark.parametrize("fixture", ["f4", "f49", "f64", "f9"])
 def test_frobenius_additive_exhaustive(fixture, request):
     field = request.getfixturevalue(fixture)
-    p = field.p
     for x in range(field.Q):
+        fx = frobenius(field, x)
         for y in range(field.Q):
-            assert field.pow(field.add(x, y), p) == field.add(field.pow(x, p), field.pow(y, p))
+            assert frobenius(field, field.add(x, y)) == field.add(fx, frobenius(field, y))
 
 
 @pytest.mark.parametrize("p,degree", [(3, 6), (5, 4), (2, 10), (2, 12)])
@@ -147,7 +147,7 @@ def test_frobenius_additive_large_fields(p, degree):
     import helpers
     field = helpers.field(p, degree)
     digits = [lam * p**i for i in range(degree) for lam in range(1, p)]
-    frob = [field.pow(x, p) for x in range(field.Q)]
+    frob = [frobenius(field, x) for x in range(field.Q)]
     for x in range(field.Q):
         fx = frob[x]
         for c in digits:
@@ -202,12 +202,9 @@ def test_subfield_rejects_bad_degree(f64):
             f64.subfield(degree)
 
 
-def test_zero_has_no_inverse_and_its_zeroth_power_is_one(f49):
+def test_zero_has_no_inverse(f49):
     with pytest.raises(ZeroDivisionError):
         f49.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f49.pow(0, -1)
-    assert (f49.pow(0, 0), f49.pow(0, 3)) == (1, 0)
 
 
 def test_element_from_coords_rejects_the_wrong_length(f64):
@@ -265,7 +262,7 @@ def test_subfield_closure(f64):
 
 
 def test_subfield_q_is_frobenius_fixed(f49):
-    fixed = {x for x in range(49) if f49.frobenius(x, f49.s) == x}
+    fixed = {x for x in range(49) if frobenius(f49, x, f49.s) == x}
     assert fixed == set(f49.subfield_q)
     assert len(fixed) == 7
 
@@ -311,8 +308,8 @@ def test_minimal_poly_subfield_element(f49):
 def test_minimal_poly_example1_exponents(f49):
     # the two exponents of the first worked example give distinct degree-2
     # minimal polynomials
-    h6 = minimal_poly(f49, f49.pow(f49.gamma, -6))
-    h30 = minimal_poly(f49, f49.pow(f49.gamma, -30))
+    h6 = minimal_poly(f49, f49.inv(power(f49, f49.gamma, 6)))
+    h30 = minimal_poly(f49, f49.inv(power(f49, f49.gamma, 30)))
     assert h6.degree == 2
     assert h30.degree == 2
     assert h6.coeffs != h30.coeffs
@@ -329,7 +326,7 @@ def test_minimal_poly_annihilates_and_divides(f64):
 def test_minimal_poly_divides_xq1_minus_1(f49):
     prod = (1,)
     seen = set()
-    for x in (f49.gamma, f49.pow(f49.gamma, 5)):
+    for x in (f49.gamma, power(f49, f49.gamma, 5)):
         poly = minimal_poly(f49, x)
         if poly.coeffs in seen:
             continue
@@ -387,7 +384,7 @@ def test_zech_add_and_neg_match_digits_exhaustive(p, degree, s):
         assert field.neg(a) == helpers.digit_neg(field, a), a
         row = [helpers.digit_add(field, a, b) for b in elems]
         assert [field.add(a, b) for b in elems] == row, a
-        assert [field.sub(b, a) for b in elems] == [
+        assert [field.add(b, field.neg(a)) for b in elems] == [
             helpers.digit_add(field, b, helpers.digit_neg(field, a)) for b in elems], a
 
 
@@ -432,7 +429,7 @@ def test_zech_table_is_built_by_the_first_add_of_two_nonzero_elements(p, degree,
     assert field.add(g, 1) == helpers.digit_add(field, g, 1)
     assert len(built) == 1 and field._zech is field.zech and set(vars(field)) == attrs
     assert field.zech == _zech_table(p, field.exp, field.log)
-    assert field.add(1, field.neg(1)) == 0 and field.sub(g, g) == 0
+    assert field.add(1, field.neg(1)) == 0 and field.add(g, field.neg(g)) == 0
     assert len(built) == 1
 
 

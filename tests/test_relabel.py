@@ -81,6 +81,6 @@ def test_relabel_is_the_argument_of_each_slot():
     g = field.exp[6]
     for b in [(1, 0), (0, 1), (3, 5), (10, 47)]:
         assert code.relabel(b) == (
-            field.mul(g, field.sub(b[0], b[1])),
+            field.mul(g, field.add(b[0], field.neg(b[1]))),
             field.mul(field.mul(g, g), field.add(b[0], b[1])),
         )

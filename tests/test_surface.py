@@ -6,8 +6,10 @@ benchmark patches methods by name) of ``cli.py``, ``__main__.py`` and
 imports and definitions; and the bodies of dunder methods, which Python calls
 implicitly.  A reached function or method adds the identifiers of its body, a
 reached class those of its class-level statements but not of its methods.
-Matching is by bare name, so a method sharing a name with any reached
-identifier counts as reached.  Test-only code belongs under ``tests/``.
+A function or class is reached by any reached identifier of its name; a
+method only by an attribute of its name (``x.name``) or a string, so a
+parameter or local sharing a method's name does not reach the method.
+Test-only code belongs under ``tests/``.
 
 Also: every name a module-level import in ``src/ghwlab`` or ``tests`` binds
 is read in its module, the modules that hold Gauss periods and sum them exactly
@@ -29,24 +31,35 @@ ENTRIES = [SRC / "cli.py", SRC / "__main__.py", *(ROOT / "perfbench").glob("*.py
 DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
-def identifiers(nodes):
+def identifiers(nodes, bare=True):
+    """The attribute names and identifier-shaped strings in ``nodes``, and
+    with ``bare`` their plain names too."""
     out = set()
     for node in (sub for n in nodes for sub in ast.walk(n)):
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            out.add(node.id if isinstance(node, ast.Name) else node.attr)
+        if isinstance(node, ast.Name):
+            if bare:
+                out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
         elif isinstance(node, ast.Constant) and str(node.value).isidentifier():
             out.add(node.value)
     return out
 
 
 def unreached():
-    names = identifiers(ast.parse(path.read_text()) for path in ENTRIES)
-    pending = {}  # label -> (bare name, nodes whose identifiers it adds)
+    names, attrs = set(), set()  # what reaches a function or class; a method
+
+    def reach(nodes):
+        names.update(identifiers(nodes))
+        attrs.update(identifiers(nodes, bare=False))
+
+    reach([ast.parse(path.read_text()) for path in ENTRIES])
+    pending = {}  # label -> (name, the set that reaches it, nodes it adds)
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, DEFS):
                 if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                    names |= identifiers([node])
+                    reach([node])
                 continue
             body = [node]
             if isinstance(node, ast.ClassDef):
@@ -54,13 +67,14 @@ def unreached():
                         *(s for s in node.body if not isinstance(s, DEFS))]
                 for meth in (s for s in node.body if isinstance(s, DEFS)):
                     if meth.name.startswith("__") and meth.name.endswith("__"):
-                        names |= identifiers([meth])
+                        reach([meth])
                     else:
-                        pending[f"{path.stem}.{node.name}.{meth.name}"] = (meth.name, [meth])
-            pending[f"{path.stem}.{node.name}"] = (node.name, body)
-    while reached := [label for label, (name, _) in pending.items() if name in names]:
+                        label = f"{path.stem}.{node.name}.{meth.name}"
+                        pending[label] = (meth.name, attrs, [meth])
+            pending[f"{path.stem}.{node.name}"] = (node.name, names, body)
+    while reached := [label for label, (name, by, _) in pending.items() if name in by]:
         for label in reached:
-            names |= identifiers(pending.pop(label)[1])
+            reach(pending.pop(label)[2])
     return sorted(pending)
 
 
